@@ -37,6 +37,7 @@ from .io import (
 from .metrics import evaluate
 from .model import EdgePredictor, TrainConfig, generate_training_set, predict, train
 from .pipeline import (
+    GeneratorConfig,
     PipelineConfig,
     generate_instances,
     run_ablation_sparsity,
@@ -180,7 +181,7 @@ def cmd_predict(args) -> int:
             predictor = EdgePredictor.from_json(fh.read())
     except OSError as exc:
         raise DataFormatError(f"{args.predictor}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{args.predictor}: bad predictor file: {exc}") from exc
     dataset = load_dataset(args.data)
     matrix = predict(predictor, dataset)
@@ -231,11 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample synthetic benchmark instances")
-    p.add_argument("--mechanism", default="linear", help="linear | rff | chebyshev")
-    p.add_argument("--noise", default="gaussian", help="gaussian | uniform | laplace")
-    p.add_argument("--graph", default="er", help="er | sf")
-    p.add_argument("--d", type=int, default=10)
-    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--mechanism", default=GeneratorConfig.mechanism, help="linear | rff | chebyshev")
+    p.add_argument("--noise", default=GeneratorConfig.noise, help="gaussian | uniform | laplace")
+    p.add_argument("--graph", default=GeneratorConfig.graph_model, help="er | sf")
+    p.add_argument("--d", type=int, default=GeneratorConfig.d)
+    p.add_argument("--n", type=int, default=GeneratorConfig.n)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--expected-edges", type=float, default=None)
     p.add_argument("--attach-m", type=int, default=None)
@@ -254,19 +255,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-trainset", help="fit mechanisms to graphs and resample data")
     p.add_argument("--data", required=True)
     p.add_argument("--graphs", required=True, help="directory of adjacency CSVs")
-    p.add_argument("--basis", default="fourier", help="linear | fourier | spline")
-    p.add_argument("--basis-size", type=int, default=8)
-    p.add_argument("--noise-mode", default="empirical", choices=["parametric", "empirical"])
+    p.add_argument("--basis", default=RegressorConfig.basis.value, help="linear | fourier | spline")
+    p.add_argument("--basis-size", type=int, default=RegressorConfig.basis_size)
+    p.add_argument("--noise-mode", default=PipelineConfig.noise_mode, choices=["parametric", "empirical"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_make_trainset)
 
     p = sub.add_parser("train", help="train the edge predictor on a training set")
     p.add_argument("--trainset", required=True)
-    p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--momentum", type=float, default=0.9)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    # a fixed seed (TrainConfig's None would draw one) keeps the command deterministic
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -280,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a prediction matrix against a truth graph")
     p.add_argument("--prediction", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=PipelineConfig.threshold)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 

@@ -9,7 +9,7 @@ threshold (0.5 by default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,15 +37,7 @@ class MetricReport:
     n_negative: int
 
     def to_json(self) -> dict:
-        return {
-            "auroc": self.auroc,
-            "auprc": self.auprc,
-            "f1": self.f1,
-            "acc": self.acc,
-            "threshold": self.threshold,
-            "n_positive": self.n_positive,
-            "n_negative": self.n_negative,
-        }
+        return asdict(self)
 
 
 def _offdiag(scores, truth: Dag) -> tuple[np.ndarray, np.ndarray]:

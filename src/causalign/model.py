@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -370,8 +370,8 @@ def generate_training_set(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-3
-    epochs: int = 200
+    learning_rate: float = 3e-3
+    epochs: int = 20
     batch_size: int = 256
     momentum: float = 0.9
     seed: int | None = None
@@ -518,13 +518,7 @@ class EdgePredictor:
                 "feature_mean": self.feature_mean.tolist(),
                 "feature_std": self.feature_std.tolist(),
                 "feature_names": list(PAIR_FEATURE_NAMES),
-                "train_config": {
-                    "learning_rate": self.config.learning_rate,
-                    "epochs": self.config.epochs,
-                    "batch_size": self.config.batch_size,
-                    "momentum": self.config.momentum,
-                    "seed": self.config.seed,
-                },
+                "train_config": asdict(self.config),
                 "epoch_losses": self.epoch_losses,
             }
         )
@@ -532,16 +526,12 @@ class EdgePredictor:
     @staticmethod
     def from_json(text: str) -> "EdgePredictor":
         obj = json.loads(text)
-        cfg = obj["train_config"]
-        config = TrainConfig(
-            learning_rate=cfg["learning_rate"],
-            epochs=cfg["epochs"],
-            batch_size=cfg["batch_size"],
-            momentum=cfg["momentum"],
-            seed=cfg["seed"],
-        )
         return EdgePredictor(
-            obj["weights"], obj["feature_mean"], obj["feature_std"], config, obj.get("epoch_losses")
+            obj["weights"],
+            obj["feature_mean"],
+            obj["feature_std"],
+            TrainConfig(**obj["train_config"]),
+            obj.get("epoch_losses"),
         )
 
 

@@ -14,9 +14,11 @@ changing one stage's seed never perturbs another stage's draws.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import os
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -34,7 +36,7 @@ from .io import (
     load_dataset,
     load_graph,
 )
-from .metrics import evaluate
+from .metrics import MetricReport, aggregate, evaluate
 from .model import (
     TrainConfig,
     TrainingSet,
@@ -46,7 +48,7 @@ from .model import (
 from .refine import RefineConfig, SeedMode, best_scoring, init_seed, refine
 from .scm import CausalInstance, Dataset, ShiftSetting, SpecTriple, forward_sample, sample_scm
 from .scoring import ScoreConfig, ScoreEngine
-from .sim import Basis, RegressorConfig
+from .sim import RegressorConfig
 
 __all__ = [
     "GeneratorConfig",
@@ -63,9 +65,76 @@ STAGES = ("full", "refine_only", "knn_only")
 BENCHMARK_METHODS = ("seed_graph", "best_graph", "final")
 BENCHMARK_METRICS = ("auroc", "auprc", "f1", "acc")
 
-# pipeline-level training defaults: fast enough that refinement stays the
-# dominant stage at desk scale while still converging on 16-dim features
-PIPELINE_TRAIN_DEFAULTS = TrainConfig(learning_rate=3e-3, epochs=20)
+
+# ----------------------------------------------------------------------
+# config (de)serialization, derived from the dataclass fields
+
+
+def _encode(obj) -> dict:
+    """A config dataclass as JSON-ready values: nested dataclasses become
+    dicts, enums their values and tuples lists."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            value = _encode(value)
+        elif isinstance(value, enum.Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
+
+
+def _section(obj, where: str) -> dict:
+    """A copy of one JSON config section; null (or absent) reads as empty."""
+    obj = obj or {}
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config section {where!r} must be an object")
+    return dict(obj)
+
+
+def _reject_unknown(keys: set, where: str) -> None:
+    if keys:
+        raise ConfigError(f"unknown config keys in {where!r}: {sorted(keys)}")
+
+
+def _decode(cls, obj, where: str, json_names: dict | None = None, **given):
+    """Build dataclass `cls` from one JSON section.
+
+    Each key is a field name, or the JSON name `json_names` gives that
+    field, and its value is coerced to the field's declared type. Fields
+    in `given` were built by the caller and are not keys of the section.
+    Missing keys keep the dataclass defaults; any other key is a
+    ConfigError.
+    """
+    sec = _section(obj, where)
+    types = typing.get_type_hints(cls)
+    names = json_names or {}
+    fields = {names.get(f.name, f.name): f.name for f in dataclasses.fields(cls) if f.name not in given}
+    _reject_unknown(set(sec) - set(fields), where)
+    for key, value in sec.items():
+        try:
+            given[fields[key]] = _coerce(types[fields[key]], value, f"{where}.{key}")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config value for {where}.{key}: {exc}") from exc
+    return cls(**given)
+
+
+def _coerce(tp, value, where: str):
+    """`value` as declared type `tp`: `X | None` keeps None, dataclasses
+    decode as sections, tuples convert item by item and anything else
+    (scalars, enums) by calling the type."""
+    args = typing.get_args(tp)
+    if type(None) in args:
+        if value is None:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+    if dataclasses.is_dataclass(tp):
+        return _decode(tp, value, where)
+    if typing.get_origin(tp) is tuple:
+        return tuple(_coerce(t, v, where) for t, v in zip(typing.get_args(tp), value, strict=True))
+    return tp(value)
 
 
 @dataclass(frozen=True)
@@ -80,6 +149,11 @@ class GeneratorConfig:
     # None -> sample_scm's documented defaults
     weight_range: tuple[float, float] | None = None
     noise_scale_range: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.d < 2:
+            raise ConfigError(f"generator d must be >= 2, got {self.d}")
+        self.triple()  # validates the mechanism, noise and graph names
 
     def triple(self) -> SpecTriple:
         return SpecTriple.parse(self.mechanism, self.noise, self.graph_model)
@@ -104,7 +178,7 @@ class PipelineConfig:
     truth_path: str | None = None
     generator: GeneratorConfig | None = None
     refine: RefineConfig = field(default_factory=RefineConfig)
-    train: TrainConfig = PIPELINE_TRAIN_DEFAULTS
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         if self.stages not in STAGES:
@@ -117,160 +191,48 @@ class PipelineConfig:
     # -- (de)serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        score = self.refine.score
-        reg = score.regressor
-        out: dict = {
-            "seed": self.seed,
-            "out": self.out_dir,
-            "stages": self.stages,
-            "threshold": self.threshold,
-            "noise_mode": self.noise_mode,
-            "refine": {
-                "n_steps": self.refine.n_steps,
-                "collect_k": self.refine.collect_k,
-                "acceptance": self.refine.acceptance.value,
-                "temperature": self.refine.temperature,
-                "seed_mode": self.refine.seed_mode.value,
-                "seed_graph": self.refine.seed_graph_path,
-                "seed_expected_edges": self.refine.seed_expected_edges,
-                "dedup_collected": self.refine.dedup_collected,
-                "greedy_max_rounds": self.refine.greedy_max_rounds,
-            },
-            "score": {
-                "ad_variant": score.ad_variant.value,
-                "sparsity_weight": score.sparsity_weight,
-                "ad_scale_mode": score.ad_scale_mode.value,
-            },
-            "regressor": {
-                "basis": reg.basis.value,
-                "basis_size": reg.basis_size,
-                "ridge": reg.ridge,
-                "max_iter": reg.max_iter,
-                "max_in_degree": reg.max_in_degree,
-            },
-            "train": {
-                "learning_rate": self.train.learning_rate,
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "momentum": self.train.momentum,
-                "seed": self.train.seed,
-            },
-        }
-        if self.data_path is not None or self.truth_path is not None:
-            out["data"] = {"path": self.data_path, "truth": self.truth_path}
-        if self.generator is not None:
-            g = self.generator
-            out["generator"] = {
-                "mechanism": g.mechanism,
-                "noise": g.noise,
-                "graph_model": g.graph_model,
-                "d": g.d,
-                "n": g.n,
-                "expected_edges": g.expected_edges,
-                "attach_m": g.attach_m,
-                "weight_range": list(g.weight_range) if g.weight_range else None,
-                "noise_scale_range": (
-                    list(g.noise_scale_range) if g.noise_scale_range else None
-                ),
-            }
+        """The config.json layout: the dataclass tree with `out_dir` and
+        `seed_graph_path` named `out` and `seed_graph`, the data paths
+        grouped under `data` (present when either is set), `score` and
+        `regressor` as top-level sections, and `generator` only when set."""
+        out = _encode(self)
+        out["out"] = out.pop("out_dir")
+        data = {"path": out.pop("data_path"), "truth": out.pop("truth_path")}
+        if data["path"] is not None or data["truth"] is not None:
+            out["data"] = data
+        if self.generator is None:
+            del out["generator"]
+        refine_sec = out["refine"]
+        refine_sec["seed_graph"] = refine_sec.pop("seed_graph_path")
+        out["score"] = refine_sec.pop("score")
+        out["regressor"] = out["score"].pop("regressor")
         return out
 
     @staticmethod
     def from_dict(obj: dict) -> "PipelineConfig":
-        known = {
-            "seed",
-            "out",
-            "stages",
-            "threshold",
-            "noise_mode",
-            "data",
-            "generator",
-            "refine",
-            "score",
-            "regressor",
-            "train",
-        }
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-        def section(name: str) -> dict:
-            sec = obj.get(name) or {}
-            if not isinstance(sec, dict):
-                raise ConfigError(f"config section {name!r} must be an object")
-            return dict(sec)
-
-        try:
-            reg_sec = section("regressor")
-            regressor = RegressorConfig(
-                basis=Basis(reg_sec.get("basis", "fourier")),
-                basis_size=int(reg_sec.get("basis_size", 8)),
-                ridge=float(reg_sec.get("ridge", 1e-6)),
-                max_iter=int(reg_sec.get("max_iter", 10)),
-                max_in_degree=reg_sec.get("max_in_degree", 6),
-            )
-            score_sec = section("score")
-            score = ScoreConfig(
-                ad_variant=score_sec.get("ad_variant", "likelihood"),
-                sparsity_weight=score_sec.get("sparsity_weight"),
-                ad_scale_mode=score_sec.get("ad_scale_mode", "averaged"),
-                regressor=regressor,
-            )
-            ref_sec = section("refine")
-            refine_cfg = RefineConfig(
-                n_steps=int(ref_sec.get("n_steps", 2000)),
-                collect_k=int(ref_sec.get("collect_k", 200)),
-                acceptance=ref_sec.get("acceptance", "metropolis"),
-                temperature=ref_sec.get("temperature"),
-                seed_mode=ref_sec.get("seed_mode", "random_dag"),
-                seed_graph_path=ref_sec.get("seed_graph"),
-                seed_expected_edges=ref_sec.get("seed_expected_edges"),
-                dedup_collected=bool(ref_sec.get("dedup_collected", False)),
-                greedy_max_rounds=int(ref_sec.get("greedy_max_rounds", 64)),
-                score=score,
-            )
-            train_sec = section("train")
-            train_cfg = TrainConfig(
-                learning_rate=float(
-                    train_sec.get("learning_rate", PIPELINE_TRAIN_DEFAULTS.learning_rate)
-                ),
-                epochs=int(train_sec.get("epochs", PIPELINE_TRAIN_DEFAULTS.epochs)),
-                batch_size=int(train_sec.get("batch_size", PIPELINE_TRAIN_DEFAULTS.batch_size)),
-                momentum=float(train_sec.get("momentum", PIPELINE_TRAIN_DEFAULTS.momentum)),
-                seed=train_sec.get("seed"),
-            )
-            gen = None
-            if "generator" in obj and obj["generator"] is not None:
-                gen_sec = section("generator")
-                wr = gen_sec.get("weight_range")
-                nsr = gen_sec.get("noise_scale_range")
-                gen = GeneratorConfig(
-                    mechanism=gen_sec.get("mechanism", "linear"),
-                    noise=gen_sec.get("noise", "gaussian"),
-                    graph_model=gen_sec.get("graph_model", "er"),
-                    d=int(gen_sec.get("d", 10)),
-                    n=int(gen_sec.get("n", 200)),
-                    expected_edges=gen_sec.get("expected_edges"),
-                    attach_m=int(gen_sec.get("attach_m", 1)),
-                    weight_range=tuple(float(v) for v in wr) if wr else None,
-                    noise_scale_range=tuple(float(v) for v in nsr) if nsr else None,
-                )
-                gen.triple()  # validates the enums
-            data_sec = section("data")
-            return PipelineConfig(
-                seed=int(obj.get("seed", 0)),
-                out_dir=obj.get("out"),
-                stages=obj.get("stages", "full"),
-                threshold=float(obj.get("threshold", 0.5)),
-                noise_mode=obj.get("noise_mode", "empirical"),
-                data_path=data_sec.get("path"),
-                truth_path=data_sec.get("truth"),
-                generator=gen,
-                refine=refine_cfg,
-                train=train_cfg,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+        """Inverse of to_dict. A missing key or a null section keeps the
+        dataclass default; an unknown key in any section is a ConfigError."""
+        top = _section(obj, "config")
+        data = _section(top.pop("data", None), "config.data")
+        _reject_unknown(set(data) - {"path", "truth"}, "config.data")
+        regressor = _decode(RegressorConfig, top.pop("regressor", None), "config.regressor")
+        score = _decode(ScoreConfig, top.pop("score", None), "config.score", regressor=regressor)
+        refine_cfg = _decode(
+            RefineConfig,
+            top.pop("refine", None),
+            "config.refine",
+            {"seed_graph_path": "seed_graph"},
+            score=score,
+        )
+        return _decode(
+            PipelineConfig,
+            top,
+            "config",
+            {"out_dir": "out"},
+            data_path=data.get("path"),
+            truth_path=data.get("truth"),
+            refine=refine_cfg,
+        )
 
     @staticmethod
     def from_json_file(path: str) -> "PipelineConfig":
@@ -301,20 +263,8 @@ class RunRecord:
     prediction: np.ndarray | None = None
 
     def to_json(self) -> dict:
-        return {
-            "out_dir": self.out_dir,
-            "status": self.status,
-            "failed_stage": self.failed_stage,
-            "config": self.config,
-            "timings": self.timings,
-            "paths": self.paths,
-            "seed_score": self.seed_score,
-            "best_score": self.best_score,
-            "collected_stats": self.collected_stats,
-            "collected_count": self.collected_count,
-            "training_set_size": self.training_set_size,
-            "metrics": self.metrics,
-        }
+        """Every field but the in-memory prediction matrix."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "prediction"}
 
 
 def _derive_streams(seed: int) -> dict:
@@ -338,8 +288,13 @@ def run_pipeline(
     Data resolution order: explicit `dataset` argument, then
     config.data_path, then config.generator (which also supplies the
     ground truth). Any stage failure persists the partial record and
-    re-raises as StageError with the stage name.
+    re-raises as StageError with the stage name. Structure learning needs
+    at least two variables: a passed-in dataset with fewer is a
+    ConfigError raised before any stage runs, and one read from
+    config.data_path fails the load_data stage.
     """
+    if dataset is not None:
+        _require_two_variables(dataset)
     out_dir = config.out_dir
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -365,6 +320,7 @@ def run_pipeline(
         if dataset is None:
             if config.data_path:
                 dataset = load_dataset(config.data_path)
+                _require_two_variables(dataset)
                 if truth is None and config.truth_path:
                     truth = load_graph(config.truth_path)
             elif config.generator is not None:
@@ -528,6 +484,11 @@ def run_pipeline(
     return record
 
 
+def _require_two_variables(dataset: Dataset) -> None:
+    if dataset.d < 2:
+        raise ConfigError(f"need at least 2 variables, got d={dataset.d}")
+
+
 def _persist_record(record: RunRecord) -> None:
     if not record.out_dir:
         return
@@ -657,23 +618,13 @@ def run_benchmark(
         rows,
         ["instance", "seed", "setting", "method", "metric", "value"],
     )
+    records = [res for res in results if not isinstance(res, BaseException)]
     summary: list[dict] = []
     for method in BENCHMARK_METHODS:
-        for metric in BENCHMARK_METRICS:
-            vals = [r["value"] for r in rows if r["method"] == method and r["metric"] == metric]
-            if not vals:
-                continue
-            arr = np.asarray(vals, dtype=float)
-            std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-            summary.append(
-                {
-                    "setting": setting_label,
-                    "method": method,
-                    "metric": metric,
-                    "mean": float(arr.mean()),
-                    "std": std,
-                }
-            )
+        reports = [MetricReport(**rec.metrics[method]) for rec in records if method in (rec.metrics or {})]
+        if reports:
+            for metric, stats in aggregate(reports).items():
+                summary.append({"setting": setting_label, "method": method, "metric": metric, **stats})
     _write_csv(
         os.path.join(out_dir, "summary.csv"),
         summary,

@@ -207,14 +207,25 @@ def init_seed(
 ) -> Dag:
     """Produce the starting graph for refinement.
 
-    random_dag draws an ER graph with expected_edges defaulting to d;
+    random_dag draws an ER graph with expected_edges defaulting to d, then
+    trims each node drawn with more parents than the regressor's
+    max_in_degree to a uniform random subset of that many, using the same
+    rng after the draw (a graph within the cap is returned as drawn);
     greedy_hill_climb runs the deterministic ascent; from_file loads an
     adjacency file (CSV or JSON edge list).
     """
     mode = SeedMode(mode)
     if mode == SeedMode.RANDOM_DAG:
         ee = float(dataset.d) if expected_edges is None else expected_edges
-        return random_er(dataset.d, ee, rng)
+        dag = random_er(dataset.d, ee, rng)
+        cap = (score_config or ScoreConfig()).regressor.max_in_degree
+        if cap is None:
+            return dag
+        adj = dag.adjacency.copy()
+        for node in np.flatnonzero(dag.in_degrees() > cap):
+            parents = dag.parents(node)
+            adj[rng.choice(parents, size=len(parents) - cap, replace=False), node] = 0
+        return Dag(adj)
     if mode == SeedMode.GREEDY:
         return greedy_hill_climb(dataset, score_config, max_rounds=max_rounds, engine=engine)
     if not seed_graph_path:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,17 +54,14 @@ class RegressorConfig:
     """Controls the per-node regressions used for fitting and scoring.
 
     basis_size is the number of expanded features per parent (ignored for
-    the linear basis, which uses the raw column). max_iter survives from an
-    iterative-backfitting formulation of the additive model; the closed-form
-    ridge solve used here needs no iterations, so the field is accepted and
-    recorded but never read. max_in_degree is a hard cap: fitting a node
-    with more parents raises DegreeCapError rather than truncating.
+    the linear basis, which uses the raw column). max_in_degree is a hard
+    cap: fitting a node with more parents raises DegreeCapError rather than
+    truncating.
     """
 
     basis: Basis = Basis.FOURIER
     basis_size: int = 8
     ridge: float = 1e-6
-    max_iter: int = 10
     max_in_degree: int | None = 6
 
     def __post_init__(self):
@@ -75,9 +72,6 @@ class RegressorConfig:
             raise ConfigError("ridge must be >= 0")
         if self.max_in_degree is not None and self.max_in_degree < 0:
             raise ConfigError("max_in_degree must be >= 0 or None")
-
-    def key(self) -> tuple:
-        return (self.basis.value, self.basis_size, self.ridge, self.max_in_degree)
 
 
 @dataclass(frozen=True)
@@ -112,13 +106,7 @@ class FittedScm:
         obj = {
             "d": self.dag.d,
             "edges": [[i, j] for i, j in self.dag.edges()],
-            "config": {
-                "basis": self.config.basis.value,
-                "basis_size": self.config.basis_size,
-                "ridge": self.config.ridge,
-                "max_iter": self.config.max_iter,
-                "max_in_degree": self.config.max_in_degree,
-            },
+            "config": asdict(self.config),  # Basis is a str enum: dumps as its value
             "nodes": [
                 {
                     "node": fn.node,
@@ -149,14 +137,7 @@ class FittedScm:
         adj = np.zeros((d, d), dtype=np.int8)
         for i, j in obj["edges"]:
             adj[int(i), int(j)] = 1
-        cfg = obj["config"]
-        config = RegressorConfig(
-            basis=Basis(cfg["basis"]),
-            basis_size=int(cfg["basis_size"]),
-            ridge=float(cfg["ridge"]),
-            max_iter=int(cfg["max_iter"]),
-            max_in_degree=cfg["max_in_degree"],
-        )
+        config = RegressorConfig(**obj["config"])
         nodes = [
             FittedNode(
                 node=int(fn["node"]),

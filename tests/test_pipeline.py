@@ -5,13 +5,16 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalign.cli import main as cli_main
 from causalign.errors import ConfigError, StageError
-from causalign.io import load_dataset, load_graph, load_matrix, load_training_set
+from causalign.io import load_dataset, load_graph, load_matrix, load_training_set, save_dataset
 from causalign.model import knn_score_predict
 from causalign.pipeline import (
     BENCHMARK_METHODS,
@@ -22,10 +25,11 @@ from causalign.pipeline import (
     run_benchmark,
     run_pipeline,
 )
-from causalign.refine import RefineConfig
+from causalign.refine import AcceptanceRule, RefineConfig, SeedMode
 from causalign.scm import Dataset
-from causalign.scoring import ScoreConfig
+from causalign.scoring import AdVariant, ScaleMode, ScoreConfig
 from causalign.model import TrainConfig
+from causalign.sim import Basis, RegressorConfig
 
 from conftest import make_rng
 
@@ -54,7 +58,118 @@ def default_run(tmp_path_factory):
     return config, record
 
 
+SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
+
+_floats = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+_paths = st.none() | st.text(min_size=1, max_size=12)
+_regressors = st.builds(
+    RegressorConfig,
+    basis=st.sampled_from(Basis),
+    basis_size=st.integers(1, 32),
+    ridge=_floats,
+    max_in_degree=st.none() | st.integers(0, 12),
+)
+_scores = st.builds(
+    ScoreConfig,
+    ad_variant=st.sampled_from(AdVariant),
+    sparsity_weight=st.none() | _floats,
+    ad_scale_mode=st.sampled_from(ScaleMode),
+    regressor=_regressors,
+)
+_refines = st.builds(
+    RefineConfig,
+    n_steps=st.integers(0, 10_000),
+    collect_k=st.integers(1, 1_000),
+    acceptance=st.sampled_from(AcceptanceRule),
+    temperature=st.none() | st.floats(min_value=1e-9, max_value=1e6),
+    seed_mode=st.sampled_from(SeedMode),
+    seed_graph_path=st.text(min_size=1, max_size=12),
+    seed_expected_edges=st.none() | _floats,
+    dedup_collected=st.booleans(),
+    greedy_max_rounds=st.integers(1, 256),
+    score=_scores,
+)
+_ranges = st.none() | st.tuples(_floats, _floats)
+_generators = st.builds(
+    GeneratorConfig,
+    mechanism=st.sampled_from(["linear", "rff", "chebyshev"]),
+    noise=st.sampled_from(["gaussian", "uniform", "laplace"]),
+    graph_model=st.sampled_from(["er", "sf"]),
+    d=st.integers(2, 50),
+    n=st.integers(1, 5_000),
+    expected_edges=st.none() | _floats,
+    attach_m=st.integers(1, 5),
+    weight_range=_ranges,
+    noise_scale_range=_ranges,
+)
+_trains = st.builds(
+    TrainConfig,
+    learning_rate=st.floats(min_value=1e-6, max_value=1.0),
+    epochs=st.integers(1, 500),
+    batch_size=st.integers(1, 1024),
+    momentum=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    seed=st.none() | st.integers(0, 2**63 - 1),
+)
+_pipeline_configs = st.builds(
+    PipelineConfig,
+    seed=st.integers(0, 2**63 - 1),
+    out_dir=_paths,
+    stages=st.sampled_from(["full", "refine_only", "knn_only"]),
+    threshold=st.floats(min_value=0.0, max_value=1.0),
+    noise_mode=st.sampled_from(["parametric", "empirical"]),
+    data_path=_paths,
+    truth_path=_paths,
+    generator=st.none() | _generators,
+    refine=_refines,
+    train=_trains,
+)
+
+
 class TestPipelineConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(_pipeline_configs)
+    def test_round_trip_through_json(self, cfg):
+        assert PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_schema_matches_dataclasses(self):
+        schema = json.loads(SCHEMA_PATH.read_text())
+        layout = PipelineConfig(generator=GeneratorConfig(), data_path="data.csv").to_dict()
+        defaults = PipelineConfig(generator=GeneratorConfig()).to_dict()
+
+        def check(props, keys, default, where):
+            assert set(props) == set(keys), where
+            for name, prop in props.items():
+                if "properties" in prop:
+                    check(prop["properties"], keys[name], default.get(name, {}), f"{where}.{name}")
+                else:  # a property without a schema default defaults to null
+                    assert prop.get("default") == default.get(name), f"{where}.{name}"
+
+        check(schema["properties"], layout, defaults, "config")
+
+    @pytest.mark.parametrize(
+        "obj, key",
+        [
+            ({"train": {"epoch": 5}}, "epoch"),
+            ({"regressor": {"max_iter": 10}}, "max_iter"),
+            ({"data": {"paths": "x.csv"}}, "paths"),
+            ({"generator": {"mech": "linear"}}, "mech"),
+            # field names that config.json spells differently or nests elsewhere
+            ({"out_dir": "runs/x"}, "out_dir"),
+            ({"refine": {"seed_graph_path": "g.csv"}}, "seed_graph_path"),
+            ({"score": {"regressor": {}}}, "regressor"),
+        ],
+    )
+    def test_unknown_key_in_any_section_rejected(self, obj, key):
+        with pytest.raises(ConfigError, match=f"unknown config keys.*'{key}'"):
+            PipelineConfig.from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"d": 1}, {"mechanism": "cubic"}, {"noise": "pink"}, {"graph_model": "grid"}]
+    )
+    def test_generator_validates_on_construction(self, kwargs):
+        with pytest.raises(ConfigError):
+            GeneratorConfig(**kwargs)
+
     def test_round_trip_through_dict(self):
         cfg = PipelineConfig(
             seed=7,
@@ -229,6 +344,23 @@ class TestRunPipelineSmall:
         assert record.metrics is None
         assert record.out_dir is None
         assert record.prediction.shape == (3, 3)
+
+    def test_single_variable_dataset_rejected_before_any_stage(self, tmp_path):
+        data = Dataset(make_rng(8).normal(size=(30, 1)))
+        out = tmp_path / "r"
+        with pytest.raises(ConfigError, match="at least 2 variables"):
+            run_pipeline(PipelineConfig(out_dir=str(out)), dataset=data)
+        assert not out.exists()
+
+    def test_random_seed_graph_respects_degree_cap(self):
+        # this master seed's ER seed graph draws a node with 7 parents (cap 6)
+        config = PipelineConfig(
+            seed=15002,
+            stages="refine_only",
+            generator=GeneratorConfig(noise="uniform"),
+            refine=RefineConfig(n_steps=20, collect_k=5),
+        )
+        assert run_pipeline(config).status == "ok"
 
     def test_no_data_source_fails_load_stage(self, tmp_path):
         config = PipelineConfig(seed=0, out_dir=str(tmp_path / "r"))
@@ -590,6 +722,15 @@ class TestCli:
         rc = cli_main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_single_variable_data_exits_two(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        save_dataset(Dataset(make_rng(0).normal(size=(30, 1))), str(data))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data": {"path": str(data)}}))
+        rc = cli_main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "at least 2 variables" in capsys.readouterr().err
 
     def test_missing_data_file_exits_two(self, tmp_path, capsys):
         cfg_path = _write_config(tmp_path / "cfg.json")

@@ -290,6 +290,24 @@ class TestInitSeed:
         assert a == b
         assert a.d == data.d
 
+    def test_random_dag_within_cap_is_the_drawn_graph(self):
+        data = noise_dataset(0, d=8, n=40)
+        assert init_seed(data, SeedMode.RANDOM_DAG, make_rng(4)) == random_er(8, 8.0, make_rng(4))
+
+    def test_random_dag_trims_parents_over_cap(self):
+        # expected_edges = C(8, 2) draws a complete DAG: in-degrees 0..7
+        data = noise_dataset(0, d=8, n=40)
+        cfg = ScoreConfig(regressor=RegressorConfig(max_in_degree=2))
+        drawn = random_er(8, 28.0, make_rng(3))
+        seeds = [
+            init_seed(data, SeedMode.RANDOM_DAG, make_rng(3), score_config=cfg, expected_edges=28.0)
+            for _ in range(2)
+        ]
+        assert seeds[0] == seeds[1]
+        trimmed = seeds[0]
+        assert np.array_equal(trimmed.in_degrees(), np.minimum(drawn.in_degrees(), 2))
+        assert np.all(trimmed.adjacency <= drawn.adjacency)
+
     def test_from_file_round_trip(self, tmp_path):
         data, _ = _linear_instance(31)
         dag = dag_from_edges(5, [(0, 1), (1, 2), (3, 4)])

@@ -281,8 +281,3 @@ class TestRegressorConfig:
     def test_rejects_negative_ridge(self):
         with pytest.raises(ConfigError):
             RegressorConfig(ridge=-1.0)
-
-    def test_key_distinguishes_configs(self):
-        a = RegressorConfig(basis=Basis.LINEAR)
-        b = RegressorConfig(basis=Basis.FOURIER)
-        assert a.key() != b.key()
