@@ -93,14 +93,18 @@ def load_dataset(path: str, header: bool | str = "auto") -> Dataset:
     return Dataset(data, columns=columns)
 
 
+def _write_float_rows(fh, values: np.ndarray) -> None:
+    # the bytes csv.writer's default dialect writes for repr'd floats: a
+    # repr never needs quoting, and rows end in CRLF
+    fh.writelines(",".join(map(repr, row)) + "\r\n" for row in values.tolist())
+
+
 def save_dataset(dataset: Dataset, path: str, header: bool = True) -> None:
     names = dataset.columns or [f"x{j}" for j in range(dataset.d)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         if header:
-            writer.writerow(names)
-        for row in dataset.values:
-            writer.writerow([repr(float(v)) for v in row])
+            csv.writer(fh).writerow(names)
+        _write_float_rows(fh, dataset.values)
 
 
 def load_graph(path: str) -> Dag:
@@ -145,11 +149,8 @@ def save_graph(dag: Dag, path: str) -> None:
 
 def save_matrix(matrix: np.ndarray, path: str) -> None:
     """Write a float matrix (edge probabilities) as headerless CSV."""
-    arr = np.asarray(matrix, dtype=float)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in arr:
-            writer.writerow([repr(float(v)) for v in row])
+        _write_float_rows(fh, np.asarray(matrix, dtype=float))
 
 
 def load_matrix(path: str) -> np.ndarray:

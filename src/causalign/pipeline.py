@@ -13,8 +13,10 @@ changing one stage's seed never perturbs another stage's draws.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import enum
+import glob
 import json
 import os
 import time
@@ -123,8 +125,9 @@ def _decode(cls, obj, where: str, json_names: dict | None = None, **given):
 
 def _coerce(tp, value, where: str):
     """`value` as declared type `tp`: `X | None` keeps None, dataclasses
-    decode as sections, tuples convert item by item and anything else
-    (scalars, enums) by calling the type."""
+    decode as sections, tuples convert item by item, a bool takes only a
+    JSON boolean, an int only an integral number (not a boolean) and
+    anything else (floats, strings, enums) converts by calling the type."""
     args = typing.get_args(tp)
     if type(None) in args:
         if value is None:
@@ -134,6 +137,14 @@ def _coerce(tp, value, where: str):
         return _decode(tp, value, where)
     if typing.get_origin(tp) is tuple:
         return tuple(_coerce(t, v, where) for t, v in zip(typing.get_args(tp), value, strict=True))
+    if tp is bool and not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    if tp is int and (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise TypeError(f"expected an integer, got {value!r}")
     return tp(value)
 
 
@@ -548,11 +559,34 @@ def _write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
             writer.writerow(row)
 
 
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS (scipy-openblas64 build), or None when
+    numpy links some other BLAS."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    found = sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")))
+    # numpy has loaded the library already, so this returns the same handle
+    return ctypes.CDLL(found[0]) if found else None
+
+
+def _single_threaded_blas() -> None:
+    """Pool worker initializer: one BLAS thread per worker, so `threads`
+    workers use `threads` cores instead of `threads` x cores BLAS threads.
+    Only the worker process changes; without OpenBLAS it does nothing."""
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+
+
+def _worker_pool(threads: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=threads, initializer=_single_threaded_blas)
+
+
 def _run_instances(
     configs: list[PipelineConfig], threads: int
 ) -> list[RunRecord | BaseException]:
     """Run pipelines serially or in a process pool (instance-level
-    parallelism only); result order matches input order either way."""
+    parallelism only, BLAS single-threaded in each worker); result order
+    matches input order either way."""
     if threads <= 1 or len(configs) <= 1:
         out: list[RunRecord | BaseException] = []
         for cfg in configs:
@@ -561,7 +595,7 @@ def _run_instances(
             except Exception as exc:
                 out.append(exc)
         return out
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with _worker_pool(threads) as pool:
         futures = [pool.submit(_run_one, cfg) for cfg in configs]
         results: list[RunRecord | BaseException] = []
         for fut in futures:

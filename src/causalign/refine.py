@@ -160,6 +160,21 @@ def feasible_moves_capped(dag: Dag, max_in_degree: int | None) -> list[EdgeMove]
     return out
 
 
+def _moved_parents(move: EdgeMove, parents: list[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...]]]:
+    """(node, new sorted parent tuple) for each node whose parents the move
+    changes: the target, plus the source for a reversal."""
+    i, j = move.source, move.target
+    if move.kind == MoveKind.ADD:
+        return [(j, tuple(sorted(parents[j] + (i,))))]
+    without_i = tuple(p for p in parents[j] if p != i)
+    if move.kind == MoveKind.DELETE:
+        return [(j, without_i)]
+    return [(j, without_i), (i, tuple(sorted(parents[i] + (j,))))]
+
+
+_EDGE_DELTA = {MoveKind.ADD: 1, MoveKind.DELETE: -1, MoveKind.REVERSE: 0}
+
+
 def greedy_hill_climb(
     dataset: Dataset,
     score_config: ScoreConfig | None = None,
@@ -171,26 +186,34 @@ def greedy_hill_climb(
 
     Each round scores every feasible move and takes the strictly best
     improvement; ties keep the first move in canonical order. Stops when
-    no move improves the total or max_rounds is hit.
+    no move improves the total or max_rounds is hit. A candidate's total
+    swaps the changed nodes' terms into the current graph's and sums them
+    as engine.score would, so it equals the candidate's full rescore
+    exactly; only the chosen move builds a Dag.
     """
     if engine is None:
         engine = ScoreEngine(dataset, score_config)
     cap = engine.config.regressor.max_in_degree
     current = start if start is not None else Dag(np.zeros((dataset.d, dataset.d), dtype=np.int8))
-    s_curr = engine.score(current)
+    best_total = engine.score(current).total
     for _ in range(max_rounds):
-        best_move_dag = None
-        best_total = s_curr.total
+        parents = [current.parents(j) for j in range(current.d)]
+        terms = [engine.node_term(j, parents[j]) for j in range(current.d)]
+        edges = current.edge_count
+        best_move = None
         for move in feasible_moves_capped(current, cap):
-            cand = apply_move(current, move)
-            s_cand = engine.score(cand)
-            if s_cand.total > best_total:
-                best_total = s_cand.total
-                best_move_dag = cand
-        if best_move_dag is None:
+            cand_terms = list(terms)
+            for node, node_parents in _moved_parents(move, parents):
+                cand_terms[node] = engine.node_term(node, node_parents)
+            total = engine.value_from_ad(
+                engine.combine_terms(cand_terms), edges + _EDGE_DELTA[move.kind]
+            ).total
+            if total > best_total:
+                best_total = total
+                best_move = move
+        if best_move is None:
             break
-        current = best_move_dag
-        s_curr = engine.score(current)
+        current = apply_move(current, best_move)
     return current
 
 

@@ -164,3 +164,31 @@ def exhaustive_best_total(dataset, score_config, d):
         if total > best:
             best = total
     return best
+
+
+def greedy_full_rescore(engine, start, max_rounds, cap):
+    """Best-first ascent that rebuilds and fully rescores every candidate
+    graph: each round takes the first candidate (in feasible_moves_bruteforce
+    order) whose total strictly beats the best so far, skipping moves that
+    push the gaining node's in-degree past `cap`."""
+    current = start
+    best = engine.score(current).total
+    for _ in range(max_rounds):
+        indeg = current.adjacency.sum(axis=0)
+        pick = None
+        for kind, i, j in feasible_moves_bruteforce(current):
+            gaining = {"add": j, "reverse": i}.get(kind)
+            if cap is not None and gaining is not None and indeg[gaining] + 1 > cap:
+                continue
+            adj = current.adjacency.copy()
+            adj[i, j] = 1 if kind == "add" else 0
+            if kind == "reverse":
+                adj[j, i] = 1
+            cand = Dag(adj)
+            total = engine.score(cand).total
+            if total > best:
+                best, pick = total, cand
+        if pick is None:
+            break
+        current = pick
+    return current

@@ -1,6 +1,8 @@
 """Tests for on-disk formats: dataset CSV, graph files, bundles, traces,
 and training-set directories."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -106,6 +108,55 @@ class TestDatasetCsv:
         save_dataset(data, path)
         back = load_dataset(path)
         assert np.array_equal(back.values, vals)
+
+
+# awkward floats for the writers: signed zero, the smallest subnormal, reprs
+# in exponent form at both ends, a short decimal and large negatives
+_AWKWARD = np.array(
+    [
+        [-0.0, 5e-324, 1e16, 1e-7],
+        [0.1, -1.7976931348623157e308, -123456789.125, -1e22],
+        [0.0, 1.0, -2.5, 1e15],
+    ]
+)
+
+
+def _csv_writer_bytes(values, header=None) -> bytes:
+    """What csv.writer writes for repr'd floats (the writers' reference)."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    if header is not None:
+        writer.writerow(header)
+    for row in values:
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue().encode()
+
+
+class TestFloatWriterBytes:
+    @pytest.mark.parametrize("header", [True, False])
+    def test_save_dataset_matches_csv_writer(self, tmp_path, header):
+        data = Dataset(_AWKWARD, columns=["a", "b c", "d,e", 'f"g'])
+        path = str(tmp_path / "data.csv")
+        save_dataset(data, path, header=header)
+        expected = _csv_writer_bytes(_AWKWARD, data.columns if header else None)
+        assert open(path, "rb").read() == expected
+        back = load_dataset(path, header=header)
+        assert back.values.tobytes() == _AWKWARD.tobytes()  # -0.0 included
+        if header:
+            assert back.columns == data.columns
+
+    def test_save_matrix_matches_csv_writer(self, tmp_path):
+        path = str(tmp_path / "m.csv")
+        save_matrix(_AWKWARD, path)
+        assert open(path, "rb").read() == _csv_writer_bytes(_AWKWARD)
+        assert load_matrix(path).tobytes() == _AWKWARD.tobytes()
+
+    def test_random_values_match_csv_writer(self, tmp_path):
+        values = make_rng(9).normal(scale=1e3, size=(30, 5))
+        path = str(tmp_path / "r.csv")
+        save_dataset(Dataset(values), path)
+        header = [f"x{j}" for j in range(5)]
+        assert open(path, "rb").read() == _csv_writer_bytes(values, header)
 
 
 class TestGraphFiles:

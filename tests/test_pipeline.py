@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalign import pipeline
 from causalign.cli import main as cli_main
 from causalign.errors import ConfigError, StageError
 from causalign.io import load_dataset, load_graph, load_matrix, load_training_set, save_dataset
@@ -44,6 +45,12 @@ def _small_config(out_dir=None, seed=0, **overrides):
     )
     base.update(overrides)
     return PipelineConfig(**base)
+
+
+def _blas_threads():
+    """This process's OpenBLAS thread count, or None without OpenBLAS."""
+    lib = pipeline._openblas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +169,40 @@ class TestPipelineConfig:
     def test_unknown_key_in_any_section_rejected(self, obj, key):
         with pytest.raises(ConfigError, match=f"unknown config keys.*'{key}'"):
             PipelineConfig.from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "obj, key",
+        [
+            ({"refine": {"dedup_collected": "false"}}, "config.refine.dedup_collected"),
+            ({"refine": {"dedup_collected": 0}}, "config.refine.dedup_collected"),
+            ({"train": {"epochs": 2.5}}, "config.train.epochs"),
+            ({"train": {"epochs": True}}, "config.train.epochs"),
+            ({"train": {"epochs": "20"}}, "config.train.epochs"),
+            ({"regressor": {"max_in_degree": False}}, "config.regressor.max_in_degree"),
+            ({"generator": {"d": 4.5}}, "config.generator.d"),
+        ],
+    )
+    def test_bool_and_int_fields_reject_other_json_types(self, obj, key):
+        with pytest.raises(ConfigError, match=f"bad config value for {key}:"):
+            PipelineConfig.from_dict(obj)
+
+    def test_integral_number_reads_as_int(self):
+        cfg = PipelineConfig.from_dict({"train": {"epochs": 2.0}, "refine": {"dedup_collected": True}})
+        assert cfg.train.epochs == 2 and type(cfg.train.epochs) is int
+        assert cfg.refine.dedup_collected is True
+
+    def test_coerce_errors_exit_two_from_cli(self, tmp_path):
+        path = _write_config(tmp_path / "cfg.json", train={"epochs": 2.5})
+        assert cli_main(["pipeline", "--config", path, "--out", str(tmp_path / "run")]) == 2
+
+    def test_schema_minimum_in_degree_constructs_and_round_trips(self):
+        schema = json.loads(SCHEMA_PATH.read_text())
+        lowest = schema["properties"]["regressor"]["properties"]["max_in_degree"]["minimum"]
+        cfg = PipelineConfig.from_dict({"regressor": {"max_in_degree": lowest}})
+        assert cfg.refine.score.regressor.max_in_degree == lowest
+        assert PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        with pytest.raises(ConfigError):  # the schema minimum is the code's
+            RegressorConfig(max_in_degree=lowest - 1)
 
     @pytest.mark.parametrize(
         "kwargs", [{"d": 1}, {"mechanism": "cubic"}, {"noise": "pink"}, {"graph_model": "grid"}]
@@ -440,13 +481,37 @@ class TestRunBenchmark:
             assert s["std"] == pytest.approx(np.std(vals, ddof=1), abs=1e-12)
 
     def test_parallel_equals_serial(self, tmp_path):
+        blas_before = _blas_threads()
         a = str(tmp_path / "serial")
         b = str(tmp_path / "parallel")
         run_benchmark(_small_config(seed=3), "iid", 2, a, threads=1)
         run_benchmark(_small_config(seed=3), "iid", 2, b, threads=2)
-        ra = open(os.path.join(a, "results.csv"), "rb").read()
-        rb = open(os.path.join(b, "results.csv"), "rb").read()
-        assert ra == rb
+        assert _blas_threads() == blas_before
+
+        def files(root):
+            # every output but the three that hold paths or wall times
+            found = {}
+            for dirpath, _, names in os.walk(root):
+                for name in names:
+                    if name not in ("config.json", "run_record.json", "timings.json"):
+                        path = os.path.join(dirpath, name)
+                        found[os.path.relpath(path, root)] = open(path, "rb").read()
+            return found
+
+        serial, pooled = files(a), files(b)
+        for i in ("000", "001"):
+            for name in ("prediction.csv", "trace.jsonl", "trainset/instance_000/data.csv"):
+                assert os.path.join("instances", i, name) in serial
+        assert "results.csv" in serial
+        assert serial == pooled
+
+    def test_pool_workers_run_single_threaded_blas(self):
+        before = _blas_threads()
+        if before is None:
+            pytest.skip("numpy does not bundle OpenBLAS")
+        with pipeline._worker_pool(2) as pool:
+            assert {pool.submit(_blas_threads).result() for _ in range(4)} == {1}
+        assert _blas_threads() == before
 
     def test_easy_regime_clears_point_nine(self, tmp_path):
         # Sanity sweep on a deliberately easy suite: every weight at the

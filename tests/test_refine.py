@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalign.errors import ConfigError, StructuralInputError
 from causalign.graph import Dag, MoveKind, apply_move, feasible_moves, random_er
@@ -26,6 +28,7 @@ from causalign.scoring import ScoreConfig, ScoreEngine
 from causalign.sim import RegressorConfig
 
 from conftest import dag_from_edges, empty_dag, linear_dataset, make_rng, noise_dataset
+from oracles import greedy_full_rescore
 
 
 def _linear_instance(seed, d=5, n=120, expected_edges=5.0):
@@ -407,6 +410,43 @@ class TestGreedyHillClimb:
             result.adjacency + result.adjacency.T,
             truth.adjacency + truth.adjacency.T,
         )
+
+
+class TestGreedyAgainstFullRescore:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        seed=st.integers(0, 2**16),
+        sparsity_weight=st.sampled_from([None, 0.0, 0.01, 0.1]),
+        cap=st.sampled_from([None, 1, 2, 6]),
+        duplicate=st.booleans(),
+        max_rounds=st.sampled_from([0, 1, 2, 64]),
+        from_random_start=st.booleans(),
+    )
+    def test_same_graph_and_cache_keys_as_oracle(
+        self, d, seed, sparsity_weight, cap, duplicate, max_rounds, from_random_start
+    ):
+        gen = make_rng(seed)
+        values = gen.normal(size=(40, d))
+        for j in range(1, d):
+            values[:, j] += gen.uniform(-1.5, 1.5) * values[:, j - 1]
+        if duplicate:  # identical columns make mirrored moves tie exactly
+            values[:, d - 1] = values[:, 0]
+        data = Dataset(values)
+        config = ScoreConfig(
+            sparsity_weight=sparsity_weight,
+            regressor=RegressorConfig(basis_size=3, max_in_degree=cap),
+        )
+        start = None
+        if from_random_start:
+            start = init_seed(data, "random_dag", make_rng(seed + 1), score_config=config)
+        engine, oracle_engine = ScoreEngine(data, config), ScoreEngine(data, config)
+        result = greedy_hill_climb(data, max_rounds=max_rounds, engine=engine, start=start)
+        expected = greedy_full_rescore(
+            oracle_engine, start if start is not None else empty_dag(d), max_rounds, cap
+        )
+        assert result == expected
+        assert set(engine._cache) == set(oracle_engine._cache)
 
 
 class TestRefineConfig:
