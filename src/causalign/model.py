@@ -100,173 +100,142 @@ def _rank_std(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of contiguous rows (b may be one shared
+    vector). np.vecdot runs the same BLAS ddot per row that np.dot runs on
+    a single pair of vectors, so each value equals that pair's np.dot."""
+    if hasattr(np, "vecdot"):
+        return np.vecdot(a, b)
+    b = np.broadcast_to(b, a.shape)
+    return np.array([np.dot(x, y) for x, y in zip(a, b)], dtype=float)
+
+
+def _standardize_rows(x: np.ndarray, ones: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row means, population stds and z-scored rows of a (rows, n) array;
+    a row with zero std standardizes to zeros."""
+    n = x.shape[1]
+    mean = _rowdot(x, ones) / n
+    centered = x - mean[:, None]
+    std = np.sqrt(_rowdot(centered, centered) / n)
+    constant = std == 0.0
+    z = centered / np.where(constant, 1.0, std)[:, None]
+    z[constant] = 0.0
+    return mean, std, z
+
+
 class _DatasetStats:
-    """Per-dataset precomputation shared by every pair's features."""
+    """Per-dataset statistics behind every pair's features, computed in
+    array passes over the (d, n) matrix of contiguous columns.
+
+    Every reduction is one BLAS call per column or per pair: a ddot per
+    row through _rowdot, and for the direction regressions the same
+    per-target gemv that a matrix-vector product issues, stacked over the
+    targets of one source. Axis reductions of the whole matrix are never
+    used (they are not bitwise stable under column reordering), so a value
+    never depends on which other columns exist and permuting variable
+    labels permutes the features bit for bit.
+    """
 
     def __init__(self, values: np.ndarray):
-        self.values = values
         self.n, self.d = values.shape
         self._ones = np.ones(self.n)
-        # every statistic is computed per column from a contiguous copy
-        # (axis-0 reductions of the full matrix are not bitwise stable
-        # under column reordering), so permuting variable labels permutes
-        # the features exactly (bit for bit)
-        self.mean = np.zeros(self.d)
-        self.std = np.zeros(self.d)
-        self.skew = np.zeros(self.d)
-        self.kurt = np.zeros(self.d)
-        self._zcols: list[np.ndarray] = []
-        rzcols: list[np.ndarray] = []
-        for j in range(self.d):
-            col = np.ascontiguousarray(values[:, j], dtype=float)
-            mu = float(np.dot(col, self._ones)) / self.n
-            centered = col - mu
-            sd = math.sqrt(float(np.dot(centered, centered)) / self.n)
-            self.mean[j] = mu
-            self.std[j] = sd
-            if sd == 0.0:
-                self._zcols.append(np.zeros(self.n))
-                rzcols.append(np.zeros(self.n))
-                continue
-            z = centered / sd
-            z2 = z * z
-            self.skew[j] = float(np.dot(z2, z)) / self.n
-            self.kurt[j] = float(np.dot(z2, z2)) / self.n - 3.0
-            self._zcols.append(z)
-            rzcols.append(_rank_std(col))
-        # correlation matrices via per-pair dots: summation order is fixed
-        # per pair, independent of which other columns exist
-        self.pearson = np.eye(self.d)
-        self.spearman = np.eye(self.d)
-        for i in range(self.d):
-            for j in range(i + 1, self.d):
-                r = float(np.dot(self._zcols[i], self._zcols[j])) / self.n
-                self.pearson[i, j] = self.pearson[j, i] = r
-                rs = float(np.dot(rzcols[i], rzcols[j])) / self.n
-                self.spearman[i, j] = self.spearman[j, i] = rs
-        self._designs: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._dir_cache: dict[tuple[int, int], tuple[float, float]] = {}
-        self._partial_cache: dict[tuple[int, int], tuple[float, float]] = {}
+        cols = np.ascontiguousarray(values.T, dtype=float)
+        self.mean, self.std, self._z = _standardize_rows(cols, self._ones)
+        constant = self.std == 0.0
+        z2 = self._z * self._z
+        self.skew = np.where(constant, 0.0, _rowdot(z2, self._z) / self.n)
+        self.kurt = np.where(constant, 0.0, _rowdot(z2, z2) / self.n - 3.0)
+        rz = np.zeros_like(cols)
+        for j in np.flatnonzero(~constant):
+            rz[j] = _rank_std(cols[j])
+        self.pearson = self._correlations(self._z)
+        self.spearman = self._correlations(rz)
 
-    def _std_vector(self, x: np.ndarray) -> np.ndarray:
-        mu = float(np.dot(x, self._ones)) / self.n
-        centered = x - mu
-        sd = math.sqrt(float(np.dot(centered, centered)) / self.n)
-        if sd == 0.0:
-            return np.zeros(self.n)
-        return centered / sd
+    def _correlations(self, z: np.ndarray) -> np.ndarray:
+        """Correlation matrix from standardized rows, one dot per pair."""
+        out = np.eye(self.d)
+        for i in range(self.d - 1):
+            r = _rowdot(z[i + 1 :], z[i]) / self.n
+            out[i, i + 1 :] = r
+            out[i + 1 :, i] = r
+        return out
 
-    def direction_design(self, src: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-source regression ingredients, computed once: design matrix
-        (intercept, linear, two Fourier harmonics of the standardized
-        column), inverse penalized Gram, and standardized |source|."""
-        hit = self._designs.get(src)
-        if hit is not None:
-            return hit
-        t = self._zcols[src]
-        design = np.column_stack(
-            [np.ones(self.n), t, np.sin(t), np.cos(t), np.sin(2 * t), np.cos(2 * t)]
-        )
-        gram = design.T @ design
-        penalty = np.full(design.shape[1], _DIR_RIDGE)
-        penalty[0] = 0.0
-        gram[np.diag_indices_from(gram)] += penalty
-        entry = (design, np.linalg.inv(gram), self._std_vector(np.abs(t)))
-        self._designs[src] = entry
-        return entry
-
-    def direction_stats(self, src: int, dst: int) -> tuple[float, float]:
+    def direction_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """Residual variance ratio and residual-magnitude correlation for
-        the regression dst ~ basis(src).
+        every regression dst ~ basis(src), as (src, dst) matrices.
 
-        The magnitude correlation is Pearson between |residual| and
+        The basis is intercept, linear and two Fourier harmonics of the
+        standardized source, fitted by ridge through the inverse penalized
+        Gram. The magnitude correlation is Pearson between |residual| and
         |standardized source|: a plain signed correlation is ~0 for any
         least-squares fit, while magnitude dependence (heteroscedastic
         bowtie) is exactly the anti-causal footprint of additive-noise
-        data, which is what this feature is for.
-
-        Every step is per-target (matrix-vector products against the
-        cached source design), so a pair's value never depends on which
-        other columns exist.
+        data, which is what this feature is for. A constant target gives
+        (0, 0).
         """
-        hit = self._dir_cache.get((src, dst))
-        if hit is not None:
-            return hit
-        if self.std[dst] == 0.0:
-            entry = (0.0, 0.0)
-        else:
-            design, inv_gram, mag_src_std = self.direction_design(src)
-            target = self._zcols[dst]
-            coef = inv_gram @ (design.T @ target)
-            resid = target - design @ coef
-            centered = resid - float(np.dot(resid, self._ones)) / self.n
-            ratio = float(np.dot(centered, centered)) / self.n
-            corr = float(np.dot(self._std_vector(np.abs(resid)), mag_src_std)) / self.n
-            entry = (ratio, corr)
-        self._dir_cache[(src, dst)] = entry
-        return entry
+        ratio = np.zeros((self.d, self.d))
+        corr = np.zeros((self.d, self.d))
+        for src in range(self.d):
+            dsts = [k for k in range(self.d) if k != src and self.std[k] != 0.0]
+            if not dsts:
+                continue
+            t = self._z[src]
+            design = np.column_stack(
+                [self._ones, t, np.sin(t), np.cos(t), np.sin(2 * t), np.cos(2 * t)]
+            )
+            gram = design.T @ design
+            penalty = np.full(design.shape[1], _DIR_RIDGE)
+            penalty[0] = 0.0
+            gram[np.diag_indices_from(gram)] += penalty
+            inv_gram = np.linalg.inv(gram)
+            _, _, mag_src = _standardize_rows(np.abs(t)[None, :], self._ones)
+            # stacked matrix @ column products: one gemv per target
+            targets = self._z[dsts]
+            coef = inv_gram @ (design.T @ targets[:, :, None])
+            resid = targets - (design @ coef)[:, :, 0]
+            centered = resid - (_rowdot(resid, self._ones) / self.n)[:, None]
+            ratio[src, dsts] = _rowdot(centered, centered) / self.n
+            _, _, mag_resid = _standardize_rows(np.abs(resid), self._ones)
+            corr[src, dsts] = _rowdot(mag_resid, mag_src[0]) / self.n
+        return ratio, corr
 
-    def partial_summaries(self, i: int, j: int) -> tuple[float, float]:
+    def partial_summaries(self) -> tuple[np.ndarray, np.ndarray]:
         """Max and mean of |partial corr(i, j | k)| over single conditioners
-        k; the mean sums in sorted order so it is independent of node
-        labelling. With d == 2 both default to |pearson(i, j)|."""
-        key = (i, j) if i < j else (j, i)
-        hit = self._partial_cache.get(key)
-        if hit is not None:
-            return hit
+        k, as symmetric matrices; each mean sums in sorted order so it is
+        independent of node labelling. Without a conditioner (d <= 2)
+        both are |pearson|."""
         r = self.pearson
-        mask = np.ones(self.d, dtype=bool)
-        mask[i] = mask[j] = False
-        if not mask.any():
-            base = abs(r[i, j])
-            entry = (base, base)
-        else:
-            rik = r[i, mask]
-            rjk = r[j, mask]
-            denom_sq = (1.0 - rik**2) * (1.0 - rjk**2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = np.abs((r[i, j] - rik * rjk) / np.sqrt(denom_sq))
-            vals[denom_sq <= 1e-12] = 0.0
-            vals.sort()
-            entry = (float(vals[-1]), float(vals.mean()))
-        self._partial_cache[key] = entry
-        return entry
-
-
-def _pair_features(stats: _DatasetStats, i: int, j: int) -> np.ndarray:
-    fwd_ratio, fwd_corr = stats.direction_stats(i, j)
-    rev_ratio, rev_corr = stats.direction_stats(j, i)
-    p_max, p_mean = stats.partial_summaries(i, j)
-    return np.array(
-        [
-            stats.mean[i],
-            stats.std[i],
-            stats.skew[i],
-            stats.kurt[i],
-            stats.mean[j],
-            stats.std[j],
-            stats.skew[j],
-            stats.kurt[j],
-            stats.pearson[i, j],
-            stats.spearman[i, j],
-            fwd_ratio,
-            fwd_corr,
-            rev_ratio,
-            rev_corr,
-            p_max,
-            p_mean,
-        ],
-        dtype=float,
-    )
+        if self.d <= 2:
+            base = np.abs(r)
+            return base, base
+        iu, ju = np.triu_indices(self.d, 1)
+        one_minus = 1.0 - r**2
+        denom_sq = one_minus[iu] * one_minus[ju]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.abs((r[iu, ju][:, None] - r[iu] * r[ju]) / np.sqrt(denom_sq))
+        vals[denom_sq <= 1e-12] = 0.0
+        # the two columns k = i and k = j are not conditioners: sort them
+        # below every |partial| and drop them
+        rows = np.arange(iu.size)
+        vals[rows, iu] = vals[rows, ju] = -1.0
+        vals.sort(axis=1)
+        vals = vals[:, 2:]
+        p_max = np.zeros((self.d, self.d))
+        p_mean = np.zeros((self.d, self.d))
+        p_max[iu, ju] = p_max[ju, iu] = vals[:, -1]
+        p_mean[iu, ju] = p_mean[ju, iu] = vals.mean(axis=1)
+        return p_max, p_mean
 
 
 def featurize_pair(dataset: Dataset, i: int, j: int) -> np.ndarray:
-    """Feature vector for the ordered pair (i, j). Deterministic function
-    of the data; swapping i and j swaps the per-endpoint and per-direction
-    blocks and leaves the symmetric entries unchanged."""
+    """Feature vector for the ordered pair (i, j): its row of
+    featurize_all. Deterministic function of the data; swapping i and j
+    swaps the per-endpoint and per-direction blocks and leaves the
+    symmetric entries unchanged."""
     if not (0 <= i < dataset.d and 0 <= j < dataset.d) or i == j:
         raise StructuralInputError(f"invalid pair ({i}, {j}) for d={dataset.d}")
-    return _pair_features(_DatasetStats(dataset.values), i, j)
+    _, feats = featurize_all(dataset)
+    return feats[i * (dataset.d - 1) + (j if j < i else j - 1)]
 
 
 def pair_order(d: int) -> list[tuple[int, int]]:
@@ -275,12 +244,29 @@ def pair_order(d: int) -> list[tuple[int, int]]:
 
 
 def featurize_all(dataset: Dataset) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Features for every ordered pair; shares the per-dataset
-    precomputation, so this is much cheaper than d*(d-1) featurize_pair
-    calls and returns identical values."""
+    """Features for every ordered pair, one row per pair in pair_order.
+
+    The per-dataset statistics are computed once in array passes and the
+    16 columns are gathered by pair index. The values are byte-equal to
+    the per-pair definition kept as an oracle in tests/oracles.py.
+    """
     stats = _DatasetStats(dataset.values)
     pairs = pair_order(dataset.d)
-    feats = np.vstack([_pair_features(stats, i, j) for i, j in pairs])
+    src, dst = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    ratio, corr = stats.direction_matrices()
+    p_max, p_mean = stats.partial_summaries()
+    feats = np.empty((len(pairs), len(PAIR_FEATURE_NAMES)))
+    for col, per_node in enumerate((stats.mean, stats.std, stats.skew, stats.kurt)):
+        feats[:, col] = per_node[src]
+        feats[:, col + 4] = per_node[dst]
+    for col, matrix in enumerate((stats.pearson, stats.spearman), start=8):
+        feats[:, col] = matrix[src, dst]
+    feats[:, 10] = ratio[src, dst]
+    feats[:, 11] = corr[src, dst]
+    feats[:, 12] = ratio[dst, src]
+    feats[:, 13] = corr[dst, src]
+    feats[:, 14] = p_max[src, dst]
+    feats[:, 15] = p_mean[src, dst]
     return pairs, feats
 
 

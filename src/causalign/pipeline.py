@@ -126,8 +126,9 @@ def _decode(cls, obj, where: str, json_names: dict | None = None, **given):
 def _coerce(tp, value, where: str):
     """`value` as declared type `tp`: `X | None` keeps None, dataclasses
     decode as sections, tuples convert item by item, a bool takes only a
-    JSON boolean, an int only an integral number (not a boolean) and
-    anything else (floats, strings, enums) converts by calling the type."""
+    JSON boolean, an int only an integral number and a float any number
+    (neither a boolean), and anything else (strings, enums) converts by
+    calling the type."""
     args = typing.get_args(tp)
     if type(None) in args:
         if value is None:
@@ -145,6 +146,8 @@ def _coerce(tp, value, where: str):
         or (isinstance(value, float) and not value.is_integer())
     ):
         raise TypeError(f"expected an integer, got {value!r}")
+    if tp is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise TypeError(f"expected a number, got {value!r}")
     return tp(value)
 
 

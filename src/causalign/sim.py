@@ -335,18 +335,35 @@ def sample_from_fitted(
     shape. Nodes are visited in deterministic topological order and noise
     for node j is drawn when that node is reached, so identical seeds give
     identical datasets.
+
+    A node's column is final once the node is sampled, so each (parent
+    column, transform) is expanded once per sampled dataset and every
+    child that uses it reuses the block; the means equal predict_node on
+    the parents' columns bit for bit.
     """
     if noise_mode not in ("parametric", "empirical"):
         raise ConfigError(f"unknown noise_mode {noise_mode!r}")
     if n < 1:
         raise StructuralInputError("n must be >= 1")
     d = fitted.dag.d
+    config = fitted.config
     values = np.zeros((n, d), dtype=float)
     by_node = {fn.node: fn for fn in fitted.nodes}
+    # keyed by transform too: nodes fitted on different data carry
+    # different transforms for the same parent column
+    expanded: dict[tuple[int, ParentTransform], np.ndarray] = {}
     for j in topological_order(fitted.dag):
         fn = by_node[j]
-        pm = values[:, fn.parents] if fn.parents else np.zeros((n, 0))
-        mean = predict_node(fn, pm, fitted.config)
+        if fn.parents:
+            blocks = []
+            for p, tr in zip(fn.parents, fn.transforms, strict=True):
+                block = expanded.get((p, tr))
+                if block is None:
+                    block = expanded[(p, tr)] = _expand_parent(values[:, p], tr, config)
+                blocks.append(block)
+            mean = fn.intercept + np.concatenate(blocks, axis=1) @ fn.weights
+        else:
+            mean = np.full(n, fn.intercept)
         if noise_mode == "parametric":
             eps = rng.normal(0.0, fn.residual_sigma, size=n)
         else:

@@ -1,16 +1,20 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written the slow, obvious way (brute
-force enumeration, explicit threshold sweeps, finite differences) so a
-bug in the package and a bug in the oracle are unlikely to coincide.
-Nothing in this module imports from causalign except the Dag container.
+force enumeration, explicit threshold sweeps, finite differences, one
+node or one pair at a time) so a bug in the package and a bug in the
+oracle are unlikely to coincide. Besides the Dag container, an oracle
+only calls package functions that have tests of their own (the score
+engine, predict_node, topological_order).
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from causalign.graph import Dag
+from causalign.graph import Dag, topological_order
+from causalign.sim import predict_node
 
 
 def all_binary_matrices(d):
@@ -192,3 +196,126 @@ def greedy_full_rescore(engine, start, max_rounds, cap):
             break
         current = pick
     return current
+
+
+def sample_per_node(fitted, n, rng, noise_mode="empirical"):
+    """Ancestral sampling that predicts each node with predict_node on a
+    fresh copy of its parents' columns, expanding every parent column
+    again for every child."""
+    values = np.zeros((n, fitted.dag.d))
+    by_node = {fn.node: fn for fn in fitted.nodes}
+    for j in topological_order(fitted.dag):
+        fn = by_node[j]
+        pm = values[:, fn.parents] if fn.parents else np.zeros((n, 0))
+        mean = predict_node(fn, pm, fitted.config)
+        if noise_mode == "parametric":
+            eps = rng.normal(0.0, fn.residual_sigma, size=n)
+        else:
+            eps = rng.choice(fn.residual_samples, size=n, replace=True)
+        values[:, j] = mean + eps
+    return values
+
+
+def _rank_std_pairwise(x):
+    """Standardized midranks (the package's closed form without ties)."""
+    n = x.shape[0]
+    order = np.argsort(x, kind="stable")
+    sx = x[order]
+    mu = (n + 1) / 2.0
+    tied = sx[1:] == sx[:-1]
+    if not tied.any():
+        out = np.empty(n)
+        out[order] = np.arange(1, n + 1, dtype=float)
+        return (out - mu) / math.sqrt((n * n - 1) / 12.0)
+    boundaries = np.flatnonzero(~tied) + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries, [n]))
+    ranks_sorted = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    sd = float(np.sqrt(np.mean((ranks_sorted - mu) ** 2)))
+    if sd == 0.0:
+        return np.zeros(n)
+    out = np.empty(n)
+    out[order] = ranks_sorted
+    return (out - mu) / sd
+
+
+def _standardize_pairwise(x, ones):
+    """(mean, population std, z-scores) of one contiguous vector."""
+    n = x.shape[0]
+    mu = float(np.dot(x, ones)) / n
+    centered = x - mu
+    sd = math.sqrt(float(np.dot(centered, centered)) / n)
+    return mu, sd, (np.zeros(n) if sd == 0.0 else centered / sd)
+
+
+def _direction_pairwise(z, std, ones, src, dst):
+    """Residual variance ratio and |residual| vs |source| correlation of
+    the ridge regression z[dst] ~ (1, t, sin t, cos t, sin 2t, cos 2t)."""
+    if std[dst] == 0.0:
+        return 0.0, 0.0
+    n = ones.shape[0]
+    t = z[src]
+    design = np.column_stack([np.ones(n), t, np.sin(t), np.cos(t), np.sin(2 * t), np.cos(2 * t)])
+    gram = design.T @ design
+    penalty = np.full(6, 1e-6)
+    penalty[0] = 0.0
+    gram[np.diag_indices_from(gram)] += penalty
+    coef = np.linalg.inv(gram) @ (design.T @ z[dst])
+    resid = z[dst] - design @ coef
+    centered = resid - float(np.dot(resid, ones)) / n
+    ratio = float(np.dot(centered, centered)) / n
+    mag_src = _standardize_pairwise(np.abs(t), ones)[2]
+    corr = float(np.dot(_standardize_pairwise(np.abs(resid), ones)[2], mag_src)) / n
+    return ratio, corr
+
+
+def _partial_pairwise(r, i, j):
+    """Max and mean of |partial corr(i, j | k)| over single conditioners k,
+    the mean summed in sorted order; |pearson| for both when d == 2."""
+    mask = np.ones(r.shape[0], dtype=bool)
+    mask[i] = mask[j] = False
+    if not mask.any():
+        return abs(r[i, j]), abs(r[i, j])
+    rik, rjk = r[i, mask], r[j, mask]
+    denom_sq = (1.0 - rik**2) * (1.0 - rjk**2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.abs((r[i, j] - rik * rjk) / np.sqrt(denom_sq))
+    vals[denom_sq <= 1e-12] = 0.0
+    vals.sort()
+    return float(vals[-1]), float(vals.mean())
+
+
+def featurize_pairwise(values):
+    """The 16 pair features, one ordered pair at a time, every statistic
+    from one np.dot over contiguous per-column vectors: rows in the
+    package's pair order (i major, j minor, i != j)."""
+    n, d = values.shape
+    ones = np.ones(n)
+    cols = [np.ascontiguousarray(values[:, j], dtype=float) for j in range(d)]
+    mean, std, skew, kurt = np.zeros(d), np.zeros(d), np.zeros(d), np.zeros(d)
+    z, rz = [], []
+    for j, col in enumerate(cols):
+        mean[j], std[j], zj = _standardize_pairwise(col, ones)
+        z.append(zj)
+        rz.append(np.zeros(n) if std[j] == 0.0 else _rank_std_pairwise(col))
+        if std[j] != 0.0:
+            skew[j] = float(np.dot(zj * zj, zj)) / n
+            kurt[j] = float(np.dot(zj * zj, zj * zj)) / n - 3.0
+    pearson, spearman = np.eye(d), np.eye(d)
+    for i in range(d):
+        for j in range(i + 1, d):
+            pearson[i, j] = pearson[j, i] = float(np.dot(z[i], z[j])) / n
+            spearman[i, j] = spearman[j, i] = float(np.dot(rz[i], rz[j])) / n
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                continue
+            fwd = _direction_pairwise(z, std, ones, i, j)
+            rev = _direction_pairwise(z, std, ones, j, i)
+            p_max, p_mean = _partial_pairwise(pearson, min(i, j), max(i, j))
+            rows.append(
+                [mean[i], std[i], skew[i], kurt[i], mean[j], std[j], skew[j], kurt[j],
+                 pearson[i, j], spearman[i, j], *fwd, *rev, p_max, p_mean]
+            )
+    return np.array(rows, dtype=float).reshape(-1, 16)

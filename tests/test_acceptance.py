@@ -294,6 +294,7 @@ def _refine_seconds(n, n_steps, rep):
     return time.perf_counter() - t0
 
 
+@pytest.mark.timing
 def test_criterion_10_wall_clock_scaling():
     # step term measured at suite scale; sample term at n large enough
     # that the per-step O(n) refit dominates fixed move-enumeration work

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalign.errors import (
     ConfigError,
@@ -31,7 +33,7 @@ from causalign.scoring import ScoreEngine
 from causalign.sim import RegressorConfig, fit_node
 
 from conftest import dag_from_edges, empty_dag, linear_dataset, make_rng, noise_dataset
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, featurize_pairwise
 
 
 def _random_dataset(seed, n=150, d=4):
@@ -135,6 +137,40 @@ class TestFeaturize:
         f = featurize_pair(data, 0, 1)
         fwd_corr, rev_corr = f[11], f[13]
         assert abs(rev_corr) > abs(fwd_corr) + 0.05
+
+
+class TestFeaturizeAgainstPairwise:
+    """featurize_all computes every pair in array passes; its bytes must
+    equal the one-pair-at-a-time definition in tests/oracles.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=st.integers(2, 40),
+        n=st.integers(3, 120),
+        ties=st.booleans(),
+        constant=st.booleans(),
+        duplicate=st.booleans(),
+    )
+    def test_bytes_equal_pairwise_oracle(self, seed, d, n, ties, constant, duplicate):
+        gen = make_rng(seed)
+        values = gen.normal(size=(n, d)) * gen.uniform(0.1, 10.0, size=d)
+        for j in range(1, d):
+            values[:, j] += gen.uniform(-1.5, 1.5) * np.tanh(values[:, j - 1])
+        if ties:  # repeated values exercise the midrank path
+            values = np.round(values)
+        if constant:
+            values[:, gen.integers(d)] = 2.5
+        if duplicate:
+            values[:, d - 1] = values[:, 0]
+        _, feats = featurize_all(Dataset(values))
+        assert feats.tobytes() == featurize_pairwise(values).tobytes()
+
+    @pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (12, 50), (40, 30)])
+    def test_edge_shapes_equal_pairwise_oracle(self, d, n):
+        values = make_rng(d * n).normal(size=(n, d))
+        _, feats = featurize_all(Dataset(values))
+        assert feats.tobytes() == featurize_pairwise(values).tobytes()
 
 
 class TestGenerateTrainingSet:

@@ -1,6 +1,7 @@
 """End-to-end pipeline, benchmark/ablation drivers, and CLI contract."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -63,6 +64,31 @@ def default_run(tmp_path_factory):
     )
     record = run_pipeline(config)
     return config, record
+
+
+# SHA-256 of default_run's outputs, recorded with numpy 2.4.6 on its
+# bundled scipy-openblas 0.3.31; another numpy or BLAS build may round
+# differently, so the pin applies only to that build
+GOLDEN_BUILD = ("2.4.6", "scipy-openblas", "0.3.31")
+GOLDEN_SHA256 = {
+    "prediction.csv": "5c9aa82b7e2be1f215dbc8e3f4583e996ec5068657258e5ed9fbf28368c025f3",
+    "trace.jsonl": "f3d0cfba441acf8f1fdd2dbcc5e07f9db9f1b6b90ea5a71ec5b32f5fbac154d6",
+}
+
+
+def _golden_build_mismatch():
+    """Why this numpy/BLAS build differs from GOLDEN_BUILD, or None."""
+    numpy_version, blas_name, blas_version = GOLDEN_BUILD
+    if np.__version__ != numpy_version:
+        return f"numpy {np.__version__}, goldens recorded with {numpy_version}"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "numpy does not report its BLAS build"
+    name, version = blas.get("name"), str(blas.get("version"))
+    if name != blas_name or not (version == blas_version or version.startswith(blas_version + ".")):
+        return f"BLAS {name} {version}, goldens recorded with {blas_name} {blas_version}"
+    return None
 
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
@@ -185,6 +211,30 @@ class TestPipelineConfig:
     def test_bool_and_int_fields_reject_other_json_types(self, obj, key):
         with pytest.raises(ConfigError, match=f"bad config value for {key}:"):
             PipelineConfig.from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "obj, key",
+        [
+            ({"threshold": True}, "config.threshold"),
+            ({"train": {"learning_rate": "0.01"}}, "config.train.learning_rate"),
+            ({"train": {"momentum": False}}, "config.train.momentum"),
+            ({"score": {"sparsity_weight": "0.1"}}, "config.score.sparsity_weight"),
+            ({"generator": {"weight_range": [1.0, "2"]}}, "config.generator.weight_range"),
+        ],
+    )
+    def test_float_fields_reject_non_numbers(self, obj, key):
+        with pytest.raises(ConfigError, match=f"bad config value for {key}:"):
+            PipelineConfig.from_dict(obj)
+
+    def test_integer_reads_as_float(self):
+        cfg = PipelineConfig.from_dict({"threshold": 0, "train": {"learning_rate": 1}})
+        assert cfg.threshold == 0.0 and type(cfg.threshold) is float
+        assert cfg.train.learning_rate == 1.0 and type(cfg.train.learning_rate) is float
+
+    @pytest.mark.parametrize("override", [{"threshold": True}, {"train": {"learning_rate": "0.01"}}])
+    def test_float_errors_exit_two_from_cli(self, tmp_path, override):
+        path = _write_config(tmp_path / "cfg.json", **override)
+        assert cli_main(["pipeline", "--config", path, "--out", str(tmp_path / "run")]) == 2
 
     def test_integral_number_reads_as_int(self):
         cfg = PipelineConfig.from_dict({"train": {"epochs": 2.0}, "refine": {"dedup_collected": True}})
@@ -309,10 +359,20 @@ class TestRunPipelineDefaults:
         assert "provenance.json" in ts
         assert sum(n.startswith("instance_") for n in ts) == 200
 
+    @pytest.mark.timing
     def test_refinement_dominates_synthesis_plus_training(self, default_run):
         _, record = default_run
         t = record.timings
         assert t["refine"] > t["generate_training_set"] + t["train"]
+
+    def test_outputs_match_golden_hashes(self, default_run):
+        reason = _golden_build_mismatch()
+        if reason is not None:
+            pytest.skip(reason)
+        config, _ = default_run
+        for name, expected in GOLDEN_SHA256.items():
+            data = Path(config.out_dir, name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == expected, name
 
     def test_trace_has_one_line_per_step(self, default_run):
         config, _ = default_run

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from causalign.errors import ConfigError, DegreeCapError
-from causalign.graph import Dag
+from causalign.graph import Dag, random_er
 from causalign.scm import Dataset, forward_sample, sample_scm
 from causalign.sim import (
     SIGMA_FLOOR,
@@ -22,6 +24,7 @@ from causalign.sim import (
 )
 
 from conftest import chain_dag, dag_from_edges, empty_dag, make_rng
+from oracles import sample_per_node
 
 LINEAR = RegressorConfig(basis=Basis.LINEAR)
 
@@ -242,6 +245,57 @@ class TestSampleFromFitted:
         a = sample_from_fitted(fitted, 50, make_rng(6), noise_mode="empirical").values
         b = sample_from_fitted(fitted, 50, make_rng(6), noise_mode="empirical").values
         assert np.array_equal(a, b)
+
+
+class TestSampleAgainstPerNodeOracle:
+    """sample_from_fitted expands each (parent column, transform) once per
+    dataset; its values must equal predicting every node from a copy of
+    its parents' columns, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        basis=st.sampled_from(Basis),
+        basis_size=st.integers(1, 8),
+        noise_mode=st.sampled_from(["empirical", "parametric"]),
+        d=st.integers(2, 8),
+        n=st.integers(1, 300),
+    )
+    def test_bytes_equal_per_node_oracle(self, seed, basis, basis_size, noise_mode, d, n):
+        gen = make_rng(seed)
+        dag = random_er(d, gen.uniform(0.0, d), gen)
+        values = gen.normal(size=(80, d))
+        for j in range(1, d):
+            values[:, j] += np.sin(values[:, j - 1])
+        config = RegressorConfig(basis=basis, basis_size=basis_size, max_in_degree=None)
+        fitted = fit_sim(dag, Dataset(values), config)
+        got = sample_from_fitted(fitted, n, make_rng(seed + 1), noise_mode=noise_mode).values
+        expected = sample_per_node(fitted, n, make_rng(seed + 1), noise_mode)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_children_with_different_transforms_of_one_parent(self, basis):
+        """Two children of node 0 fitted on data where column 0 differs in
+        location and scale: each must be predicted through its own
+        transform, not through whichever the other child stored first."""
+        gen = make_rng(30)
+        a = gen.normal(size=(120, 3))
+        b = a.copy()
+        b[:, 0] = 3.0 * a[:, 0] + 1.0
+        a[:, 1] += np.sin(a[:, 0])
+        b[:, 2] += np.cos(b[:, 0])
+        config = RegressorConfig(basis=basis, basis_size=5)
+        dag = dag_from_edges(3, [(0, 1), (0, 2)])
+        nodes = [
+            fit_node(0, (), a[:, 0], np.zeros((120, 0)), config),
+            fit_node(1, (0,), a[:, 1], a[:, [0]], config),
+            fit_node(2, (0,), b[:, 2], b[:, [0]], config),
+        ]
+        if basis != Basis.LINEAR:  # the linear basis has no fitted transform
+            assert nodes[1].transforms != nodes[2].transforms
+        fitted = FittedScm(dag=dag, config=config, nodes=nodes)
+        got = sample_from_fitted(fitted, 200, make_rng(31)).values
+        assert got.tobytes() == sample_per_node(fitted, 200, make_rng(31)).tobytes()
 
 
 class TestPredictNode:
