@@ -61,19 +61,13 @@ from .sim import (
     sample_from_fitted,
 )
 from .scoring import (
-    AdVariant,
-    ScaleMode,
     ScoreConfig,
     ScoreEngine,
     ScoreValue,
     ad_likelihood,
-    ad_nwd,
-    ad_r2,
     score,
-    wasserstein1_sorted,
 )
 from .refine import (
-    AcceptanceRule,
     RefineConfig,
     RefineTrace,
     SeedMode,
@@ -173,18 +167,12 @@ __all__ = [
     "residual_log_likelihood",
     "sample_from_fitted",
     # scoring
-    "AdVariant",
-    "ScaleMode",
     "ScoreConfig",
     "ScoreEngine",
     "ScoreValue",
     "ad_likelihood",
-    "ad_nwd",
-    "ad_r2",
     "score",
-    "wasserstein1_sorted",
     # refinement
-    "AcceptanceRule",
     "RefineConfig",
     "RefineTrace",
     "SeedMode",

@@ -150,7 +150,6 @@ def cmd_make_trainset(args) -> int:
         graphs,
         dataset,
         regressor=regressor,
-        noise_mode=args.noise_mode,
         rng=np.random.default_rng(args.seed),
     )
     save_training_set(training_set, args.out)
@@ -257,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", required=True, help="directory of adjacency CSVs")
     p.add_argument("--basis", default=RegressorConfig.basis.value, help="linear | fourier | spline")
     p.add_argument("--basis-size", type=int, default=RegressorConfig.basis_size)
-    p.add_argument("--noise-mode", default=PipelineConfig.noise_mode, choices=["parametric", "empirical"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_make_trainset)

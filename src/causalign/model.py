@@ -288,12 +288,12 @@ def generate_training_set(
     graphs: list[Dag],
     dataset: Dataset,
     regressor: RegressorConfig | None = None,
-    noise_mode: str = "empirical",
     rng: np.random.Generator | None = None,
     node_fitter=None,
 ) -> TrainingSet:
     """Fit each graph's mechanisms on the dataset and forward-sample one
-    aligned dataset of the same size per graph.
+    aligned dataset of the same size per graph, bootstrapping each node's
+    fitted residuals as its noise.
 
     Node fits are cached across graphs keyed by (node, parent set), since
     collected ensembles overlap heavily; node_fitter(node, parents) can
@@ -334,7 +334,7 @@ def generate_training_set(
             skipped.append(idx)
             continue
         fitted = FittedScm(dag=g, config=regressor, nodes=nodes)
-        sampled = sample_from_fitted(fitted, dataset.n, rng, noise_mode=noise_mode)
+        sampled = sample_from_fitted(fitted, dataset.n, rng)
         instances.append((sampled, g))
         kept.append(idx)
     if not instances:
@@ -344,7 +344,6 @@ def generate_training_set(
         provenance={
             "source_indices": kept,
             "skipped_indices": skipped,
-            "noise_mode": noise_mode,
             "n": dataset.n,
         },
     )

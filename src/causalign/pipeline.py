@@ -187,7 +187,6 @@ class PipelineConfig:
     out_dir: str | None = None
     stages: str = "full"
     threshold: float = 0.5
-    noise_mode: str = "empirical"
     data_path: str | None = None
     truth_path: str | None = None
     generator: GeneratorConfig | None = None
@@ -199,8 +198,6 @@ class PipelineConfig:
             raise ConfigError(f"stages must be one of {STAGES}, got {self.stages!r}")
         if not (0.0 <= self.threshold <= 1.0):
             raise ConfigError("threshold must be in [0, 1]")
-        if self.noise_mode not in ("parametric", "empirical"):
-            raise ConfigError(f"unknown noise_mode {self.noise_mode!r}")
 
     # -- (de)serialization ----------------------------------------------------
 
@@ -419,7 +416,6 @@ def run_pipeline(
                 trace.collected,
                 dataset,
                 regressor=config.refine.score.regressor,
-                noise_mode=config.noise_mode,
                 rng=streams["trainset"],
                 node_fitter=engine.node_fit,
             )
@@ -516,16 +512,32 @@ def _persist_record(record: RunRecord) -> None:
 # benchmark and ablation drivers
 
 
-def _instance_seeds(master_seed: int, count: int) -> list[int]:
-    rng = np.random.default_rng(master_seed)
-    return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]
-
-
-def _setting_label(setting: ShiftSetting | str) -> str:
+def _suite_setup(
+    config: PipelineConfig,
+    setting: ShiftSetting | str,
+    instances: int,
+    out_dir: str,
+    driver: str,
+) -> tuple[str, list[int]]:
+    """Validate a suite driver's arguments, create out_dir and draw the
+    instance seeds; returns (setting label, seeds). `driver` names the
+    command in the error messages."""
+    if config.generator is None:
+        raise ConfigError(f"{driver} requires a generator section in the config")
+    if instances < 1:
+        raise ConfigError("instances must be >= 1")
     try:
-        return ShiftSetting(setting).value
+        setting_label = ShiftSetting(setting).value
     except ValueError as exc:
         raise ConfigError(f"unknown shift setting {setting!r}") from exc
+    os.makedirs(out_dir, exist_ok=True)
+    seeds = np.random.default_rng(config.seed).integers(0, 2**63 - 1, size=instances)
+    return setting_label, [int(s) for s in seeds]
+
+
+def _write_errors(out_dir: str, errors: list[dict]) -> None:
+    with open(os.path.join(out_dir, "errors.json"), "w") as fh:
+        json.dump(errors, fh, indent=2)
 
 
 def _run_one(config: PipelineConfig) -> RunRecord:
@@ -624,13 +636,7 @@ def run_benchmark(
     over successful instances. Failures are listed in errors.json and
     excluded from aggregates. Returns the summary rows.
     """
-    if config.generator is None:
-        raise ConfigError("benchmark requires a generator section in the config")
-    if instances < 1:
-        raise ConfigError("instances must be >= 1")
-    setting_label = _setting_label(setting)
-    os.makedirs(out_dir, exist_ok=True)
-    seeds = _instance_seeds(config.seed, instances)
+    setting_label, seeds = _suite_setup(config, setting, instances, out_dir, "benchmark")
     configs = [
         dataclasses.replace(
             config,
@@ -667,8 +673,7 @@ def run_benchmark(
         summary,
         ["setting", "method", "metric", "mean", "std"],
     )
-    with open(os.path.join(out_dir, "errors.json"), "w") as fh:
-        json.dump(errors, fh, indent=2)
+    _write_errors(out_dir, errors)
     return summary
 
 
@@ -690,13 +695,7 @@ def run_ablation_sparsity(
     so both arms see identical data. Emits ablation.csv with score
     diagnostics (ad, sparsity, total averaged over collected graphs),
     final AUROC, and the mean collected edge count."""
-    if config.generator is None:
-        raise ConfigError("ablation requires a generator section in the config")
-    if instances < 1:
-        raise ConfigError("instances must be >= 1")
-    setting_label = _setting_label(setting)
-    os.makedirs(out_dir, exist_ok=True)
-    seeds = _instance_seeds(config.seed, instances)
+    setting_label, seeds = _suite_setup(config, setting, instances, out_dir, "ablation")
     arms = [("penalized", config), ("unpenalized", _zero_lambda(config))]
     configs = []
     labels = []
@@ -751,8 +750,7 @@ def run_ablation_sparsity(
             "collected_mean_edges",
         ],
     )
-    with open(os.path.join(out_dir, "errors.json"), "w") as fh:
-        json.dump(errors, fh, indent=2)
+    _write_errors(out_dir, errors)
     return rows
 
 

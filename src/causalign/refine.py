@@ -2,7 +2,7 @@
 
 Each step proposes one uniformly random feasible edge move (the feasible
 set is recomputed every step), scores the candidate through the shared
-cached engine, and accepts with a Metropolis rule by default. Graphs
+cached engine, and accepts with the Metropolis rule. Graphs
 visited during the last collect_k steps are collected as the ensemble
 handed to training-set synthesis.
 """
@@ -21,7 +21,6 @@ from .scm import Dataset
 from .scoring import ScoreConfig, ScoreEngine, ScoreValue
 
 __all__ = [
-    "AcceptanceRule",
     "SeedMode",
     "RefineConfig",
     "StepRecord",
@@ -33,11 +32,6 @@ __all__ = [
     "refine",
     "best_scoring",
 ]
-
-
-class AcceptanceRule(str, enum.Enum):
-    METROPOLIS = "metropolis"
-    LITERAL_RATIO = "literal_ratio"
 
 
 class SeedMode(str, enum.Enum):
@@ -58,7 +52,6 @@ class RefineConfig:
 
     n_steps: int = 2000
     collect_k: int = 200
-    acceptance: AcceptanceRule = AcceptanceRule.METROPOLIS
     temperature: float | None = None
     seed_mode: SeedMode = SeedMode.RANDOM_DAG
     seed_graph_path: str | None = None
@@ -68,7 +61,6 @@ class RefineConfig:
     score: ScoreConfig = field(default_factory=ScoreConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "acceptance", AcceptanceRule(self.acceptance))
         object.__setattr__(self, "seed_mode", SeedMode(self.seed_mode))
         if self.n_steps < 0:
             raise ConfigError("n_steps must be >= 0")
@@ -113,34 +105,20 @@ class RefineTrace:
     final_score: ScoreValue
 
 
-def acceptance_probability(
-    s_curr: float,
-    s_cand: float,
-    rule: AcceptanceRule = AcceptanceRule.METROPOLIS,
-    temperature: float = 1.0,
-) -> float:
-    """Probability of accepting the candidate.
-
-    metropolis: 1 if s_cand >= s_curr else exp((s_cand - s_curr)/T); well
-    behaved for scores of any sign. literal_ratio: min(1, s_cand/s_curr)
-    clamped to [0, 1]; for s_curr == 0 the ratio is undefined and the rule
-    degrades to accept-iff-not-worse.
+def acceptance_probability(s_curr: float, s_cand: float, temperature: float = 1.0) -> float:
+    """Metropolis probability of accepting the candidate: 1 if
+    s_cand >= s_curr else exp((s_cand - s_curr)/T); well behaved for scores
+    of any sign.
     """
-    rule = AcceptanceRule(rule)
-    if rule == AcceptanceRule.METROPOLIS:
-        delta = s_cand - s_curr
-        if delta >= 0:
-            return 1.0
-        if temperature <= 0:
-            raise ConfigError("temperature must be > 0")
-        try:
-            return math.exp(delta / temperature)
-        except OverflowError:  # pragma: no cover - delta<0 can only underflow
-            return 0.0
-    if s_curr == 0.0:
-        return 1.0 if s_cand >= 0.0 else 0.0
-    ratio = s_cand / s_curr
-    return min(1.0, max(0.0, ratio))
+    delta = s_cand - s_curr
+    if delta >= 0:
+        return 1.0
+    if temperature <= 0:
+        raise ConfigError("temperature must be > 0")
+    try:
+        return math.exp(delta / temperature)
+    except OverflowError:  # pragma: no cover - delta<0 can only underflow
+        return 0.0
 
 
 def feasible_moves_capped(dag: Dag, max_in_degree: int | None) -> list[EdgeMove]:
@@ -313,9 +291,7 @@ def refine(
             s_cand = engine.value_from_ad(
                 engine.combine_terms(new_terms), cand.edge_count
             )
-            alpha = acceptance_probability(
-                s_curr.total, s_cand.total, config.acceptance, temperature
-            )
+            alpha = acceptance_probability(s_curr.total, s_cand.total, temperature)
             accepted = bool(rng.random() < alpha)
             steps.append(
                 StepRecord(t, move, s_curr.total, s_cand.total, alpha, accepted)

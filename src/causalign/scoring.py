@@ -2,10 +2,8 @@
 
 total(G, D) = AD(G, D) - lambda * |edges(G)|
 
-Three AD variants are available. The likelihood variant averages Gaussian
-residual log-densities of per-node SIM fits; the r2 variant averages
-coefficients of determination (roots contribute 0); the nwd variant
-averages 1 - W1(observed, fitted predictions) / range(union).
+AD is the mean over nodes of each node's average Gaussian residual
+log-density under its per-node SIM fit.
 
 AD decomposes over nodes, so the ScoreEngine caches one term per
 (node, parent set) and rescoring after an edge move only refits the nodes
@@ -16,9 +14,7 @@ last-writer-wins of identical values (fits are deterministic).
 
 from __future__ import annotations
 
-import enum
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,61 +22,34 @@ import numpy as np
 from .errors import ConfigError, StructuralInputError
 from .graph import Dag
 from .scm import Dataset
-from .sim import FittedNode, RegressorConfig, fit_node, predict_node
+from .sim import FittedNode, RegressorConfig, fit_node
 
 __all__ = [
-    "AdVariant",
-    "ScaleMode",
     "ScoreConfig",
     "ScoreValue",
     "ScoreEngine",
-    "wasserstein1_sorted",
     "ad_likelihood",
-    "ad_r2",
-    "ad_nwd",
     "score",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-class AdVariant(str, enum.Enum):
-    LIKELIHOOD = "likelihood"
-    R2 = "r2"
-    NWD = "nwd"
-
-
-class ScaleMode(str, enum.Enum):
-    """How per-node AD terms combine: 'averaged' divides by d, matching the
-    doubly normalized reading of the alignment term; 'per_variable_sum'
-    sums node means, matching the literal per-variable reading (pair with
-    sparsity_weight=1.0)."""
-
-    AVERAGED = "averaged"
-    PER_VARIABLE_SUM = "per_variable_sum"
-
-
 @dataclass(frozen=True)
 class ScoreConfig:
-    ad_variant: AdVariant = AdVariant.LIKELIHOOD
     sparsity_weight: float | None = None  # None -> resolved per dataset
-    ad_scale_mode: ScaleMode = ScaleMode.AVERAGED
     regressor: RegressorConfig = field(default_factory=RegressorConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "ad_variant", AdVariant(self.ad_variant))
-        object.__setattr__(self, "ad_scale_mode", ScaleMode(self.ad_scale_mode))
         if self.sparsity_weight is not None and self.sparsity_weight < 0:
             raise ConfigError("sparsity_weight must be >= 0")
 
     def resolve_lambda(self, n: int, d: int) -> float:
-        """Default penalty: 2/(n*d) in averaged mode (an AIC-like 2-per-edge
-        penalty under the likelihood normalization), 1.0 in sum mode."""
+        """Default penalty: 2/(n*d), an AIC-like 2-per-edge penalty under
+        the averaged likelihood normalization."""
         if self.sparsity_weight is not None:
             return float(self.sparsity_weight)
-        if self.ad_scale_mode == ScaleMode.AVERAGED:
-            return 2.0 / (n * d)
-        return 1.0
+        return 2.0 / (n * d)
 
 
 @dataclass(frozen=True)
@@ -88,7 +57,6 @@ class ScoreValue:
     ad: float
     sparsity: int
     total: float
-    variant: str = AdVariant.LIKELIHOOD.value
     sparsity_weight: float = 0.0
 
     def to_json(self) -> dict:
@@ -96,23 +64,8 @@ class ScoreValue:
             "ad": self.ad,
             "sparsity": self.sparsity,
             "total": self.total,
-            "variant": self.variant,
             "lambda": self.sparsity_weight,
         }
-
-
-def wasserstein1_sorted(a, b) -> float:
-    """One-dimensional W1 between equal-size samples: mean absolute
-    difference of the sorted vectors."""
-    av = np.sort(np.asarray(a, dtype=float))
-    bv = np.sort(np.asarray(b, dtype=float))
-    if av.ndim != 1 or bv.ndim != 1 or av.shape != bv.shape:
-        raise StructuralInputError(
-            f"wasserstein1_sorted needs equal-length 1-d samples, got {av.shape} vs {bv.shape}"
-        )
-    if av.size == 0:
-        raise StructuralInputError("empty samples")
-    return float(np.abs(av - bv).mean())
 
 
 class ScoreEngine:
@@ -126,8 +79,6 @@ class ScoreEngine:
         self.sparsity_weight = self.config.resolve_lambda(dataset.n, dataset.d)
         self._values = dataset.values
         self._cache: dict[tuple[int, tuple[int, ...]], tuple[FittedNode, float]] = {}
-        # column stats reused by the r2/nwd terms
-        self._col_ss = ((self._values - self._values.mean(axis=0)) ** 2).sum(axis=0)
 
     # -- per-node machinery -------------------------------------------------
 
@@ -150,7 +101,7 @@ class ScoreEngine:
         x = self._values[:, node]
         pm = self._values[:, parents] if parents else np.zeros((self.dataset.n, 0))
         fitted = fit_node(node, parents, x, pm, self.config.regressor)
-        term = self._term_from_fit(fitted, x, pm)
+        term = self._term_from_fit(fitted)
         return fitted, term
 
     def refit_term(self, node: int, parents: tuple[int, ...]) -> float:
@@ -163,51 +114,27 @@ class ScoreEngine:
         self._cache[(node, parents)] = entry
         return entry[1]
 
-    def _term_from_fit(self, fitted: FittedNode, x: np.ndarray, pm: np.ndarray) -> float:
-        variant = self.config.ad_variant
-        if variant == AdVariant.LIKELIHOOD:
-            s2 = fitted.residual_sigma**2
-            msr = float((fitted.residual_samples**2).mean())
-            return -0.5 * (_LOG_2PI + math.log(s2)) - msr / (2.0 * s2)
-        if variant == AdVariant.R2:
-            if len(fitted.parents) == 0:
-                return 0.0  # root convention
-            ss_tot = float(self._col_ss[fitted.node])
-            if ss_tot == 0.0:
-                warnings.warn(
-                    f"node {fitted.node} has zero variance; R^2 term set to 0.0",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return 0.0
-            ss_res = float((fitted.residual_samples**2).sum())
-            return 1.0 - ss_res / ss_tot
-        # nwd: 1 - W1(observed, predictions) / range of the union
-        pred = predict_node(fitted, pm, self.config.regressor)
-        w1 = wasserstein1_sorted(x, pred)
-        lo = min(float(x.min()), float(pred.min()))
-        hi = max(float(x.max()), float(pred.max()))
-        if hi == lo:
-            return 1.0  # zero-range convention
-        return 1.0 - w1 / (hi - lo)
+    @staticmethod
+    def _term_from_fit(fitted: FittedNode) -> float:
+        """Mean Gaussian log-density of the node's residuals under the
+        fitted sigma."""
+        s2 = fitted.residual_sigma**2
+        msr = float((fitted.residual_samples**2).mean())
+        return -0.5 * (_LOG_2PI + math.log(s2)) - msr / (2.0 * s2)
 
     # -- whole-graph scores --------------------------------------------------
 
     def combine_terms(self, terms) -> float:
-        """Per-node AD terms -> graph AD, under the configured scale mode.
+        """Per-node AD terms -> graph AD, their mean over the d nodes.
         Summation via fsum in node order, so incremental rescoring and a
         full rescore of the same graph agree exactly."""
-        total = math.fsum(terms)
-        if self.config.ad_scale_mode == ScaleMode.AVERAGED:
-            return total / self.dataset.d
-        return total
+        return math.fsum(terms) / self.dataset.d
 
     def value_from_ad(self, ad_value: float, edge_count: int) -> ScoreValue:
         return ScoreValue(
             ad=ad_value,
             sparsity=edge_count,
             total=ad_value - self.sparsity_weight * edge_count,
-            variant=self.config.ad_variant.value,
             sparsity_weight=self.sparsity_weight,
         )
 
@@ -223,33 +150,11 @@ class ScoreEngine:
         return len(self._cache)
 
 
-def _with_variant(config: ScoreConfig | None, variant: AdVariant) -> ScoreConfig:
-    base = config if config is not None else ScoreConfig()
-    if base.ad_variant == variant:
-        return base
-    return ScoreConfig(
-        ad_variant=variant,
-        sparsity_weight=base.sparsity_weight,
-        ad_scale_mode=base.ad_scale_mode,
-        regressor=base.regressor,
-    )
-
-
 def ad_likelihood(dag: Dag, dataset: Dataset, config: ScoreConfig | None = None) -> float:
     """Alignment term under Gaussian residual log-likelihood."""
-    return ScoreEngine(dataset, _with_variant(config, AdVariant.LIKELIHOOD)).ad(dag)
-
-
-def ad_r2(dag: Dag, dataset: Dataset, config: ScoreConfig | None = None) -> float:
-    """Alignment term as the average per-node R^2 (roots contribute 0)."""
-    return ScoreEngine(dataset, _with_variant(config, AdVariant.R2)).ad(dag)
-
-
-def ad_nwd(dag: Dag, dataset: Dataset, config: ScoreConfig | None = None) -> float:
-    """Alignment term as the average normalized Wasserstein agreement."""
-    return ScoreEngine(dataset, _with_variant(config, AdVariant.NWD)).ad(dag)
+    return ScoreEngine(dataset, config).ad(dag)
 
 
 def score(dag: Dag, dataset: Dataset, config: ScoreConfig | None = None) -> ScoreValue:
-    """Full score under the configured variant and penalty."""
+    """Full score under the configured penalty."""
     return ScoreEngine(dataset, config).score(dag)

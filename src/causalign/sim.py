@@ -322,16 +322,10 @@ def residual_log_likelihood(fitted: FittedNode, x: float, parent_values, config:
     return -0.5 * (_LOG_2PI + math.log(s2)) - r * r / (2.0 * s2)
 
 
-def sample_from_fitted(
-    fitted: FittedScm,
-    n: int,
-    rng: np.random.Generator,
-    noise_mode: str = "empirical",
-) -> Dataset:
+def sample_from_fitted(fitted: FittedScm, n: int, rng: np.random.Generator) -> Dataset:
     """Ancestral sampling from the fitted model.
 
-    noise_mode 'parametric' draws node noise from N(0, residual_sigma^2);
-    'empirical' bootstraps the stored centered residuals, preserving their
+    Node noise bootstraps the stored centered residuals, preserving their
     shape. Nodes are visited in deterministic topological order and noise
     for node j is drawn when that node is reached, so identical seeds give
     identical datasets.
@@ -341,8 +335,6 @@ def sample_from_fitted(
     child that uses it reuses the block; the means equal predict_node on
     the parents' columns bit for bit.
     """
-    if noise_mode not in ("parametric", "empirical"):
-        raise ConfigError(f"unknown noise_mode {noise_mode!r}")
     if n < 1:
         raise StructuralInputError("n must be >= 1")
     d = fitted.dag.d
@@ -364,9 +356,6 @@ def sample_from_fitted(
             mean = fn.intercept + np.concatenate(blocks, axis=1) @ fn.weights
         else:
             mean = np.full(n, fn.intercept)
-        if noise_mode == "parametric":
-            eps = rng.normal(0.0, fn.residual_sigma, size=n)
-        else:
-            eps = rng.choice(fn.residual_samples, size=n, replace=True)
+        eps = rng.choice(fn.residual_samples, size=n, replace=True)
         values[:, j] = mean + eps
     return Dataset(values)

@@ -198,7 +198,7 @@ def greedy_full_rescore(engine, start, max_rounds, cap):
     return current
 
 
-def sample_per_node(fitted, n, rng, noise_mode="empirical"):
+def sample_per_node(fitted, n, rng):
     """Ancestral sampling that predicts each node with predict_node on a
     fresh copy of its parents' columns, expanding every parent column
     again for every child."""
@@ -208,10 +208,7 @@ def sample_per_node(fitted, n, rng, noise_mode="empirical"):
         fn = by_node[j]
         pm = values[:, fn.parents] if fn.parents else np.zeros((n, 0))
         mean = predict_node(fn, pm, fitted.config)
-        if noise_mode == "parametric":
-            eps = rng.normal(0.0, fn.residual_sigma, size=n)
-        else:
-            eps = rng.choice(fn.residual_samples, size=n, replace=True)
+        eps = rng.choice(fn.residual_samples, size=n, replace=True)
         values[:, j] = mean + eps
     return values
 

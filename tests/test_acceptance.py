@@ -113,7 +113,7 @@ def test_criterion_03_knn_equals_argmax_selection():
         ds = forward_sample(scm, 80, rng)
         graphs = [random_er(4, 3.0, rng) for _ in range(6)]
         ts = generate_training_set(
-            graphs, ds, regressor=RegressorConfig(), noise_mode="empirical", rng=rng
+            graphs, ds, regressor=RegressorConfig(), rng=rng
         )
         chosen = knn_score_predict(ts, ds, ScoreConfig())
         engine = ScoreEngine(ds, ScoreConfig())

@@ -283,7 +283,7 @@ class TestTrainingSetDir:
         for (da, ga), (db, gb) in zip(back.instances, ts.instances):
             assert np.array_equal(da.values, db.values)
             assert ga == gb
-        assert back.provenance["noise_mode"] == ts.provenance["noise_mode"]
+        assert back.provenance["n"] == ts.provenance["n"]
         assert back.provenance["source_indices"] == ts.provenance["source_indices"]
 
     def test_instance_directories_are_zero_padded_and_sorted(self, tmp_path):

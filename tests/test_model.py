@@ -188,7 +188,6 @@ class TestGenerateTrainingSet:
         ts = generate_training_set([empty_dag(4)], data, rng=make_rng(0))
         assert ts.provenance["source_indices"] == [0]
         assert ts.provenance["skipped_indices"] == []
-        assert ts.provenance["noise_mode"] == "empirical"
         assert ts.provenance["n"] == data.n
 
     def test_degree_cap_violator_skipped_with_warning(self):

@@ -27,9 +27,9 @@ from causalign.pipeline import (
     run_benchmark,
     run_pipeline,
 )
-from causalign.refine import AcceptanceRule, RefineConfig, SeedMode
+from causalign.refine import RefineConfig, SeedMode
 from causalign.scm import Dataset
-from causalign.scoring import AdVariant, ScaleMode, ScoreConfig
+from causalign.scoring import ScoreConfig
 from causalign.model import TrainConfig
 from causalign.sim import Basis, RegressorConfig
 
@@ -104,16 +104,13 @@ _regressors = st.builds(
 )
 _scores = st.builds(
     ScoreConfig,
-    ad_variant=st.sampled_from(AdVariant),
     sparsity_weight=st.none() | _floats,
-    ad_scale_mode=st.sampled_from(ScaleMode),
     regressor=_regressors,
 )
 _refines = st.builds(
     RefineConfig,
     n_steps=st.integers(0, 10_000),
     collect_k=st.integers(1, 1_000),
-    acceptance=st.sampled_from(AcceptanceRule),
     temperature=st.none() | st.floats(min_value=1e-9, max_value=1e6),
     seed_mode=st.sampled_from(SeedMode),
     seed_graph_path=st.text(min_size=1, max_size=12),
@@ -149,7 +146,6 @@ _pipeline_configs = st.builds(
     out_dir=_paths,
     stages=st.sampled_from(["full", "refine_only", "knn_only"]),
     threshold=st.floats(min_value=0.0, max_value=1.0),
-    noise_mode=st.sampled_from(["parametric", "empirical"]),
     data_path=_paths,
     truth_path=_paths,
     generator=st.none() | _generators,
@@ -178,6 +174,25 @@ class TestPipelineConfig:
                     assert prop.get("default") == default.get(name), f"{where}.{name}"
 
         check(schema["properties"], layout, defaults, "config")
+
+    def test_readme_table_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        documented = {
+            line.split("|")[1].strip().strip("`")
+            for line in section.splitlines()
+            if line.startswith("| `")
+        }
+
+        def leaves(obj, prefix=""):
+            for key, value in obj.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key
+
+        layout = PipelineConfig(generator=GeneratorConfig(), data_path="x").to_dict()
+        assert documented == set(leaves(layout))
 
     @pytest.mark.parametrize(
         "obj, key",
@@ -267,7 +282,6 @@ class TestPipelineConfig:
             out_dir="/tmp/x",
             stages="knn_only",
             threshold=0.4,
-            noise_mode="parametric",
             generator=GeneratorConfig(
                 mechanism="chebyshev",
                 noise="laplace",
@@ -304,7 +318,7 @@ class TestPipelineConfig:
         [
             {"stages": "everything"},
             {"threshold": 1.5},
-            {"noise_mode": "exotic"},
+            {"threshold": -0.1},
         ],
     )
     def test_field_validation(self, kwargs):
@@ -577,10 +591,11 @@ class TestRunBenchmark:
         # Sanity sweep on a deliberately easy suite: every weight at the
         # strong end (magnitude 2), one shared noise scale, and density
         # matched to the standard d=10 suite (expected 2.5 edges at d=5).
-        # The per-variable-sum score with a moderate penalty separates the
-        # regime cleanly: a true edge raises a node's alignment by at least
-        # log(sqrt(5)) ~ 0.80 while a spurious one gains only ~basis/(2n),
-        # so 0.5 sits between them with a wide margin on both sides.
+        # A moderate penalty separates the regime cleanly: a true edge
+        # raises its node's alignment by at least log(sqrt(5)) ~ 0.80, so
+        # the d-averaged score by 0.16, while a spurious one gains only
+        # ~basis/(2n) per node, ~basis/(2nd) averaged; lambda = 0.1 (0.5/d)
+        # sits between them with a wide margin on both sides.
         config = PipelineConfig(
             seed=0,
             generator=GeneratorConfig(
@@ -593,7 +608,7 @@ class TestRunBenchmark:
                 noise_scale_range=(0.2, 0.2),
             ),
             refine=RefineConfig(
-                score=ScoreConfig(ad_scale_mode="per_variable_sum", sparsity_weight=0.5)
+                score=ScoreConfig(sparsity_weight=0.1)
             ),
             train=TrainConfig(learning_rate=3e-3, epochs=60),
         )
@@ -847,6 +862,25 @@ class TestCli:
         rc = cli_main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "obj, key",
+        [
+            ({"refine": {"acceptance": "metropolis"}}, "acceptance"),
+            ({"score": {"ad_variant": "likelihood"}}, "ad_variant"),
+            ({"score": {"ad_scale_mode": "averaged"}}, "ad_scale_mode"),
+            ({"noise_mode": "empirical"}, "noise_mode"),
+        ],
+    )
+    def test_removed_config_key_exits_two(self, tmp_path, capsys, obj, key):
+        """Keys of deleted variants are rejected, even at their old default."""
+        with pytest.raises(ConfigError, match=f"unknown config keys.*'{key}'"):
+            PipelineConfig.from_dict(obj)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(obj))
+        rc = cli_main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
 
     def test_single_variable_data_exits_two(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

@@ -12,7 +12,6 @@ from causalign.errors import ConfigError, StructuralInputError
 from causalign.graph import Dag, MoveKind, apply_move, feasible_moves, random_er
 from causalign.io import save_graph
 from causalign.refine import (
-    AcceptanceRule,
     RefineConfig,
     SeedMode,
     StepRecord,
@@ -58,26 +57,6 @@ class TestAcceptanceProbability:
     def test_metropolis_rejects_nonpositive_temperature(self):
         with pytest.raises(ConfigError):
             acceptance_probability(0.0, -1.0, temperature=0.0)
-
-    def test_literal_ratio_basic(self):
-        rule = AcceptanceRule.LITERAL_RATIO
-        assert acceptance_probability(2.0, 1.0, rule) == 0.5
-        assert acceptance_probability(2.0, 4.0, rule) == 1.0
-
-    def test_literal_ratio_clamps_to_unit_interval(self):
-        rule = AcceptanceRule.LITERAL_RATIO
-        assert acceptance_probability(2.0, -1.0, rule) == 0.0
-        assert acceptance_probability(-2.0, -4.0, rule) == 1.0
-
-    def test_literal_ratio_zero_current(self):
-        rule = AcceptanceRule.LITERAL_RATIO
-        assert acceptance_probability(0.0, 0.5, rule) == 1.0
-        assert acceptance_probability(0.0, 0.0, rule) == 1.0
-        assert acceptance_probability(0.0, -0.5, rule) == 0.0
-
-    def test_rule_accepts_string_names(self):
-        assert acceptance_probability(0.0, 1.0, "metropolis") == 1.0
-        assert acceptance_probability(4.0, 1.0, "literal_ratio") == 0.25
 
 
 class TestFeasibleMovesCapped:
@@ -143,11 +122,9 @@ class TestRefineTrace:
         assert trace.collected == post_decision[-config.collect_k:]
 
     def test_recorded_alpha_matches_formula(self):
-        _, config, trace = self._run(seed=2)
+        _, _, trace = self._run(seed=2)
         for rec in trace.steps:
-            expect = acceptance_probability(
-                rec.s_curr, rec.s_cand, config.acceptance, trace.temperature
-            )
+            expect = acceptance_probability(rec.s_curr, rec.s_cand, trace.temperature)
             assert rec.alpha == expect
 
     def test_best_is_max_over_visited(self):
@@ -231,10 +208,6 @@ class TestRefineTrace:
             if rec.accepted:
                 totals.append(rec.s_cand)
         assert all(b >= a for a, b in zip(totals, totals[1:]))
-
-    def test_literal_ratio_rule_runs_and_bounds_alpha(self):
-        _, _, trace = self._run(seed=12, acceptance=AcceptanceRule.LITERAL_RATIO)
-        assert all(0.0 <= rec.alpha <= 1.0 for rec in trace.steps)
 
     def test_single_node_dataset_has_no_moves(self):
         data = Dataset(make_rng(0).normal(size=(40, 1)))
@@ -467,8 +440,7 @@ class TestRefineConfig:
             RefineConfig(seed_mode=SeedMode.FROM_FILE)
 
     def test_string_enums_coerce(self):
-        cfg = RefineConfig(acceptance="literal_ratio", seed_mode="greedy_hill_climb")
-        assert cfg.acceptance is AcceptanceRule.LITERAL_RATIO
+        cfg = RefineConfig(seed_mode="greedy_hill_climb")
         assert cfg.seed_mode is SeedMode.GREEDY
 
 

@@ -8,16 +8,11 @@ from causalign.graph import Dag, random_er
 from causalign.scm import Dataset, forward_sample, sample_scm
 from causalign.sim import Basis, RegressorConfig
 from causalign.scoring import (
-    AdVariant,
-    ScaleMode,
     ScoreConfig,
     ScoreEngine,
     ScoreValue,
     ad_likelihood,
-    ad_nwd,
-    ad_r2,
     score,
-    wasserstein1_sorted,
 )
 
 from conftest import dag_from_edges, empty_dag, linear_dataset, make_rng
@@ -30,10 +25,6 @@ class TestScoreConfig:
     def test_lambda_default_averaged(self):
         cfg = ScoreConfig()
         assert cfg.resolve_lambda(n=200, d=10) == pytest.approx(2.0 / (200 * 10))
-
-    def test_lambda_default_per_variable_sum(self):
-        cfg = ScoreConfig(ad_scale_mode=ScaleMode.PER_VARIABLE_SUM)
-        assert cfg.resolve_lambda(n=200, d=10) == 1.0
 
     def test_explicit_lambda_wins(self):
         cfg = ScoreConfig(sparsity_weight=0.25)
@@ -84,91 +75,6 @@ class TestAdLikelihood:
             ad_likelihood(Dag(adj), data, cfg)
 
 
-class TestAdR2:
-    def test_exact_linear_relation(self):
-        x0 = make_rng(3).normal(size=400)
-        data = Dataset(np.column_stack([x0, 3.0 * x0]))
-        cfg = ScoreConfig(
-            ad_variant=AdVariant.R2,
-            ad_scale_mode=ScaleMode.PER_VARIABLE_SUM,
-            regressor=RegressorConfig(basis=Basis.LINEAR),
-        )
-        # root contributes 0 by convention, child contributes R^2 = 1
-        assert ad_r2(dag_from_edges(2, [(0, 1)]), data, cfg) == pytest.approx(1.0, abs=1e-6)
-
-    def test_empty_graph_is_zero(self):
-        data = Dataset(make_rng(4).normal(size=(100, 3)))
-        cfg = ScoreConfig(ad_variant=AdVariant.R2, regressor=RegressorConfig(basis=Basis.LINEAR))
-        assert ad_r2(empty_dag(3), data, cfg) == 0.0
-
-    def test_bounded_above_by_one(self):
-        data = linear_dataset(5, d=3, n=300)
-        cfg = ScoreConfig(ad_variant=AdVariant.R2, regressor=RegressorConfig(basis=Basis.LINEAR))
-        for seed in range(5):
-            g = random_er(3, 2.0, make_rng(seed))
-            assert ad_r2(g, data, cfg) <= 1.0 + 1e-12
-
-    def test_chain_near_symmetric(self):
-        data = linear_dataset(6, d=3, n=2000)
-        cfg = ScoreConfig(ad_variant=AdVariant.R2, regressor=RegressorConfig(basis=Basis.LINEAR))
-        fwd = ad_r2(dag_from_edges(3, [(0, 1), (1, 2)]), data, cfg)
-        rev = ad_r2(dag_from_edges(3, [(2, 1), (1, 0)]), data, cfg)
-        assert fwd >= rev - 0.05
-
-
-class TestWasserstein:
-    def test_identical_vectors(self):
-        assert wasserstein1_sorted([1.0, 2.0, 3.0], [3.0, 1.0, 2.0]) == 0.0
-
-    def test_hand_case(self):
-        assert wasserstein1_sorted([0.0, 1.0], [1.0, 2.0]) == pytest.approx(1.0)
-
-    def test_shuffle_invariance(self):
-        rng = make_rng(7)
-        a = rng.normal(size=50)
-        b = rng.normal(size=50)
-        w = wasserstein1_sorted(a, b)
-        assert wasserstein1_sorted(rng.permutation(a), rng.permutation(b)) == w
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(StructuralInputError):
-            wasserstein1_sorted([1.0, 2.0], [1.0])
-
-
-class TestAdNwd:
-    def _nwd_cfg(self, mode=ScaleMode.AVERAGED):
-        return ScoreConfig(
-            ad_variant=AdVariant.NWD,
-            ad_scale_mode=mode,
-            regressor=RegressorConfig(basis=Basis.LINEAR),
-        )
-
-    def test_constant_columns_are_perfectly_matched(self):
-        data = Dataset(np.ones((20, 2)))
-        assert ad_nwd(empty_dag(2), data, self._nwd_cfg()) == 1.0
-
-    def test_exact_fit_child_term_near_one(self):
-        x0 = make_rng(8).normal(size=300)
-        data = Dataset(np.column_stack([x0, 2.0 * x0]))
-        engine = ScoreEngine(data, self._nwd_cfg())
-        assert engine.node_term(1, (0,)) == pytest.approx(1.0, abs=1e-5)
-
-    def test_constant_prediction_hand_case(self):
-        # Each column [0,1,2,3]-like: root prediction is the constant mean.
-        # col0: W1([0,1,2,3], [1.5]*4) = 1.0, union range 3 -> 1 - 1/3.
-        # col1 = 2*col0: W1 = 2.0, union range 6 -> 1 - 1/3.
-        data = Dataset(np.column_stack([np.arange(4.0), 2.0 * np.arange(4.0)]))
-        cfg = self._nwd_cfg(ScaleMode.PER_VARIABLE_SUM)
-        assert ad_nwd(empty_dag(2), data, cfg) == pytest.approx(2 * (1 - 1.0 / 3.0), abs=1e-12)
-
-    def test_values_in_unit_interval(self):
-        data = linear_dataset(9, d=3, n=200)
-        for seed in range(8):
-            g = random_er(3, 2.0, make_rng(seed))
-            val = ad_nwd(g, data, self._nwd_cfg())
-            assert 0.0 <= val <= 1.0
-
-
 class TestScore:
     def test_lambda_zero_total_equals_ad(self):
         data = linear_dataset(10, d=3, n=200)
@@ -207,7 +113,7 @@ class TestScore:
     def test_json_keys(self):
         data = linear_dataset(15, d=3, n=100)
         obj = score(dag_from_edges(3, [(0, 2)]), data, LINEAR_CFG).to_json()
-        assert set(obj) == {"ad", "sparsity", "total", "variant", "lambda"}
+        assert set(obj) == {"ad", "sparsity", "total", "lambda"}
 
     def test_true_graph_in_top3_of_exhaustive_sweep(self):
         hits = 0
@@ -268,14 +174,3 @@ class TestScoreEngine:
         engine = ScoreEngine(data, LINEAR_CFG)
         with pytest.raises(StructuralInputError):
             engine.score(empty_dag(4))
-
-    def test_averaged_vs_sum_scale(self):
-        data = linear_dataset(21, d=3, n=200)
-        g = dag_from_edges(3, [(0, 1)])
-        avg = ScoreEngine(data, LINEAR_CFG).ad(g)
-        cfg_sum = ScoreConfig(
-            ad_scale_mode=ScaleMode.PER_VARIABLE_SUM,
-            regressor=RegressorConfig(basis=Basis.LINEAR),
-        )
-        total = ScoreEngine(data, cfg_sum).ad(g)
-        assert total == pytest.approx(avg * 3.0)

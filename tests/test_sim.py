@@ -185,27 +185,16 @@ class TestSampleFromFitted:
     def test_empirical_bootstrap_support_on_empty_graph(self):
         data = _two_col_linear(11, n=200)
         fitted = fit_sim(empty_dag(2), data, LINEAR)
-        sampled = sample_from_fitted(fitted, 500, make_rng(1), noise_mode="empirical")
+        sampled = sample_from_fitted(fitted, 500, make_rng(1))
         for j in range(2):
             support = fitted.nodes[j].intercept + fitted.nodes[j].residual_samples
             assert np.isin(sampled.values[:, j], support).all()
-
-    def test_parametric_moments_match_source(self):
-        n = 4000
-        x0 = make_rng(12).normal(2.0, 1.0, size=n)
-        data = Dataset(np.column_stack([x0, 3.0 * x0]))
-        fitted = fit_sim(dag_from_edges(2, [(0, 1)]), data, LINEAR)
-        sampled = sample_from_fitted(fitted, n, make_rng(2), noise_mode="parametric")
-        for j in range(2):
-            src = data.values[:, j]
-            tol = 4.0 * src.std() / math.sqrt(n)
-            assert abs(sampled.values[:, j].mean() - src.mean()) < tol
 
     def test_round_trip_refit_recovers_coefficients(self):
         data = _two_col_linear(13, n=2000)
         dag = dag_from_edges(2, [(0, 1)])
         first = fit_sim(dag, data, LINEAR)
-        resampled = sample_from_fitted(first, 2000, make_rng(3), noise_mode="empirical")
+        resampled = sample_from_fitted(first, 2000, make_rng(3))
         second = fit_sim(dag, resampled, LINEAR)
         assert abs(first.nodes[1].weights[0] - second.nodes[1].weights[0]) < 0.1
 
@@ -214,7 +203,7 @@ class TestSampleFromFitted:
         scm = sample_scm("er", "linear", "gaussian", 4, rng, expected_edges=3.0)
         data = forward_sample(scm, 2000, rng)
         fitted = fit_sim(scm.dag, data, LINEAR)
-        sampled = sample_from_fitted(fitted, 2000, make_rng(4), noise_mode="empirical")
+        sampled = sample_from_fitted(fitted, 2000, make_rng(4))
         roots = [j for j in range(4) if not scm.dag.parents(j)]
         assert roots
         for j in roots:
@@ -228,22 +217,16 @@ class TestSampleFromFitted:
         data = Dataset(np.column_stack([x0, 2.0 * x0, -1.0 * (2.0 * x0)]))
         dag = dag_from_edges(3, [(0, 1), (1, 2)])
         fitted = fit_sim(dag, data, LINEAR)
-        sampled = sample_from_fitted(fitted, 300, make_rng(5), noise_mode="parametric")
+        sampled = sample_from_fitted(fitted, 300, make_rng(5))
         v = sampled.values
         assert np.allclose(v[:, 1], 2.0 * v[:, 0], atol=0.02)
         assert np.allclose(v[:, 2], -v[:, 1], atol=0.02)
 
-    def test_unknown_noise_mode_rejected(self):
-        data = _two_col_linear(16, n=50)
-        fitted = fit_sim(empty_dag(2), data, LINEAR)
-        with pytest.raises(ConfigError):
-            sample_from_fitted(fitted, 10, make_rng(0), noise_mode="exotic")
-
     def test_determinism(self):
         data = _two_col_linear(17, n=100)
         fitted = fit_sim(dag_from_edges(2, [(0, 1)]), data, LINEAR)
-        a = sample_from_fitted(fitted, 50, make_rng(6), noise_mode="empirical").values
-        b = sample_from_fitted(fitted, 50, make_rng(6), noise_mode="empirical").values
+        a = sample_from_fitted(fitted, 50, make_rng(6)).values
+        b = sample_from_fitted(fitted, 50, make_rng(6)).values
         assert np.array_equal(a, b)
 
 
@@ -257,11 +240,10 @@ class TestSampleAgainstPerNodeOracle:
         seed=st.integers(0, 2**16),
         basis=st.sampled_from(Basis),
         basis_size=st.integers(1, 8),
-        noise_mode=st.sampled_from(["empirical", "parametric"]),
         d=st.integers(2, 8),
         n=st.integers(1, 300),
     )
-    def test_bytes_equal_per_node_oracle(self, seed, basis, basis_size, noise_mode, d, n):
+    def test_bytes_equal_per_node_oracle(self, seed, basis, basis_size, d, n):
         gen = make_rng(seed)
         dag = random_er(d, gen.uniform(0.0, d), gen)
         values = gen.normal(size=(80, d))
@@ -269,8 +251,8 @@ class TestSampleAgainstPerNodeOracle:
             values[:, j] += np.sin(values[:, j - 1])
         config = RegressorConfig(basis=basis, basis_size=basis_size, max_in_degree=None)
         fitted = fit_sim(dag, Dataset(values), config)
-        got = sample_from_fitted(fitted, n, make_rng(seed + 1), noise_mode=noise_mode).values
-        expected = sample_per_node(fitted, n, make_rng(seed + 1), noise_mode)
+        got = sample_from_fitted(fitted, n, make_rng(seed + 1)).values
+        expected = sample_per_node(fitted, n, make_rng(seed + 1))
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("basis", list(Basis))
