@@ -9,6 +9,7 @@ numpy arrays beat any sparse structure here.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
 
@@ -91,6 +92,16 @@ class Dag:
         arr.flags.writeable = False
         object.__setattr__(self, "adjacency", arr)
 
+    @classmethod
+    def _trusted(cls, adjacency: np.ndarray) -> "Dag":
+        """Wrap an int8 0/1 adjacency the caller has already checked to be
+        acyclic, skipping the validation __init__ would repeat. Takes
+        ownership of the array and makes it read-only."""
+        dag = object.__new__(cls)
+        adjacency.flags.writeable = False
+        object.__setattr__(dag, "adjacency", adjacency)
+        return dag
+
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Dag is immutable")
 
@@ -141,20 +152,23 @@ class Dag:
 
 
 def _kahn_is_acyclic(adj: np.ndarray) -> bool:
-    # Kahn peeling on a working copy of the in-degree vector.
-    d = adj.shape[0]
-    indeg = (adj != 0).sum(axis=0).astype(np.int64)
-    ready = [i for i in range(d) if indeg[i] == 0]
+    # Kahn peeling on plain lists: the per-node loop stays in Python, so
+    # index the edges once instead of once per peeled node.
+    edges = adj != 0
+    indeg = edges.sum(axis=0).tolist()
+    children: list[list[int]] = [[] for _ in indeg]
+    for src, dst in zip(*(idx.tolist() for idx in np.nonzero(edges))):
+        children[src].append(dst)
+    ready = [i for i, k in enumerate(indeg) if k == 0]
     seen = 0
-    adj_bool = adj != 0
     while ready:
         node = ready.pop()
         seen += 1
-        for child in np.flatnonzero(adj_bool[node]):
+        for child in children[node]:
             indeg[child] -= 1
             if indeg[child] == 0:
-                ready.append(int(child))
-    return seen == d
+                ready.append(child)
+    return seen == len(indeg)
 
 
 def is_acyclic(adjacency) -> bool:
@@ -211,35 +225,43 @@ def _transitive_closure(adj: np.ndarray) -> np.ndarray:
         frontier = step
 
 
-def feasible_moves(dag: Dag) -> list[EdgeMove]:
+@functools.lru_cache(maxsize=16)
+def _move_grid(d: int) -> np.ndarray:
+    """EdgeMove objects for every (kind, source, target), shape (3, d, d),
+    kinds in canonical order. Moves are immutable, so every enumeration on
+    d nodes shares them."""
+    grid = np.empty((len(_KIND_ORDER), d, d), dtype=object)
+    for k, kind in enumerate(_KIND_ORDER):
+        for i in range(d):
+            for j in range(d):
+                grid[k, i, j] = EdgeMove(kind, i, j)
+    grid.flags.writeable = False
+    return grid
+
+
+def feasible_moves(dag: Dag, max_in_degree: int | None = None) -> list[EdgeMove]:
     """All single-edge edits that keep the graph a DAG.
 
     Returned in canonical order: adds, then deletes, then reverses, each
-    sorted by (source, target). Adding i -> j is feasible iff the edge is
-    absent and no path j ~> i exists; deleting any present edge is feasible;
-    reversing i -> j is feasible iff no alternative path i ~> j (one that
-    does not use the edge itself) exists.
+    sorted by (source, target). With R the reachability of paths of one or
+    more edges, adding i -> j is feasible iff the edge is absent and
+    R[j, i] is not set; deleting any present edge is feasible; reversing
+    i -> j is feasible iff no child of i other than j reaches j, i.e.
+    (A @ R)[i, j] == 0 (in a DAG j never reaches itself). With
+    max_in_degree set, moves that would push the gaining node (the target
+    of an add, the source of a reversal) past it are left out.
     """
     adj = dag.adjacency != 0
-    d = dag.d
-    reach = _transitive_closure(dag.adjacency)
-    moves: list[EdgeMove] = []
-    for i in range(d):
-        for j in range(d):
-            if i == j or adj[i, j]:
-                continue
-            if not reach[j, i]:
-                moves.append(EdgeMove(MoveKind.ADD, i, j))
-    edges = dag.edges()
-    for i, j in edges:
-        moves.append(EdgeMove(MoveKind.DELETE, i, j))
-    for i, j in edges:
-        stripped = dag.adjacency.copy()
-        stripped[i, j] = 0
-        if not _transitive_closure(stripped)[i, j]:
-            moves.append(EdgeMove(MoveKind.REVERSE, i, j))
-    moves.sort(key=lambda m: (_KIND_ORDER.index(m.kind), m.source, m.target))
-    return moves
+    reach = _transitive_closure(adj)
+    add = ~(adj | reach.T)
+    np.fill_diagonal(add, False)
+    reverse = adj & ~(adj @ reach)
+    if max_in_degree is not None:
+        open_ = adj.sum(axis=0) < max_in_degree  # nodes that may gain a parent
+        add &= open_[None, :]
+        reverse &= open_[:, None]
+    grid = _move_grid(dag.d)
+    return np.concatenate((grid[0][add], grid[1][adj], grid[2][reverse])).tolist()
 
 
 def apply_move(dag: Dag, move: EdgeMove) -> Dag:
@@ -272,7 +294,7 @@ def apply_move(dag: Dag, move: EdgeMove) -> Dag:
         raise MoveInfeasibleError(
             f"{move.kind.value} {i}->{j} would create a cycle"
         )
-    return Dag(adj)
+    return Dag._trusted(adj)
 
 
 def random_er(d: int, expected_edges: float, rng: np.random.Generator) -> Dag:

@@ -13,9 +13,11 @@ changing one stage's seed never perturbs another stage's draws.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
 import enum
+import functools
 import glob
 import json
 import os
@@ -303,7 +305,16 @@ def run_pipeline(
     at least two variables: a passed-in dataset with fewer is a
     ConfigError raised before any stage runs, and one read from
     config.data_path fails the load_data stage.
+
+    The stages run with one BLAS thread: their matrices are small, so a
+    second thread burns CPU without shortening the run. The caller's
+    thread count is restored on return, errors included.
     """
+    with _one_blas_thread():
+        return _run_stages(config, dataset, truth)
+
+
+def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | None) -> RunRecord:
     if dataset is not None:
         _require_two_variables(dataset)
     out_dir = config.out_dir
@@ -574,13 +585,21 @@ def _write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
             writer.writerow(row)
 
 
+@functools.cache
 def _openblas() -> ctypes.CDLL | None:
     """numpy's bundled OpenBLAS (scipy-openblas64 build), or None when
     numpy links some other BLAS."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     found = sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")))
+    if not found:
+        return None
     # numpy has loaded the library already, so this returns the same handle
-    return ctypes.CDLL(found[0]) if found else None
+    lib = ctypes.CDLL(found[0])
+    lib.scipy_openblas_get_num_threads64_.argtypes = []
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    return lib
 
 
 def _single_threaded_blas() -> None:
@@ -590,6 +609,22 @@ def _single_threaded_blas() -> None:
     lib = _openblas()
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(1)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with one OpenBLAS thread, then restore the caller's
+    count; without OpenBLAS it does nothing."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def _worker_pool(threads: int) -> ProcessPoolExecutor:

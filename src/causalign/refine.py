@@ -124,18 +124,7 @@ def acceptance_probability(s_curr: float, s_cand: float, temperature: float = 1.
 def feasible_moves_capped(dag: Dag, max_in_degree: int | None) -> list[EdgeMove]:
     """feasible_moves minus proposals that would push a node's in-degree
     past the cap (the gaining endpoint for adds and reversals)."""
-    moves = feasible_moves(dag)
-    if max_in_degree is None:
-        return moves
-    indeg = dag.in_degrees()
-    out = []
-    for m in moves:
-        if m.kind == MoveKind.ADD and indeg[m.target] + 1 > max_in_degree:
-            continue
-        if m.kind == MoveKind.REVERSE and indeg[m.source] + 1 > max_in_degree:
-            continue
-        out.append(m)
-    return out
+    return feasible_moves(dag, max_in_degree)
 
 
 def _moved_parents(move: EdgeMove, parents: list[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...]]]:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, StructuralInputError
 from .graph import Dag
 from .scm import Dataset
-from .sim import FittedNode, RegressorConfig, fit_node
+from .sim import FittedNode, ParentTransform, RegressorConfig, expand_column, fit_node
 
 __all__ = [
     "ScoreConfig",
@@ -79,6 +79,9 @@ class ScoreEngine:
         self.sparsity_weight = self.config.resolve_lambda(dataset.n, dataset.d)
         self._values = dataset.values
         self._cache: dict[tuple[int, tuple[int, ...]], tuple[FittedNode, float]] = {}
+        # per column: its parent transform and basis expansion, which
+        # depend on the column alone
+        self._columns: dict[int, tuple[ParentTransform, np.ndarray]] = {}
 
     # -- per-node machinery -------------------------------------------------
 
@@ -100,9 +103,17 @@ class ScoreEngine:
     def _compute(self, node: int, parents: tuple[int, ...]):
         x = self._values[:, node]
         pm = self._values[:, parents] if parents else np.zeros((self.dataset.n, 0))
-        fitted = fit_node(node, parents, x, pm, self.config.regressor)
+        fitted = fit_node(
+            node, parents, x, pm, self.config.regressor, [self._column(p) for p in parents]
+        )
         term = self._term_from_fit(fitted)
         return fitted, term
+
+    def _column(self, p: int) -> tuple[ParentTransform, np.ndarray]:
+        hit = self._columns.get(p)
+        if hit is None:
+            hit = self._columns[p] = expand_column(self._values[:, p], self.config.regressor)
+        return hit
 
     def refit_term(self, node: int, parents: tuple[int, ...]) -> float:
         """Recompute this node's fit and AD term from scratch, storing the

@@ -201,6 +201,12 @@ def _expand_parent(column: np.ndarray, tr: ParentTransform, config: RegressorCon
     return np.exp(-0.5 * z * z)
 
 
+def expand_column(column: np.ndarray, config: RegressorConfig) -> tuple[ParentTransform, np.ndarray]:
+    """A parent column's fitted transform and its expanded features."""
+    tr = _fit_transform(column, config)
+    return tr, _expand_parent(column, tr, config)
+
+
 def features_per_parent(config: RegressorConfig) -> int:
     return 1 if config.basis == Basis.LINEAR else config.basis_size
 
@@ -223,12 +229,16 @@ def fit_node(
     x: np.ndarray,
     parent_matrix: np.ndarray,
     config: RegressorConfig,
+    expanded: list[tuple[ParentTransform, np.ndarray]] | None = None,
 ) -> FittedNode:
     """Ridge fit of one node on its parents' expanded features.
 
     The intercept is unpenalized. Residuals are centered before storage;
     residual_sigma is the sample std of the residuals floored at
-    SIGMA_FLOOR so downstream likelihoods stay finite.
+    SIGMA_FLOOR so downstream likelihoods stay finite. expanded, when
+    given, holds expand_column of each column of parent_matrix, in parent
+    order, so a caller that fits many parent sets on one dataset expands
+    each column once; the fit is bit-identical to expanding here.
     """
     if config.max_in_degree is not None and len(parents) > config.max_in_degree:
         raise DegreeCapError(
@@ -241,12 +251,10 @@ def fit_node(
         weights = np.zeros(0)
         transforms: tuple[ParentTransform, ...] = ()
     else:
-        transforms = tuple(
-            _fit_transform(parent_matrix[:, idx], config) for idx in range(len(parents))
-        )
-        phi = _design(parent_matrix, transforms, config)
-        ones = np.ones((n, 1))
-        full = np.concatenate([ones, phi], axis=1)
+        if expanded is None:
+            expanded = [expand_column(parent_matrix[:, idx], config) for idx in range(len(parents))]
+        transforms = tuple(tr for tr, _ in expanded)
+        full = np.concatenate([np.ones((n, 1)), *(block for _, block in expanded)], axis=1)
         k = full.shape[1]
         if config.ridge > 0:
             gram = full.T @ full

@@ -44,8 +44,19 @@ def all_dags(d):
     return [a for a in all_binary_matrices(d) if is_acyclic_bruteforce(a)]
 
 
+def edit_bruteforce(adj, kind, i, j):
+    """A copy of adj with the edge i -> j added, deleted or reversed."""
+    out = adj.copy()
+    out[i, j] = 1 if kind == "add" else 0
+    if kind == "reverse":
+        out[j, i] = 1
+    return out
+
+
 def feasible_moves_bruteforce(dag: Dag):
-    """All one-edge edits that keep the graph a DAG, as (kind, i, j) tuples."""
+    """All one-edge edits that keep the graph a DAG, as (kind, i, j) tuples
+    sorted by (kind, i, j); "add" < "delete" < "reverse", so this is the
+    package's canonical move order."""
     adj = dag.adjacency
     d = dag.d
     out = []
@@ -55,17 +66,23 @@ def feasible_moves_bruteforce(dag: Dag):
                 continue
             if adj[i, j]:
                 out.append(("delete", i, j))
-                rev = adj.copy()
-                rev[i, j] = 0
-                rev[j, i] = 1
-                if is_acyclic_bruteforce(rev):
+                if is_acyclic_bruteforce(edit_bruteforce(adj, "reverse", i, j)):
                     out.append(("reverse", i, j))
-            elif not adj[j, i]:
-                add = adj.copy()
-                add[i, j] = 1
-                if is_acyclic_bruteforce(add):
-                    out.append(("add", i, j))
+            elif is_acyclic_bruteforce(edit_bruteforce(adj, "add", i, j)):
+                out.append(("add", i, j))
     return sorted(out)
+
+
+def feasible_moves_capped_bruteforce(dag: Dag, cap):
+    """feasible_moves_bruteforce without the moves after which a node that
+    gained a parent has more than `cap` parents."""
+    before = dag.adjacency.sum(axis=0)
+    out = []
+    for kind, i, j in feasible_moves_bruteforce(dag):
+        after = edit_bruteforce(dag.adjacency, kind, i, j).sum(axis=0)
+        if cap is None or not np.any((after > before) & (after > cap)):
+            out.append((kind, i, j))
+    return out
 
 
 def offdiag_pairs(scores, truth_adj):
@@ -184,11 +201,7 @@ def greedy_full_rescore(engine, start, max_rounds, cap):
             gaining = {"add": j, "reverse": i}.get(kind)
             if cap is not None and gaining is not None and indeg[gaining] + 1 > cap:
                 continue
-            adj = current.adjacency.copy()
-            adj[i, j] = 1 if kind == "add" else 0
-            if kind == "reverse":
-                adj[j, i] = 1
-            cand = Dag(adj)
+            cand = Dag(edit_bruteforce(current.adjacency, kind, i, j))
             total = engine.score(cand).total
             if total > best:
                 best, pick = total, cand

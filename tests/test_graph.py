@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalign.errors import MoveInfeasibleError, StructuralInputError
 from causalign.graph import (
@@ -13,9 +15,16 @@ from causalign.graph import (
     random_sf,
     topological_order,
 )
+from causalign.refine import feasible_moves_capped
 
 from conftest import chain_dag, dag_from_edges, empty_dag, make_rng
-from oracles import all_binary_matrices, feasible_moves_bruteforce, is_acyclic_bruteforce
+from oracles import (
+    all_binary_matrices,
+    edit_bruteforce,
+    feasible_moves_bruteforce,
+    feasible_moves_capped_bruteforce,
+    is_acyclic_bruteforce,
+)
 
 
 class TestIsAcyclic:
@@ -144,6 +153,48 @@ class TestFeasibleMoves:
             g = random_er(5, 5.0, rng)
             for m in feasible_moves(g):
                 assert is_acyclic(apply_move(g, m).adjacency)
+
+
+@st.composite
+def _dags(draw):
+    """A DAG on 1-10 nodes: a drawn node order, each forward pair an edge
+    with a drawn density, from empty to complete."""
+    d = draw(st.integers(1, 10))
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(d)
+    adj = np.zeros((d, d), dtype=np.int8)
+    for a in range(d):
+        for b in range(a + 1, d):
+            adj[order[a], order[b]] = rng.random() < density
+    return Dag(adj)
+
+
+class TestMoveAlgebraOracle:
+    """feasible_moves, its capped form and apply_move against brute force,
+    in the exact list order the search draws from."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dags())
+    def test_feasible_moves_in_canonical_order(self, g):
+        got = [(m.kind.value, m.source, m.target) for m in feasible_moves(g)]
+        assert got == feasible_moves_bruteforce(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dags(), st.sampled_from([None, 0, 1, 2, 6]))
+    def test_capped_equals_filter_oracle(self, g, cap):
+        got = [(m.kind.value, m.source, m.target) for m in feasible_moves_capped(g, cap)]
+        assert got == feasible_moves_capped_bruteforce(g, cap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_dags())
+    def test_apply_move_returns_read_only_validated_dag(self, g):
+        for m in feasible_moves(g):
+            out = apply_move(g, m)
+            expected = Dag(edit_bruteforce(g.adjacency, m.kind.value, m.source, m.target))
+            assert out == expected
+            assert out.adjacency.dtype == np.int8
+            assert not out.adjacency.flags.writeable
 
 
 class TestApplyMove:

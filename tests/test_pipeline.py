@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalign import pipeline
+from causalign import model, pipeline, scoring
 from causalign.cli import main as cli_main
 from causalign.errors import ConfigError, StageError
 from causalign.io import load_dataset, load_graph, load_matrix, load_training_set, save_dataset
@@ -27,7 +27,7 @@ from causalign.pipeline import (
     run_benchmark,
     run_pipeline,
 )
-from causalign.refine import RefineConfig, SeedMode
+from causalign.refine import RefineConfig, SeedMode, refine
 from causalign.scm import Dataset
 from causalign.scoring import ScoreConfig
 from causalign.model import TrainConfig
@@ -55,14 +55,47 @@ def _blas_threads():
 
 
 @pytest.fixture(scope="module")
-def default_run(tmp_path_factory):
-    """One full run at library defaults (d=10, n=200, 2000 steps), shared
-    by the smoke and timing tests."""
+def counted_default_run(tmp_path_factory):
+    """One full run at library defaults (d=10, n=200, 2000 steps), with the
+    fit_node calls made inside and outside training-set synthesis counted
+    (the score engine's and the synthesizer's own)."""
     out = str(tmp_path_factory.mktemp("default_run"))
     config = PipelineConfig(
         seed=1, out_dir=out, generator=GeneratorConfig(noise="uniform")
     )
-    record = run_pipeline(config)
+    fits = {"synthesis": 0, "rest": 0}
+    phase = ["rest"]
+
+    def count_fits(fn):
+        def counted(*args, **kwargs):
+            fits[phase[0]] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    def in_synthesis(fn):
+        def marked(*args, **kwargs):
+            phase[0] = "synthesis"
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = "rest"
+
+        return marked
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scoring, "fit_node", count_fits(scoring.fit_node))
+        mp.setattr(model, "fit_node", count_fits(model.fit_node))
+        mp.setattr(pipeline, "generate_training_set", in_synthesis(pipeline.generate_training_set))
+        record = run_pipeline(config)
+    return config, record, fits
+
+
+@pytest.fixture(scope="module")
+def default_run(counted_default_run):
+    """The default run's config and record, shared by the smoke, golden
+    and timing tests."""
+    config, record, _ = counted_default_run
     return config, record
 
 
@@ -73,6 +106,16 @@ GOLDEN_BUILD = ("2.4.6", "scipy-openblas", "0.3.31")
 GOLDEN_SHA256 = {
     "prediction.csv": "5c9aa82b7e2be1f215dbc8e3f4583e996ec5068657258e5ed9fbf28368c025f3",
     "trace.jsonl": "f3d0cfba441acf8f1fdd2dbcc5e07f9db9f1b6b90ea5a71ec5b32f5fbac154d6",
+}
+
+
+# SHA-256 of the small greedy-seeded knn_only run's outputs, recorded with
+# the same build as GOLDEN_SHA256; the seed graph comes from the greedy
+# ascent, whose ties go to the first move in canonical order
+GREEDY_GOLDEN_SHA256 = {
+    "seed_graph.csv": "5bc00084116a70a66013ca51d20d0f3f253987e6da0758e2153930711ff53f92",
+    "trace.jsonl": "1347c9d6da9793ce5db171956f59d6fe155834eeafe7f32aed0b470fe0937508",
+    "knn_graph.csv": "0e2cad8c306e2451a6bfbbe739de9929830b0083342df7cc0b5456fe488b70de",
 }
 
 
@@ -374,10 +417,17 @@ class TestRunPipelineDefaults:
         assert sum(n.startswith("instance_") for n in ts) == 200
 
     @pytest.mark.timing
-    def test_refinement_dominates_synthesis_plus_training(self, default_run):
+    def test_refinement_dominates_synthesis(self, default_run):
         _, record = default_run
         t = record.timings
-        assert t["refine"] > t["generate_training_set"] + t["train"]
+        assert t["refine"] > t["generate_training_set"]
+
+    def test_synthesis_reuses_the_search_fits(self, counted_default_run):
+        # every collected (node, parents) was scored during the search, so
+        # synthesis takes all its fits from the engine and fits none itself
+        _, _, fits = counted_default_run
+        assert fits["synthesis"] == 0
+        assert fits["rest"] > 0
 
     def test_outputs_match_golden_hashes(self, default_run):
         reason = _golden_build_mismatch()
@@ -386,6 +436,22 @@ class TestRunPipelineDefaults:
         config, _ = default_run
         for name, expected in GOLDEN_SHA256.items():
             data = Path(config.out_dir, name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == expected, name
+
+    def test_greedy_knn_outputs_match_golden_hashes(self, tmp_path):
+        reason = _golden_build_mismatch()
+        if reason is not None:
+            pytest.skip(reason)
+        config = PipelineConfig(
+            seed=0,
+            out_dir=str(tmp_path),
+            stages="knn_only",
+            generator=GeneratorConfig(d=8, n=200),
+            refine=RefineConfig(n_steps=100, collect_k=20, seed_mode="greedy_hill_climb"),
+        )
+        run_pipeline(config)
+        for name, expected in GREEDY_GOLDEN_SHA256.items():
+            data = Path(tmp_path, name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == expected, name
 
     def test_trace_has_one_line_per_step(self, default_run):
@@ -514,6 +580,31 @@ class TestRunPipelineSmall:
         knn_graph = load_graph(os.path.join(out, "knn_graph.csv"))
         assert knn_graph == expect
         assert not os.path.exists(os.path.join(out, "predictor.json"))
+
+    def test_stages_run_single_threaded_blas_and_restore_the_callers_count(self, tmp_path, monkeypatch):
+        lib = pipeline._openblas()
+        if lib is None:
+            pytest.skip("numpy does not bundle OpenBLAS")
+        during = []
+
+        def refine_noting_threads(*args, **kwargs):
+            during.append(_blas_threads())
+            return refine(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "refine", refine_noting_threads)
+        before = _blas_threads()
+        lib.scipy_openblas_set_num_threads64_(2)
+        callers = _blas_threads()  # 2, or fewer on a one-core machine
+        try:
+            run_pipeline(_small_config(str(tmp_path / "ok"), stages="refine_only"))
+            assert _blas_threads() == callers
+            missing = RefineConfig(seed_mode="from_file", seed_graph_path=str(tmp_path / "none.csv"))
+            with pytest.raises(StageError):
+                run_pipeline(_small_config(str(tmp_path / "err"), refine=missing))
+            assert _blas_threads() == callers
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
+        assert during == [1]
 
     def test_prediction_matrix_round_trips_from_disk(self, tmp_path):
         config = _small_config(str(tmp_path / "r"), seed=11)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from causalign.errors import StructuralInputError
+from causalign.errors import NumericalError, StructuralInputError
 from causalign.graph import Dag, random_er
 from causalign.scm import Dataset, forward_sample, sample_scm
-from causalign.sim import Basis, RegressorConfig
+from causalign.sim import Basis, RegressorConfig, fit_node
 from causalign.scoring import (
     ScoreConfig,
     ScoreEngine,
@@ -174,3 +176,44 @@ class TestScoreEngine:
         engine = ScoreEngine(data, LINEAR_CFG)
         with pytest.raises(StructuralInputError):
             engine.score(empty_dag(4))
+
+
+class TestExpansionCacheOracle:
+    """ScoreEngine expands each column once and hands the blocks to
+    fit_node; every fit must equal fit_node expanding the parent matrix
+    itself, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        basis=st.sampled_from(Basis),
+        basis_size=st.integers(1, 8),
+        d=st.integers(2, 8),
+        n=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_engine_fit_equals_uncached_fit(self, basis, basis_size, d, n, seed, data):
+        rng = make_rng(seed)
+        values = rng.normal(size=(n, d))
+        values[:, int(rng.integers(d))] = 1.5  # a constant column
+        regressor = RegressorConfig(basis=basis, basis_size=basis_size, max_in_degree=None)
+        engine = ScoreEngine(Dataset(values), ScoreConfig(regressor=regressor))
+        for _ in range(4):
+            node = data.draw(st.integers(0, d - 1))
+            others = [p for p in range(d) if p != node]
+            parents = tuple(data.draw(st.permutations(others))[: data.draw(st.integers(0, d - 1))])
+            try:
+                want = fit_node(node, parents, values[:, node], values[:, parents], regressor)
+            except NumericalError:
+                with pytest.raises(NumericalError):
+                    engine.node_fit(node, parents)
+                continue
+            got = engine.node_fit(node, parents)
+            assert got.parents == want.parents
+            assert got.intercept == want.intercept
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.residual_samples, want.residual_samples)
+            assert got.residual_sigma == want.residual_sigma
+            assert got.transforms == want.transforms
+            assert engine.node_term(node, parents) == ScoreEngine._term_from_fit(want)
+        assert len(engine._columns) <= d
