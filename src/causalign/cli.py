@@ -257,11 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default=RegressorConfig.basis.value, help="linear | fourier | spline")
     p.add_argument("--basis-size", type=int, default=RegressorConfig.basis_size)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="directory for datasets.npy, graphs.npy and provenance.json")
     p.set_defaults(func=cmd_make_trainset)
 
     p = sub.add_parser("train", help="train the edge predictor on a training set")
-    p.add_argument("--trainset", required=True)
+    p.add_argument("--trainset", required=True, help="directory written by make-trainset")
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)

@@ -1,8 +1,10 @@
 """On-disk formats: datasets (CSV), graphs (adjacency CSV or JSON edge
-list), instance bundles, refinement traces, and prediction matrices.
+list), instance bundles, refinement traces, prediction matrices and
+training sets (two .npy arrays).
 
-Floats are written with repr (shortest round-trip form), so files are
-byte-stable across reruns of the same seeded computation.
+CSV floats are written with repr (shortest round-trip form) and the
+training-set arrays as raw float64/int8 buffers, so files are byte-stable
+across reruns of the same seeded computation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 
 import numpy as np
 
-from .errors import DataFormatError, StructuralInputError
+from .errors import DataFormatError, InputQualityError, StructuralInputError
 from .graph import Dag
 from .scm import CausalInstance, Dataset
 
@@ -207,40 +209,104 @@ def save_trace_jsonl(steps, path: str) -> None:
             fh.write("\n")
 
 
+_TRAINSET_DATASETS = "datasets.npy"
+_TRAINSET_GRAPHS = "graphs.npy"
+
+
+def _save_stacked(path: str, arrays, dtype) -> None:
+    """Write what np.save(path, np.stack(arrays)) writes, one array at a
+    time: a .npy 1.0 header for the stacked shape, then each C-order
+    buffer, so memory stays at one array however many there are."""
+    dtype = np.dtype(dtype)
+    shapes = {arr.shape for arr in arrays}
+    if len(shapes) != 1:
+        raise StructuralInputError(f"{path}: arrays of differing shapes {sorted(shapes)}")
+    header = {
+        "descr": np.lib.format.dtype_to_descr(dtype),
+        "fortran_order": False,
+        "shape": (len(arrays),) + arrays[0].shape,
+    }
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype=dtype).data)
+
+
 def save_training_set(training_set, out_dir: str) -> None:
-    """instance_### subdirectories (data.csv + graph.csv) plus provenance."""
+    """datasets.npy (float64, shape (K, n, d)), graphs.npy (int8, shape
+    (K, d, d)) and provenance.json; instance k is datasets[k] paired with
+    graphs[k]."""
+    if not training_set.instances:
+        raise StructuralInputError("training set has no instances")
+    datasets, graphs = zip(*training_set.instances)
     os.makedirs(out_dir, exist_ok=True)
-    for k, (data_k, graph_k) in enumerate(training_set.instances):
-        inst_dir = os.path.join(out_dir, f"instance_{k:03d}")
-        os.makedirs(inst_dir, exist_ok=True)
-        save_dataset(data_k, os.path.join(inst_dir, "data.csv"))
-        save_graph(graph_k, os.path.join(inst_dir, "graph.csv"))
+    _save_stacked(os.path.join(out_dir, _TRAINSET_DATASETS), [data.values for data in datasets], np.float64)
+    _save_stacked(os.path.join(out_dir, _TRAINSET_GRAPHS), [g.adjacency for g in graphs], np.int8)
     with open(os.path.join(out_dir, "provenance.json"), "w") as fh:
         json.dump(training_set.provenance, fh, indent=2)
 
 
+def _load_3d(ts_dir: str, name: str) -> tuple[str, np.ndarray]:
+    path = os.path.join(ts_dir, name)
+    if not os.path.isfile(path):
+        try:
+            old_layout = any(entry.startswith("instance_") for entry in os.listdir(ts_dir))
+        except OSError:
+            old_layout = False
+        if old_layout:
+            raise DataFormatError(
+                f"{ts_dir}: instance_### directories are no longer read; a training set is "
+                f"{_TRAINSET_DATASETS} + {_TRAINSET_GRAPHS} (rewrite it with make-trainset)"
+            )
+        raise DataFormatError(f"{path}: no such file")
+    try:
+        arr = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    if not isinstance(arr, np.ndarray):  # np.load opens an .npz archive too
+        arr.close()
+        raise DataFormatError(f"{path}: not a .npy array")
+    if arr.ndim != 3:
+        raise DataFormatError(f"{path}: expected a 3-d array, got shape {arr.shape}")
+    return path, arr
+
+
+def _checked(path: str, k: int, make, values):
+    try:
+        return make(values)
+    except (StructuralInputError, InputQualityError) as exc:
+        raise DataFormatError(f"{path}: instance {k}: {exc}") from exc
+
+
 def load_training_set(ts_dir: str):
+    """Read what save_training_set wrote; every shape, dtype, value and
+    graph is validated and a failure names the file (DataFormatError)."""
     from .model import TrainingSet
 
-    try:
-        names = sorted(
-            name
-            for name in os.listdir(ts_dir)
-            if name.startswith("instance_") and os.path.isdir(os.path.join(ts_dir, name))
+    data_path, datasets = _load_3d(ts_dir, _TRAINSET_DATASETS)
+    graph_path, graphs = _load_3d(ts_dir, _TRAINSET_GRAPHS)
+    if datasets.dtype.kind != "f":
+        raise DataFormatError(f"{data_path}: dtype {datasets.dtype} is not a float type")
+    if graphs.dtype.kind not in "biuf":
+        raise DataFormatError(f"{graph_path}: dtype {graphs.dtype} is not numeric")
+    k, _, d = datasets.shape
+    if k == 0:
+        raise DataFormatError(f"{data_path}: no instances")
+    if graphs.shape != (k, d, d):
+        raise DataFormatError(
+            f"{graph_path}: shape {graphs.shape} does not match {data_path} shape "
+            f"{datasets.shape} (expected {(k, d, d)})"
         )
-    except OSError as exc:
-        raise DataFormatError(f"{ts_dir}: {exc}") from exc
-    if not names:
-        raise DataFormatError(f"{ts_dir}: no instance_* subdirectories found")
-    instances = []
-    for name in names:
-        inst_dir = os.path.join(ts_dir, name)
-        data = load_dataset(os.path.join(inst_dir, "data.csv"))
-        dag = load_graph(os.path.join(inst_dir, "graph.csv"))
-        instances.append((data, dag))
+    instances = [
+        (_checked(data_path, i, Dataset, datasets[i]), _checked(graph_path, i, Dag, graphs[i]))
+        for i in range(k)
+    ]
     provenance = {}
     prov_path = os.path.join(ts_dir, "provenance.json")
     if os.path.exists(prov_path):
-        with open(prov_path) as fh:
-            provenance = json.load(fh)
+        try:
+            with open(prov_path) as fh:
+                provenance = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise DataFormatError(f"{prov_path}: {exc}") from exc
     return TrainingSet(instances=instances, provenance=provenance)

@@ -1,11 +1,13 @@
 """Tests for on-disk formats: dataset CSV, graph files, bundles, traces,
-and training-set directories."""
+and training-set arrays."""
 
 import csv
 import io
 import json
 import math
 import os
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,21 +288,179 @@ class TestTrainingSetDir:
         assert back.provenance["n"] == ts.provenance["n"]
         assert back.provenance["source_indices"] == ts.provenance["source_indices"]
 
-    def test_instance_directories_are_zero_padded_and_sorted(self, tmp_path):
+    def test_file_names_shapes_and_dtypes(self, tmp_path):
         ts = self._training_set(12)
         out = str(tmp_path / "ts")
         save_training_set(ts, out)
-        names = sorted(
-            n for n in os.listdir(out) if n.startswith("instance_")
-        )
-        assert names == ["instance_000", "instance_001"]
+        assert sorted(os.listdir(out)) == ["datasets.npy", "graphs.npy", "provenance.json"]
+        datasets = np.load(os.path.join(out, "datasets.npy"))
+        graphs = np.load(os.path.join(out, "graphs.npy"))
+        assert datasets.shape == (2, 40, 3) and datasets.dtype == np.float64
+        assert graphs.shape == (2, 3, 3) and graphs.dtype == np.int8
+        for k, (data, g) in enumerate(ts.instances):
+            assert np.array_equal(datasets[k], data.values)
+            assert np.array_equal(graphs[k], g.adjacency)
+
+    def test_bytes_equal_np_save_of_the_stacked_arrays(self, tmp_path):
+        ts = self._training_set(13)
+        out = tmp_path / "ts"
+        save_training_set(ts, str(out))
+        for name, stacked in (
+            ("datasets.npy", np.stack([data.values for data, _ in ts.instances])),
+            ("graphs.npy", np.stack([g.adjacency for _, g in ts.instances])),
+        ):
+            oracle = io.BytesIO()
+            np.save(oracle, stacked)
+            assert (out / name).read_bytes() == oracle.getvalue(), name
+
+    def test_two_saves_are_byte_identical(self, tmp_path):
+        ts = self._training_set(14)
+        a, b = tmp_path / "a", tmp_path / "b"
+        save_training_set(ts, str(a))
+        save_training_set(ts, str(b))
+        for name in ("datasets.npy", "graphs.npy", "provenance.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_save_holds_at_most_one_instance_in_memory(self, tmp_path):
+        # the arrays are streamed, so a 50-instance set must not be stacked
+        rng = make_rng(15)
+        instances = [(Dataset(rng.normal(size=(1000, 5))), empty_dag(5)) for _ in range(50)]
+        ts = TrainingSet(instances=instances, provenance={"n": 1000})
+        one = instances[0][0].values.nbytes
+        out = str(tmp_path / "ts")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            save_training_set(ts, out)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * one
+
+    def test_missing_directory_rejected(self, tmp_path):
+        with pytest.raises(DataFormatError, match="datasets.npy"):
+            load_training_set(str(tmp_path / "absent"))
 
     def test_empty_directory_rejected(self, tmp_path):
         empty = tmp_path / "nothing"
         empty.mkdir()
-        with pytest.raises(DataFormatError, match=r"no instance"):
+        with pytest.raises(DataFormatError, match="datasets.npy: no such file"):
             load_training_set(str(empty))
 
-    def test_missing_directory_rejected(self, tmp_path):
-        with pytest.raises(DataFormatError):
-            load_training_set(str(tmp_path / "absent"))
+    def test_empty_training_set_rejected(self, tmp_path):
+        with pytest.raises(StructuralInputError, match="no instances"):
+            save_training_set(TrainingSet(instances=[]), str(tmp_path / "ts"))
+
+    def test_instances_of_differing_shapes_rejected(self, tmp_path):
+        rng = make_rng(16)
+        instances = [(Dataset(rng.normal(size=(n, 3))), empty_dag(3)) for n in (10, 11)]
+        with pytest.raises(StructuralInputError, match="differing shapes"):
+            save_training_set(TrainingSet(instances=instances), str(tmp_path / "ts"))
+
+
+class TestTrainingSetLoadValidation:
+    @pytest.fixture
+    def ts_dir(self, tmp_path):
+        data = Dataset(make_rng(20).normal(size=(30, 3)))
+        graphs = [empty_dag(3), dag_from_edges(3, [(0, 1), (1, 2)])]
+        out = tmp_path / "ts"
+        save_training_set(generate_training_set(graphs, data, rng=make_rng(21)), str(out))
+        return out
+
+    @staticmethod
+    def _rewrite(path, edit):
+        arr = np.load(path)
+        np.save(path, edit(arr.copy()))
+
+    @staticmethod
+    def _set(arr, index, value):
+        arr[index] = value
+        return arr
+
+    @pytest.mark.parametrize("name", ["datasets.npy", "graphs.npy"])
+    def test_missing_file(self, ts_dir, name):
+        (ts_dir / name).unlink()
+        with pytest.raises(DataFormatError, match=rf"{name}: no such file"):
+            load_training_set(str(ts_dir))
+
+    def test_old_instance_directory_layout_names_the_new_files(self, tmp_path):
+        old = tmp_path / "ts"
+        (old / "instance_000").mkdir(parents=True)
+        save_dataset(Dataset(make_rng(22).normal(size=(5, 2))), str(old / "instance_000" / "data.csv"))
+        save_graph(empty_dag(2), str(old / "instance_000" / "graph.csv"))
+        with pytest.raises(DataFormatError, match=r"instance_###.*datasets\.npy.*graphs\.npy"):
+            load_training_set(str(old))
+
+    @pytest.mark.parametrize("name", ["datasets.npy", "graphs.npy"])
+    def test_array_not_3d(self, ts_dir, name):
+        self._rewrite(ts_dir / name, lambda arr: arr[0])
+        with pytest.raises(DataFormatError, match=rf"{name}: expected a 3-d array"):
+            load_training_set(str(ts_dir))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda g: np.concatenate([g, g[:1]]),  # K disagrees
+            lambda g: np.zeros((2, 4, 4), dtype=np.int8),  # d disagrees
+            lambda g: np.zeros((2, 3, 4), dtype=np.int8),  # not d x d
+        ],
+        ids=["k", "d", "square"],
+    )
+    def test_graph_shape_disagrees(self, ts_dir, edit):
+        self._rewrite(ts_dir / "graphs.npy", edit)
+        with pytest.raises(DataFormatError, match=r"graphs\.npy: shape .* does not match"):
+            load_training_set(str(ts_dir))
+
+    def test_no_instances(self, ts_dir):
+        self._rewrite(ts_dir / "datasets.npy", lambda arr: arr[:0])
+        self._rewrite(ts_dir / "graphs.npy", lambda g: g[:0])
+        with pytest.raises(DataFormatError, match=r"datasets\.npy: no instances"):
+            load_training_set(str(ts_dir))
+
+    def test_dataset_dtype_not_float(self, ts_dir):
+        self._rewrite(ts_dir / "datasets.npy", lambda arr: arr.astype(np.int64))
+        with pytest.raises(DataFormatError, match=r"datasets\.npy: dtype int64 is not a float"):
+            load_training_set(str(ts_dir))
+
+    def test_object_array_rejected(self, ts_dir):
+        path = ts_dir / "datasets.npy"
+        np.save(path, np.empty((2, 30, 3), dtype=object), allow_pickle=True)
+        with pytest.raises(DataFormatError, match=r"datasets\.npy: .*allow_pickle"):
+            load_training_set(str(ts_dir))
+
+    def test_graph_dtype_not_numeric(self, ts_dir):
+        self._rewrite(ts_dir / "graphs.npy", lambda g: g.astype(str))
+        with pytest.raises(DataFormatError, match=r"graphs\.npy: dtype <U\d+ is not numeric"):
+            load_training_set(str(ts_dir))
+
+    def test_npz_archive_rejected(self, ts_dir):
+        with open(ts_dir / "datasets.npy", "wb") as fh:
+            np.savez(fh, np.zeros((2, 30, 3)))
+        with pytest.raises(DataFormatError, match=r"datasets\.npy: not a \.npy array"):
+            load_training_set(str(ts_dir))
+
+    def test_pickle_file_rejected(self, ts_dir):
+        path = ts_dir / "graphs.npy"
+        path.write_bytes(pickle.dumps([[[0, 1], [0, 0]]]))
+        with pytest.raises(DataFormatError, match=r"graphs\.npy: .*pickled"):
+            load_training_set(str(ts_dir))
+
+    def test_graph_entry_not_binary(self, ts_dir):
+        self._rewrite(ts_dir / "graphs.npy", lambda g: self._set(g, (1, 0, 2), 2))
+        with pytest.raises(DataFormatError, match=r"graphs\.npy: instance 1: .*0 or 1"):
+            load_training_set(str(ts_dir))
+
+    def test_non_finite_instance(self, ts_dir):
+        self._rewrite(ts_dir / "datasets.npy", lambda x: self._set(x, (1, 4, 2), np.inf))
+        with pytest.raises(DataFormatError, match=r"datasets\.npy: instance 1: .*non-finite"):
+            load_training_set(str(ts_dir))
+
+    def test_malformed_provenance(self, ts_dir):
+        (ts_dir / "provenance.json").write_text("{oops")
+        with pytest.raises(DataFormatError, match=r"provenance\.json"):
+            load_training_set(str(ts_dir))
+
+    def test_cyclic_instance(self, ts_dir):
+        self._rewrite(ts_dir / "graphs.npy", lambda g: self._set(g, (1, 2, 0), 1))
+        with pytest.raises(DataFormatError, match=r"graphs\.npy: instance 1: .*cycle"):
+            load_training_set(str(ts_dir))

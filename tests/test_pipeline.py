@@ -412,9 +412,16 @@ class TestRunPipelineDefaults:
             assert os.path.exists(os.path.join(out, name)), name
         graphs = os.listdir(os.path.join(out, "graphs"))
         assert len(graphs) == 200
-        ts = os.listdir(os.path.join(out, "trainset"))
-        assert "provenance.json" in ts
-        assert sum(n.startswith("instance_") for n in ts) == 200
+        ts = os.path.join(out, "trainset")
+        assert sorted(os.listdir(ts)) == ["datasets.npy", "graphs.npy", "provenance.json"]
+        assert np.load(os.path.join(ts, "datasets.npy")).shape == (200, 200, 10)
+        trained_on = np.load(os.path.join(ts, "graphs.npy"))
+        with open(os.path.join(ts, "provenance.json")) as fh:
+            sources = json.load(fh)["source_indices"]
+        assert len(sources) == len(trained_on) == 200
+        for k, src in enumerate(sources):
+            collected = load_graph(os.path.join(out, "graphs", f"collected_{src:03d}.csv"))
+            assert np.array_equal(trained_on[k], collected.adjacency), k
 
     @pytest.mark.timing
     def test_refinement_dominates_synthesis(self, default_run):
@@ -665,7 +672,7 @@ class TestRunBenchmark:
 
         serial, pooled = files(a), files(b)
         for i in ("000", "001"):
-            for name in ("prediction.csv", "trace.jsonl", "trainset/instance_000/data.csv"):
+            for name in ("prediction.csv", "trace.jsonl", "trainset/datasets.npy", "trainset/graphs.npy"):
                 assert os.path.join("instances", i, name) in serial
         assert "results.csv" in serial
         assert serial == pooled
@@ -844,6 +851,7 @@ class TestCli:
         )
         assert rc == 0
         assert (ts_dir / "provenance.json").exists()
+        assert (ts_dir / "datasets.npy").exists() and (ts_dir / "graphs.npy").exists()
 
         # train a predictor on it
         predictor_path = tmp_path / "predictor.json"
@@ -1024,6 +1032,18 @@ class TestCli:
             ]
         )
         assert rc == 2
+
+    def test_invalid_trainset_exits_two(self, tmp_path, capsys):
+        # an instance_### directory is the old layout, which train no longer reads
+        ts = tmp_path / "ts" / "instance_000"
+        ts.mkdir(parents=True)
+        (ts / "data.csv").write_text("x0,x1\n1.0,2.0\n")
+        (ts / "graph.csv").write_text("0,1\n0,0\n")
+        rc = cli_main(["train", "--trainset", str(tmp_path / "ts"), "--out", str(tmp_path / "p.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "datasets.npy" in err and "graphs.npy" in err
+        assert not (tmp_path / "p.json").exists()
 
     def test_stage_failure_exits_three(self, tmp_path, capsys, monkeypatch):
         cfg_path = _write_config(tmp_path / "cfg.json")
