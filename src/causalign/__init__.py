@@ -44,6 +44,7 @@ from .scm import (
     SpecTriple,
     eval_mechanism,
     forward_sample,
+    generate_instance,
     make_shift_suite,
     plan_shift_suite,
     sample_scm,
@@ -73,8 +74,6 @@ from .refine import (
     SeedMode,
     StepRecord,
     acceptance_probability,
-    best_scoring,
-    feasible_moves_capped,
     greedy_hill_climb,
     init_seed,
     refine,
@@ -152,6 +151,7 @@ __all__ = [
     "SpecTriple",
     "eval_mechanism",
     "forward_sample",
+    "generate_instance",
     "make_shift_suite",
     "plan_shift_suite",
     "sample_scm",
@@ -178,8 +178,6 @@ __all__ = [
     "SeedMode",
     "StepRecord",
     "acceptance_probability",
-    "best_scoring",
-    "feasible_moves_capped",
     "greedy_hill_climb",
     "init_seed",
     "refine",

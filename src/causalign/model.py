@@ -587,10 +587,14 @@ def knn_score_predict(
     training_set: TrainingSet,
     dataset: Dataset,
     score_config: ScoreConfig | None = None,
+    engine: ScoreEngine | None = None,
 ) -> Dag:
     """1-nearest-neighbor on the score: return the training graph whose
     total score against the test dataset is highest (ties -> lowest
-    index). The shared engine makes this cheap for overlapping graphs."""
-    engine = ScoreEngine(dataset, score_config)
+    index). The shared engine makes this cheap for overlapping graphs; a
+    run passes the engine its search filled, so graphs it visited cost no
+    refit."""
+    if engine is None:
+        engine = ScoreEngine(dataset, score_config)
     totals = np.array([engine.score(g).total for _, g in training_set.instances])
     return training_set.instances[int(np.argmax(totals))][1]

@@ -43,14 +43,13 @@ from .io import (
 from .metrics import MetricReport, aggregate, evaluate
 from .model import (
     TrainConfig,
-    TrainingSet,
     generate_training_set,
     knn_score_predict,
     predict,
     train,
 )
-from .refine import RefineConfig, SeedMode, best_scoring, init_seed, refine
-from .scm import CausalInstance, Dataset, ShiftSetting, SpecTriple, forward_sample, sample_scm
+from .refine import RefineConfig, init_seed, refine
+from .scm import CausalInstance, Dataset, ShiftSetting, SpecTriple, generate_instance
 from .scoring import ScoreConfig, ScoreEngine
 from .sim import RegressorConfig
 
@@ -317,63 +316,16 @@ def run_pipeline(
 def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | None) -> RunRecord:
     if dataset is not None:
         _require_two_variables(dataset)
-    out_dir = config.out_dir
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        os.makedirs(os.path.join(out_dir, "graphs"), exist_ok=True)
-    record = RunRecord(
-        out_dir=out_dir,
-        status="ok",
-        failed_stage=None,
-        config=config.to_dict(),
-        timings={},
-        paths={},
-    )
-    if out_dir:
-        cfg_path = os.path.join(out_dir, "config.json")
-        with open(cfg_path, "w") as fh:
-            json.dump(record.config, fh, indent=2, sort_keys=True)
-        record.paths["config"] = cfg_path
-
+    run = _Run(config)
+    record = run.record
     streams = _derive_streams(config.seed)
-    stage = "load_data"
-    try:
-        t0 = time.perf_counter()
-        if dataset is None:
-            if config.data_path:
-                dataset = load_dataset(config.data_path)
-                _require_two_variables(dataset)
-                if truth is None and config.truth_path:
-                    truth = load_graph(config.truth_path)
-            elif config.generator is not None:
-                g = config.generator
-                gen_seed = int(streams["generate"].integers(0, 2**63 - 1))
-                gen_rng = np.random.default_rng(gen_seed)
-                scm = sample_scm(
-                    g.graph_model,
-                    g.mechanism,
-                    g.noise,
-                    g.d,
-                    gen_rng,
-                    **g.scm_kwargs(),
-                )
-                dataset = forward_sample(scm, g.n, gen_rng)
-                if truth is None:
-                    truth = scm.dag
-                if out_dir:
-                    save_dataset(dataset, os.path.join(out_dir, "data.csv"))
-            else:
-                raise ConfigError("no data source: pass a dataset, data path, or generator")
-        elif truth is None and config.truth_path:
-            truth = load_graph(config.truth_path)
-        if truth is not None and out_dir:
-            truth_path = os.path.join(out_dir, "truth_graph.csv")
-            save_graph(truth, truth_path)
-            record.paths["truth_graph"] = truth_path
-        record.timings[stage] = time.perf_counter() - t0
 
-        stage = "init_seed"
-        t0 = time.perf_counter()
+    with run.stage("load_data"):
+        dataset, truth = _load_data(run, config, dataset, truth, streams["generate"])
+        if truth is not None:
+            run.save("truth_graph", "truth_graph.csv", save_graph, truth)
+
+    with run.stage("init_seed"):
         engine = ScoreEngine(dataset, config.refine.score)
         seed_dag = init_seed(
             dataset,
@@ -385,19 +337,12 @@ def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | No
             max_rounds=config.refine.greedy_max_rounds,
             engine=engine,
         )
-        record.timings[stage] = time.perf_counter() - t0
-        if out_dir:
-            p = os.path.join(out_dir, "seed_graph.csv")
-            save_graph(seed_dag, p)
-            record.paths["seed_graph"] = p
+        run.save("seed_graph", "seed_graph.csv", save_graph, seed_dag)
 
-        stage = "refine"
-        t0 = time.perf_counter()
+    with run.stage("refine"):
         trace = refine(dataset, seed_dag, config.refine, streams["refine"], engine=engine)
-        record.timings[stage] = time.perf_counter() - t0
-        best_dag, best_score = best_scoring(trace)
         record.seed_score = trace.seed_score.to_json()
-        record.best_score = best_score.to_json()
+        record.best_score = trace.best_score.to_json()
         record.collected_count = len(trace.collected)
         coll_scores = [engine.score(g) for g in trace.collected]
         record.collected_stats = {
@@ -405,24 +350,14 @@ def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | No
             "mean_sparsity": float(np.mean([s.sparsity for s in coll_scores])),
             "mean_total": float(np.mean([s.total for s in coll_scores])),
         }
-        if out_dir:
-            p = os.path.join(out_dir, "trace.jsonl")
-            save_trace_jsonl(trace.steps, p)
-            record.paths["trace"] = p
-            p = os.path.join(out_dir, "best_graph.csv")
-            save_graph(best_dag, p)
-            record.paths["best_graph"] = p
-            for k, g in enumerate(trace.collected):
-                save_graph(g, os.path.join(out_dir, "graphs", f"collected_{k:03d}.csv"))
-            record.paths["graphs"] = os.path.join(out_dir, "graphs")
-
-        prediction: np.ndarray
-        training_set: TrainingSet | None = None
+        run.save("trace", "trace.jsonl", save_trace_jsonl, trace.steps)
+        run.save("best_graph", "best_graph.csv", save_graph, trace.best_dag)
+        run.save("graphs", "graphs", _save_collected, trace.collected)
         if config.stages == "refine_only":
-            prediction = _adj_float(best_dag)
-        else:
-            stage = "generate_training_set"
-            t0 = time.perf_counter()
+            run.save_prediction(_adj_float(trace.best_dag))
+
+    if config.stages != "refine_only":
+        with run.stage("generate_training_set"):
             training_set = generate_training_set(
                 trace.collected,
                 dataset,
@@ -430,79 +365,64 @@ def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | No
                 rng=streams["trainset"],
                 node_fitter=engine.node_fit,
             )
-            record.timings[stage] = time.perf_counter() - t0
             record.training_set_size = len(training_set.instances)
-            if out_dir:
-                ts_dir = os.path.join(out_dir, "trainset")
-                save_training_set(training_set, ts_dir)
-                record.paths["trainset"] = ts_dir
+            run.save("trainset", "trainset", save_training_set, training_set)
 
-            if config.stages == "knn_only":
-                stage = "knn_select"
-                t0 = time.perf_counter()
-                knn_dag = knn_score_predict(training_set, dataset, config.refine.score)
-                record.timings[stage] = time.perf_counter() - t0
-                prediction = _adj_float(knn_dag)
-                if out_dir:
-                    p = os.path.join(out_dir, "knn_graph.csv")
-                    save_graph(knn_dag, p)
-                    record.paths["knn_graph"] = p
-            else:
-                stage = "train"
-                t0 = time.perf_counter()
-                train_cfg = config.train
-                if train_cfg.seed is None:
-                    derived = int(streams["train"].integers(0, 2**63 - 1))
-                    train_cfg = dataclasses.replace(train_cfg, seed=derived)
-                predictor = train(training_set, train_cfg)
-                record.timings[stage] = time.perf_counter() - t0
-                if out_dir:
-                    p = os.path.join(out_dir, "predictor.json")
-                    with open(p, "w") as fh:
-                        fh.write(predictor.to_json())
-                    record.paths["predictor"] = p
+    if config.stages == "knn_only":
+        with run.stage("knn_select"):
+            knn_dag = knn_score_predict(training_set, dataset, config.refine.score, engine=engine)
+            run.save("knn_graph", "knn_graph.csv", save_graph, knn_dag)
+            run.save_prediction(_adj_float(knn_dag))
+    elif config.stages == "full":
+        with run.stage("train"):
+            train_cfg = config.train
+            if train_cfg.seed is None:
+                derived = int(streams["train"].integers(0, 2**63 - 1))
+                train_cfg = dataclasses.replace(train_cfg, seed=derived)
+            predictor = train(training_set, train_cfg)
+            run.save("predictor", "predictor.json", _write_text, predictor.to_json())
+        with run.stage("predict"):
+            run.save_prediction(predict(predictor, dataset))
 
-                stage = "predict"
-                t0 = time.perf_counter()
-                prediction = predict(predictor, dataset)
-                record.timings[stage] = time.perf_counter() - t0
-
-        record.prediction = prediction
-        if out_dir:
-            p = os.path.join(out_dir, "prediction.csv")
-            save_matrix(prediction, p)
-            record.paths["prediction"] = p
-            binary = (prediction >= config.threshold).astype(int)
-            np.fill_diagonal(binary, 0)
-            p = os.path.join(out_dir, "prediction_binary.csv")
-            with open(p, "w") as fh:
-                for row in binary:
-                    fh.write(",".join(str(int(v)) for v in row) + "\n")
-            record.paths["prediction_binary"] = p
-
-        if truth is not None:
-            stage = "evaluate"
+    if truth is not None:
+        with run.stage("evaluate"):
             reports = {
                 "seed_graph": evaluate(_adj_float(seed_dag), truth, config.threshold),
-                "best_graph": evaluate(_adj_float(best_dag), truth, config.threshold),
-                "final": evaluate(prediction, truth, config.threshold),
+                "best_graph": evaluate(_adj_float(trace.best_dag), truth, config.threshold),
+                "final": evaluate(record.prediction, truth, config.threshold),
             }
             record.metrics = {name: rep.to_json() for name, rep in reports.items()}
-            if out_dir:
-                p = os.path.join(out_dir, "metrics.json")
-                with open(p, "w") as fh:
-                    json.dump(record.metrics, fh, indent=2, sort_keys=True)
-                record.paths["metrics"] = p
-    except Exception as exc:
-        record.status = "error"
-        record.failed_stage = stage
-        _persist_record(record)
-        if isinstance(exc, StageError):
-            raise
-        raise StageError(stage, exc) from exc
+            run.save("metrics", "metrics.json", _write_json, record.metrics)
 
-    _persist_record(record)
+    run.persist()
     return record
+
+
+def _load_data(
+    run: _Run,
+    config: PipelineConfig,
+    dataset: Dataset | None,
+    truth: Dag | None,
+    rng: np.random.Generator,
+) -> tuple[Dataset, Dag | None]:
+    """The run's data and ground truth (None when there is none): the
+    passed-in dataset, else config.data_path, each with config.truth_path
+    unless a truth was passed; else one instance drawn from
+    config.generator, whose graph is the truth and whose data the run
+    saves as data.csv."""
+    if dataset is None and config.data_path:
+        dataset = load_dataset(config.data_path)
+        _require_two_variables(dataset)
+    if dataset is not None:
+        if truth is None and config.truth_path:
+            truth = load_graph(config.truth_path)
+        return dataset, truth
+    g = config.generator
+    if g is None:
+        raise ConfigError("no data source: pass a dataset, data path, or generator")
+    instance = generate_instance(g.triple(), g.d, g.n, int(rng.integers(0, 2**63 - 1)), **g.scm_kwargs())
+    run.save("data", "data.csv", save_dataset, instance.data)
+    return instance.data, instance.scm.dag if truth is None else truth
 
 
 def _require_two_variables(dataset: Dataset) -> None:
@@ -510,13 +430,83 @@ def _require_two_variables(dataset: Dataset) -> None:
         raise ConfigError(f"need at least 2 variables, got d={dataset.d}")
 
 
-def _persist_record(record: RunRecord) -> None:
-    if not record.out_dir:
-        return
-    with open(os.path.join(record.out_dir, "timings.json"), "w") as fh:
-        json.dump(record.timings, fh, indent=2, sort_keys=True)
-    with open(os.path.join(record.out_dir, "run_record.json"), "w") as fh:
-        json.dump(record.to_json(), fh, indent=2, sort_keys=True)
+class _Run:
+    """One run's record and directory. Each stage is timed, its writes
+    included; a failing stage marks the record, persists it and re-raises
+    as StageError. Files are written only when the run has a directory."""
+
+    def __init__(self, config: PipelineConfig):
+        self.record = RunRecord(
+            out_dir=config.out_dir,
+            status="ok",
+            failed_stage=None,
+            config=config.to_dict(),
+            timings={},
+            paths={},
+        )
+        self.threshold = config.threshold
+        if config.out_dir:
+            os.makedirs(config.out_dir, exist_ok=True)
+        self.save("config", "config.json", _write_json, self.record.config)
+
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        t0 = time.perf_counter()
+        try:
+            yield
+        except Exception as exc:
+            self.record.status = "error"
+            self.record.failed_stage = name
+            self.persist()
+            if isinstance(exc, StageError):
+                raise
+            raise StageError(name, exc) from exc
+        self.record.timings[name] = time.perf_counter() - t0
+
+    def save(self, key: str, filename: str, writer, obj) -> None:
+        """writer(obj, path) for the file `filename` of the run directory,
+        recorded as paths[key]; nothing without a directory."""
+        if self.record.out_dir:
+            path = os.path.join(self.record.out_dir, filename)
+            writer(obj, path)
+            self.record.paths[key] = path
+
+    def save_prediction(self, prediction: np.ndarray) -> None:
+        """Keep the edge probabilities and save them with their
+        thresholded 0/1 matrix (zero diagonal)."""
+        self.record.prediction = prediction
+        self.save("prediction", "prediction.csv", save_matrix, prediction)
+        binary = (prediction >= self.threshold).astype(int)
+        np.fill_diagonal(binary, 0)
+        self.save("prediction_binary", "prediction_binary.csv", _write_int_rows, binary)
+
+    def persist(self) -> None:
+        """timings.json and run_record.json, as they stand."""
+        if self.record.out_dir:
+            _write_json(self.record.timings, os.path.join(self.record.out_dir, "timings.json"))
+            _write_json(self.record.to_json(), os.path.join(self.record.out_dir, "run_record.json"))
+
+
+def _write_json(obj, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+
+
+def _write_text(text: str, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _write_int_rows(matrix: np.ndarray, path: str) -> None:
+    with open(path, "w") as fh:
+        for row in matrix:
+            fh.write(",".join(str(int(v)) for v in row) + "\n")
+
+
+def _save_collected(graphs: list[Dag], directory: str) -> None:
+    os.makedirs(directory, exist_ok=True)
+    for k, g in enumerate(graphs):
+        save_graph(g, os.path.join(directory, f"collected_{k:03d}.csv"))
 
 
 # ----------------------------------------------------------------------
@@ -797,16 +787,10 @@ def generate_instances(
     seed: int,
     **scm_kwargs,
 ) -> list[CausalInstance]:
-    """Standalone instance generation used by the CLI's generate command."""
+    """Standalone instance generation used by the CLI's generate command:
+    `count` instances, each from its own child seed of `seed`."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        child = int(rng.integers(0, 2**63 - 1))
-        child_rng = np.random.default_rng(child)
-        scm = sample_scm(spec.graph_model, spec.mechanism, spec.noise, d, child_rng, **scm_kwargs)
-        data = forward_sample(scm, n, child_rng)
-        out.append(CausalInstance(scm=scm, data=data, spec=spec, seed=child))
-    return out
+    return [generate_instance(spec, d, n, int(rng.integers(0, 2**63 - 1)), **scm_kwargs) for _ in range(count)]
 
 
 def save_instances(instances: list[CausalInstance], out_dir: str, prefix: str = "instance") -> None:

@@ -26,11 +26,9 @@ __all__ = [
     "StepRecord",
     "RefineTrace",
     "acceptance_probability",
-    "feasible_moves_capped",
     "init_seed",
     "greedy_hill_climb",
     "refine",
-    "best_scoring",
 ]
 
 
@@ -99,6 +97,7 @@ class RefineTrace:
     temperature: float
     steps: list[StepRecord]
     collected: list[Dag]
+    # the highest-total graph visited, seed included; the earliest wins ties
     best_dag: Dag
     best_score: ScoreValue
     final_dag: Dag
@@ -119,12 +118,6 @@ def acceptance_probability(s_curr: float, s_cand: float, temperature: float = 1.
         return math.exp(delta / temperature)
     except OverflowError:  # pragma: no cover - delta<0 can only underflow
         return 0.0
-
-
-def feasible_moves_capped(dag: Dag, max_in_degree: int | None) -> list[EdgeMove]:
-    """feasible_moves minus proposals that would push a node's in-degree
-    past the cap (the gaining endpoint for adds and reversals)."""
-    return feasible_moves(dag, max_in_degree)
 
 
 def _moved_parents(move: EdgeMove, parents: list[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...]]]:
@@ -168,7 +161,7 @@ def greedy_hill_climb(
         terms = [engine.node_term(j, parents[j]) for j in range(current.d)]
         edges = current.edge_count
         best_move = None
-        for move in feasible_moves_capped(current, cap):
+        for move in feasible_moves(current, cap):
             cand_terms = list(terms)
             for node, node_parents in _moved_parents(move, parents):
                 cand_terms[node] = engine.node_term(node, node_parents)
@@ -263,7 +256,7 @@ def refine(
     collected: list[Dag] = []
     collect_from = config.n_steps - config.collect_k  # collect when step > this
     for t in range(1, config.n_steps + 1):
-        moves = feasible_moves_capped(current, cap)
+        moves = feasible_moves(current, cap)
         if not moves:
             steps.append(StepRecord(t, None, s_curr.total, s_curr.total, 0.0, False))
         else:
@@ -312,9 +305,3 @@ def refine(
         final_dag=current,
         final_score=s_curr,
     )
-
-
-def best_scoring(trace: RefineTrace) -> tuple[Dag, ScoreValue]:
-    """The highest-total graph visited during the run (seed included),
-    earliest visit winning ties."""
-    return trace.best_dag, trace.best_score

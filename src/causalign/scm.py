@@ -33,6 +33,7 @@ __all__ = [
     "sample_scm",
     "eval_mechanism",
     "forward_sample",
+    "generate_instance",
     "plan_shift_suite",
     "make_shift_suite",
 ]
@@ -458,9 +459,11 @@ def plan_shift_suite(setting: ShiftSetting | str, test_spec: SpecTriple) -> Shif
     return ShiftSuite(setting, t, [(spec, weight) for spec in train])
 
 
-def _generate_instance(
+def generate_instance(
     spec: SpecTriple, d: int, n: int, seed: int, **scm_kwargs
 ) -> CausalInstance:
+    """One instance of `spec`: an SCM and n rows forward-sampled from it,
+    both drawn from default_rng(seed)."""
     rng = np.random.default_rng(seed)
     scm = sample_scm(spec.graph_model, spec.mechanism, spec.noise, d, rng, **scm_kwargs)
     data = forward_sample(scm, n, rng)
@@ -490,9 +493,9 @@ def make_shift_suite(
     for k in range(count):
         child_seed = int(rng.integers(0, 2**63 - 1))
         spec = specs[k % len(specs)]
-        train.append(_generate_instance(spec, d, n, child_seed, **scm_kwargs))
+        train.append(generate_instance(spec, d, n, child_seed, **scm_kwargs))
     test: list[CausalInstance] = []
     for _ in range(count):
         child_seed = int(rng.integers(0, 2**63 - 1))
-        test.append(_generate_instance(test_spec, d, n, child_seed, **scm_kwargs))
+        test.append(generate_instance(test_spec, d, n, child_seed, **scm_kwargs))
     return train, test

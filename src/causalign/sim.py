@@ -185,7 +185,8 @@ def _fit_transform(column: np.ndarray, config: RegressorConfig) -> ParentTransfo
 
 
 def _expand_parent(column: np.ndarray, tr: ParentTransform, config: RegressorConfig) -> np.ndarray:
-    """Features for one parent column; shape (n, features_per_parent)."""
+    """Features for one parent column; shape (n, 1) for the linear basis,
+    else (n, basis_size)."""
     if config.basis == Basis.LINEAR:
         return column[:, None]
     if config.basis == Basis.FOURIER:
@@ -205,10 +206,6 @@ def expand_column(column: np.ndarray, config: RegressorConfig) -> tuple[ParentTr
     """A parent column's fitted transform and its expanded features."""
     tr = _fit_transform(column, config)
     return tr, _expand_parent(column, tr, config)
-
-
-def features_per_parent(config: RegressorConfig) -> int:
-    return 1 if config.basis == Basis.LINEAR else config.basis_size
 
 
 def _design(parent_matrix: np.ndarray, transforms, config: RegressorConfig) -> np.ndarray:

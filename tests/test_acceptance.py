@@ -27,7 +27,7 @@ from causalign.pipeline import (
     run_benchmark,
     run_pipeline,
 )
-from causalign.refine import RefineConfig, best_scoring, init_seed, refine
+from causalign.refine import RefineConfig, init_seed, refine
 from causalign.scm import (
     LinearNode,
     MechanismFamily,
@@ -73,7 +73,7 @@ def test_criterion_01_search_matches_exhaustive_optimum():
             ds, seed_dag, RefineConfig(n_steps=500),
             np.random.default_rng(2000 + seed), engine=engine,
         )
-        _, best = best_scoring(trace)
+        best = trace.best_score
         oracle = exhaustive_best_total(ds, ScoreConfig(), 3)
         hits += abs(best.total - oracle) <= 1e-9
     elapsed = time.perf_counter() - t0

@@ -15,7 +15,6 @@ from causalign.graph import (
     random_sf,
     topological_order,
 )
-from causalign.refine import feasible_moves_capped
 
 from conftest import chain_dag, dag_from_edges, empty_dag, make_rng
 from oracles import (
@@ -183,7 +182,7 @@ class TestMoveAlgebraOracle:
     @settings(max_examples=150, deadline=None)
     @given(_dags(), st.sampled_from([None, 0, 1, 2, 6]))
     def test_capped_equals_filter_oracle(self, g, cap):
-        got = [(m.kind.value, m.source, m.target) for m in feasible_moves_capped(g, cap)]
+        got = [(m.kind.value, m.source, m.target) for m in feasible_moves(g, cap)]
         assert got == feasible_moves_capped_bruteforce(g, cap)
 
     @settings(max_examples=60, deadline=None)

@@ -54,16 +54,11 @@ def _blas_threads():
     return None if lib is None else lib.scipy_openblas_get_num_threads64_()
 
 
-@pytest.fixture(scope="module")
-def counted_default_run(tmp_path_factory):
-    """One full run at library defaults (d=10, n=200, 2000 steps), with the
-    fit_node calls made inside and outside training-set synthesis counted
-    (the score engine's and the synthesizer's own)."""
-    out = str(tmp_path_factory.mktemp("default_run"))
-    config = PipelineConfig(
-        seed=1, out_dir=out, generator=GeneratorConfig(noise="uniform")
-    )
-    fits = {"synthesis": 0, "rest": 0}
+def _count_fits_inside(mp, callee):
+    """Count fit_node calls through its module bindings (the score engine's
+    and the synthesizer's own), split by whether they happen inside
+    pipeline.<callee>; returns the live counts {"inside", "rest"}."""
+    fits = {"inside": 0, "rest": 0}
     phase = ["rest"]
 
     def count_fits(fn):
@@ -73,20 +68,33 @@ def counted_default_run(tmp_path_factory):
 
         return counted
 
-    def in_synthesis(fn):
-        def marked(*args, **kwargs):
-            phase[0] = "synthesis"
+    def marked(fn):
+        def inside(*args, **kwargs):
+            phase[0] = "inside"
             try:
                 return fn(*args, **kwargs)
             finally:
                 phase[0] = "rest"
 
-        return marked
+        return inside
 
+    mp.setattr(scoring, "fit_node", count_fits(scoring.fit_node))
+    mp.setattr(model, "fit_node", count_fits(model.fit_node))
+    mp.setattr(pipeline, callee, marked(getattr(pipeline, callee)))
+    return fits
+
+
+@pytest.fixture(scope="module")
+def counted_default_run(tmp_path_factory):
+    """One full run at library defaults (d=10, n=200, 2000 steps), with the
+    fit_node calls made inside and outside training-set synthesis counted
+    (the score engine's and the synthesizer's own)."""
+    out = str(tmp_path_factory.mktemp("default_run"))
+    config = PipelineConfig(
+        seed=1, out_dir=out, generator=GeneratorConfig(noise="uniform")
+    )
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scoring, "fit_node", count_fits(scoring.fit_node))
-        mp.setattr(model, "fit_node", count_fits(model.fit_node))
-        mp.setattr(pipeline, "generate_training_set", in_synthesis(pipeline.generate_training_set))
+        fits = _count_fits_inside(mp, "generate_training_set")
         record = run_pipeline(config)
     return config, record, fits
 
@@ -433,7 +441,7 @@ class TestRunPipelineDefaults:
         # every collected (node, parents) was scored during the search, so
         # synthesis takes all its fits from the engine and fits none itself
         _, _, fits = counted_default_run
-        assert fits["synthesis"] == 0
+        assert fits["inside"] == 0
         assert fits["rest"] > 0
 
     def test_outputs_match_golden_hashes(self, default_run):
@@ -588,6 +596,23 @@ class TestRunPipelineSmall:
         assert knn_graph == expect
         assert not os.path.exists(os.path.join(out, "predictor.json"))
 
+    def test_knn_select_reuses_the_runs_score_engine(self, tmp_path, monkeypatch):
+        # the search has scored every training graph, so selection refits
+        # nothing
+        fits = _count_fits_inside(monkeypatch, "knn_score_predict")
+        run_pipeline(_small_config(str(tmp_path / "r"), seed=10, stages="knn_only"))
+        assert fits["inside"] == 0
+        assert fits["rest"] > 0
+
+    def test_generator_names_are_case_insensitive(self, tmp_path):
+        shape = dict(d=4, n=60, expected_edges=4.0)
+        lower = GeneratorConfig(mechanism="linear", noise="uniform", graph_model="er", **shape)
+        mixed = GeneratorConfig(mechanism="Linear", noise="Uniform", graph_model="ER", **shape)
+        for name, gen in (("lower", lower), ("mixed", mixed)):
+            assert run_pipeline(_small_config(str(tmp_path / name), generator=gen)).status == "ok"
+        for name in ("prediction.csv", "trace.jsonl"):
+            assert (tmp_path / "lower" / name).read_bytes() == (tmp_path / "mixed" / name).read_bytes(), name
+
     def test_stages_run_single_threaded_blas_and_restore_the_callers_count(self, tmp_path, monkeypatch):
         lib = pipeline._openblas()
         if lib is None:
@@ -618,6 +643,58 @@ class TestRunPipelineSmall:
         record = run_pipeline(config)
         on_disk = load_matrix(os.path.join(config.out_dir, "prediction.csv"))
         assert np.array_equal(on_disk, record.prediction)
+
+
+# the stages each mode runs, in order, and the pipeline-module callee that
+# does each stage's work
+MODE_STAGES = {
+    "full": ("load_data", "init_seed", "refine", "generate_training_set", "train", "predict", "evaluate"),
+    "knn_only": ("load_data", "init_seed", "refine", "generate_training_set", "knn_select", "evaluate"),
+    "refine_only": ("load_data", "init_seed", "refine", "evaluate"),
+}
+STAGE_CALLEES = {
+    "load_data": "load_dataset",
+    "init_seed": "init_seed",
+    "refine": "refine",
+    "generate_training_set": "generate_training_set",
+    "knn_select": "knn_score_predict",
+    "train": "train",
+    "predict": "predict",
+    "evaluate": "evaluate",
+}
+
+
+@pytest.fixture(scope="module")
+def instance_files(tmp_path_factory):
+    """A small instance's data.csv and truth_graph.csv, so a run reads its
+    data through pipeline.load_dataset and has a truth to evaluate."""
+    out = tmp_path_factory.mktemp("instance")
+    run_pipeline(_small_config(str(out), stages="refine_only"))
+    return out / "data.csv", out / "truth_graph.csv"
+
+
+class TestStageFailures:
+    @pytest.mark.parametrize(
+        "mode,failing", [(mode, stage) for mode, stages in MODE_STAGES.items() for stage in stages]
+    )
+    def test_failure_is_attributed_to_its_stage(self, instance_files, tmp_path, monkeypatch, mode, failing):
+        def explode(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pipeline, STAGE_CALLEES[failing], explode)
+        data, truth = instance_files
+        out = tmp_path / "r"
+        config = dataclasses.replace(
+            _small_config(str(out), stages=mode), generator=None, data_path=str(data), truth_path=str(truth)
+        )
+        with pytest.raises(StageError) as err:
+            run_pipeline(config)
+        assert err.value.stage == failing
+        assert isinstance(err.value.cause, RuntimeError)
+        persisted = json.loads((out / "run_record.json").read_text())
+        assert (persisted["status"], persisted["failed_stage"]) == ("error", failing)
+        finished = MODE_STAGES[mode][: MODE_STAGES[mode].index(failing)]
+        assert sorted(json.loads((out / "timings.json").read_text())) == sorted(finished)
 
 
 class TestRunBenchmark:
