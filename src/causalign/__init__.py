@@ -56,17 +56,13 @@ from .sim import (
     FittedScm,
     RegressorConfig,
     fit_node,
-    fit_sim,
     predict_node,
-    residual_log_likelihood,
     sample_from_fitted,
 )
 from .scoring import (
     ScoreConfig,
     ScoreEngine,
     ScoreValue,
-    ad_likelihood,
-    score,
 )
 from .refine import (
     RefineConfig,
@@ -84,7 +80,6 @@ from .model import (
     TrainConfig,
     TrainingSet,
     featurize_all,
-    featurize_pair,
     generate_training_set,
     knn_score_predict,
     pair_order,
@@ -162,16 +157,12 @@ __all__ = [
     "FittedScm",
     "RegressorConfig",
     "fit_node",
-    "fit_sim",
     "predict_node",
-    "residual_log_likelihood",
     "sample_from_fitted",
     # scoring
     "ScoreConfig",
     "ScoreEngine",
     "ScoreValue",
-    "ad_likelihood",
-    "score",
     # refinement
     "RefineConfig",
     "RefineTrace",
@@ -187,7 +178,6 @@ __all__ = [
     "TrainConfig",
     "TrainingSet",
     "featurize_all",
-    "featurize_pair",
     "generate_training_set",
     "knn_score_predict",
     "pair_order",

@@ -46,6 +46,7 @@ from .pipeline import (
     save_instances,
 )
 from .scm import ShiftSetting, SpecTriple
+from .scoring import ScoreConfig, ScoreEngine
 from .sim import Basis, RegressorConfig
 
 INPUT_ERRORS = (
@@ -146,12 +147,8 @@ def cmd_make_trainset(args) -> int:
         raise DataFormatError(f"{args.graphs}: no graph CSV files found")
     graphs = [load_graph(p) for p in paths]
     regressor = RegressorConfig(basis=Basis(args.basis), basis_size=args.basis_size)
-    training_set = generate_training_set(
-        graphs,
-        dataset,
-        regressor=regressor,
-        rng=np.random.default_rng(args.seed),
-    )
+    engine = ScoreEngine(dataset, ScoreConfig(regressor=regressor))
+    training_set = generate_training_set(graphs, engine, np.random.default_rng(args.seed))
     save_training_set(training_set, args.out)
     print(f"wrote {len(training_set.instances)} training instance(s) under {args.out}")
     return 0

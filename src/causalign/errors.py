@@ -7,6 +7,19 @@ exit code 2 at the CLI, mid-run stage failures to exit code 3.
 
 from __future__ import annotations
 
+__all__ = [
+    "CausalignError",
+    "StructuralInputError",
+    "MoveInfeasibleError",
+    "DegreeCapError",
+    "ConfigError",
+    "NumericalError",
+    "InputQualityError",
+    "UndefinedMetricError",
+    "DataFormatError",
+    "StageError",
+]
+
 
 class CausalignError(Exception):
     """Base class for all errors raised by this package."""

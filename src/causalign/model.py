@@ -26,15 +26,15 @@ from .errors import (
 )
 from .graph import Dag
 from .scm import Dataset
-from .sim import FittedScm, RegressorConfig, fit_node, sample_from_fitted
-from .scoring import ScoreConfig, ScoreEngine
+from .sim import FittedScm, sample_from_fitted
+from .scoring import ScoreEngine
 
 __all__ = [
     "PAIR_FEATURE_NAMES",
     "TrainingSet",
     "TrainConfig",
     "EdgePredictor",
-    "featurize_pair",
+    "pair_order",
     "featurize_all",
     "generate_training_set",
     "train",
@@ -227,17 +227,6 @@ class _DatasetStats:
         return p_max, p_mean
 
 
-def featurize_pair(dataset: Dataset, i: int, j: int) -> np.ndarray:
-    """Feature vector for the ordered pair (i, j): its row of
-    featurize_all. Deterministic function of the data; swapping i and j
-    swaps the per-endpoint and per-direction blocks and leaves the
-    symmetric entries unchanged."""
-    if not (0 <= i < dataset.d and 0 <= j < dataset.d) or i == j:
-        raise StructuralInputError(f"invalid pair ({i}, {j}) for d={dataset.d}")
-    _, feats = featurize_all(dataset)
-    return feats[i * (dataset.d - 1) + (j if j < i else j - 1)]
-
-
 def pair_order(d: int) -> list[tuple[int, int]]:
     """Row order used by featurize_all and the flattened label vectors."""
     return [(i, j) for i in range(d) for j in range(d) if i != j]
@@ -248,7 +237,10 @@ def featurize_all(dataset: Dataset) -> tuple[list[tuple[int, int]], np.ndarray]:
 
     The per-dataset statistics are computed once in array passes and the
     16 columns are gathered by pair index. The values are byte-equal to
-    the per-pair definition kept as an oracle in tests/oracles.py.
+    the per-pair definition kept as an oracle in tests/oracles.py. They
+    are a deterministic function of the data; swapping a pair's endpoints
+    swaps its per-endpoint and per-direction blocks and leaves the
+    symmetric entries unchanged.
     """
     stats = _DatasetStats(dataset.values)
     pairs = pair_order(dataset.d)
@@ -284,31 +276,19 @@ class TrainingSet:
     provenance: dict = field(default_factory=dict)
 
 
-def generate_training_set(
-    graphs: list[Dag],
-    dataset: Dataset,
-    regressor: RegressorConfig | None = None,
-    rng: np.random.Generator | None = None,
-    node_fitter=None,
-) -> TrainingSet:
-    """Fit each graph's mechanisms on the dataset and forward-sample one
-    aligned dataset of the same size per graph, bootstrapping each node's
-    fitted residuals as its noise.
+def generate_training_set(graphs: list[Dag], engine: ScoreEngine, rng: np.random.Generator) -> TrainingSet:
+    """Fit each graph's mechanisms on the engine's dataset and
+    forward-sample one aligned dataset of the same size per graph,
+    bootstrapping each node's fitted residuals as its noise.
 
-    Node fits are cached across graphs keyed by (node, parent set), since
-    collected ensembles overlap heavily; node_fitter(node, parents) can
-    supply fits from an existing cache (e.g. the score engine that
-    already fitted every visited parent set on this dataset). Graphs
-    violating the in-degree cap are skipped with a warning; if every
-    graph is skipped the cap error propagates.
+    Node fits come from the engine's (node, parent set) cache, which
+    collected ensembles overlap heavily and a search has mostly filled
+    already. Graphs violating the in-degree cap are skipped with a
+    warning; if every graph is skipped the cap error propagates.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if not graphs:
         raise ConfigError("graphs list is empty")
-    regressor = regressor if regressor is not None else RegressorConfig()
-    values = dataset.values
-    cache: dict[tuple[int, tuple[int, ...]], object] = {}
+    dataset = engine.dataset
     instances: list[tuple[Dataset, Dag]] = []
     kept: list[int] = []
     skipped: list[int] = []
@@ -316,24 +296,12 @@ def generate_training_set(
         if g.d != dataset.d:
             raise StructuralInputError(f"graph {idx} has d={g.d}, dataset d={dataset.d}")
         try:
-            nodes = []
-            for node in range(g.d):
-                parents = g.parents(node)
-                key = (node, parents)
-                fn = cache.get(key)
-                if fn is None:
-                    if node_fitter is not None:
-                        fn = node_fitter(node, parents)
-                    else:
-                        pm = values[:, parents] if parents else np.zeros((dataset.n, 0))
-                        fn = fit_node(node, parents, values[:, node], pm, regressor)
-                    cache[key] = fn
-                nodes.append(fn)
+            nodes = [engine.node_fit(node, g.parents(node)) for node in range(g.d)]
         except DegreeCapError as exc:
             warnings.warn(f"skipping graph {idx}: {exc}", RuntimeWarning, stacklevel=2)
             skipped.append(idx)
             continue
-        fitted = FittedScm(dag=g, config=regressor, nodes=nodes)
+        fitted = FittedScm(dag=g, config=engine.config.regressor, nodes=nodes)
         sampled = sample_from_fitted(fitted, dataset.n, rng)
         instances.append((sampled, g))
         kept.append(idx)
@@ -583,18 +551,10 @@ def predict(predictor: EdgePredictor, dataset: Dataset) -> np.ndarray:
     return out
 
 
-def knn_score_predict(
-    training_set: TrainingSet,
-    dataset: Dataset,
-    score_config: ScoreConfig | None = None,
-    engine: ScoreEngine | None = None,
-) -> Dag:
+def knn_score_predict(training_set: TrainingSet, engine: ScoreEngine) -> Dag:
     """1-nearest-neighbor on the score: return the training graph whose
-    total score against the test dataset is highest (ties -> lowest
-    index). The shared engine makes this cheap for overlapping graphs; a
-    run passes the engine its search filled, so graphs it visited cost no
-    refit."""
-    if engine is None:
-        engine = ScoreEngine(dataset, score_config)
+    total engine score against the test dataset is highest (ties -> lowest
+    index). A run passes the engine its search filled, so graphs it
+    visited cost no refit."""
     totals = np.array([engine.score(g).total for _, g in training_set.instances])
     return training_set.instances[int(np.argmax(totals))][1]

@@ -328,19 +328,17 @@ def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | No
     with run.stage("init_seed"):
         engine = ScoreEngine(dataset, config.refine.score)
         seed_dag = init_seed(
-            dataset,
+            engine,
             config.refine.seed_mode,
             streams["init_seed"],
-            score_config=config.refine.score,
             seed_graph_path=config.refine.seed_graph_path,
             expected_edges=config.refine.seed_expected_edges,
             max_rounds=config.refine.greedy_max_rounds,
-            engine=engine,
         )
         run.save("seed_graph", "seed_graph.csv", save_graph, seed_dag)
 
     with run.stage("refine"):
-        trace = refine(dataset, seed_dag, config.refine, streams["refine"], engine=engine)
+        trace = refine(engine, seed_dag, config.refine, streams["refine"])
         record.seed_score = trace.seed_score.to_json()
         record.best_score = trace.best_score.to_json()
         record.collected_count = len(trace.collected)
@@ -358,19 +356,13 @@ def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | No
 
     if config.stages != "refine_only":
         with run.stage("generate_training_set"):
-            training_set = generate_training_set(
-                trace.collected,
-                dataset,
-                regressor=config.refine.score.regressor,
-                rng=streams["trainset"],
-                node_fitter=engine.node_fit,
-            )
+            training_set = generate_training_set(trace.collected, engine, streams["trainset"])
             record.training_set_size = len(training_set.instances)
             run.save("trainset", "trainset", save_training_set, training_set)
 
     if config.stages == "knn_only":
         with run.stage("knn_select"):
-            knn_dag = knn_score_predict(training_set, dataset, config.refine.score, engine=engine)
+            knn_dag = knn_score_predict(training_set, engine)
             run.save("knn_graph", "knn_graph.csv", save_graph, knn_dag)
             run.save_prediction(_adj_float(knn_dag))
     elif config.stages == "full":
@@ -592,15 +584,6 @@ def _openblas() -> ctypes.CDLL | None:
     return lib
 
 
-def _single_threaded_blas() -> None:
-    """Pool worker initializer: one BLAS thread per worker, so `threads`
-    workers use `threads` cores instead of `threads` x cores BLAS threads.
-    Only the worker process changes; without OpenBLAS it does nothing."""
-    lib = _openblas()
-    if lib is not None:
-        lib.scipy_openblas_set_num_threads64_(1)
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with one OpenBLAS thread, then restore the caller's
@@ -617,16 +600,12 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(before)
 
 
-def _worker_pool(threads: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=threads, initializer=_single_threaded_blas)
-
-
 def _run_instances(
     configs: list[PipelineConfig], threads: int
 ) -> list[RunRecord | BaseException]:
     """Run pipelines serially or in a process pool (instance-level
-    parallelism only, BLAS single-threaded in each worker); result order
-    matches input order either way."""
+    parallelism only: each run_pipeline keeps BLAS to one thread); result
+    order matches input order either way."""
     if threads <= 1 or len(configs) <= 1:
         out: list[RunRecord | BaseException] = []
         for cfg in configs:
@@ -635,7 +614,7 @@ def _run_instances(
             except Exception as exc:
                 out.append(exc)
         return out
-    with _worker_pool(threads) as pool:
+    with ProcessPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(_run_one, cfg) for cfg in configs]
         results: list[RunRecord | BaseException] = []
         for fut in futures:

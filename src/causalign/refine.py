@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import Dag, EdgeMove, MoveKind, apply_move, feasible_moves, random_er
-from .scm import Dataset
 from .scoring import ScoreConfig, ScoreEngine, ScoreValue
 
 __all__ = [
@@ -43,9 +42,9 @@ class RefineConfig:
     """Search parameters.
 
     temperature=None resolves to max(0.01 * |seed total|, 1e-6) once the
-    seed graph is scored. Proposals that would push a node's in-degree past
-    score.regressor.max_in_degree are excluded from the feasible set, so
-    the search never leaves the regime the regressor accepts.
+    seed graph is scored. score configures the run's ScoreEngine; the
+    search itself reads the score, and the in-degree cap, from the engine
+    it is given.
     """
 
     n_steps: int = 2000
@@ -135,26 +134,20 @@ def _moved_parents(move: EdgeMove, parents: list[tuple[int, ...]]) -> list[tuple
 _EDGE_DELTA = {MoveKind.ADD: 1, MoveKind.DELETE: -1, MoveKind.REVERSE: 0}
 
 
-def greedy_hill_climb(
-    dataset: Dataset,
-    score_config: ScoreConfig | None = None,
-    max_rounds: int = 64,
-    engine: ScoreEngine | None = None,
-    start: Dag | None = None,
-) -> Dag:
+def greedy_hill_climb(engine: ScoreEngine, max_rounds: int = 64, start: Dag | None = None) -> Dag:
     """Deterministic best-first ascent from the empty graph.
 
-    Each round scores every feasible move and takes the strictly best
-    improvement; ties keep the first move in canonical order. Stops when
-    no move improves the total or max_rounds is hit. A candidate's total
-    swaps the changed nodes' terms into the current graph's and sums them
-    as engine.score would, so it equals the candidate's full rescore
-    exactly; only the chosen move builds a Dag.
+    Each round scores every feasible move within the engine's in-degree
+    cap and takes the strictly best improvement; ties keep the first move
+    in canonical order. Stops when no move improves the total or
+    max_rounds is hit. A candidate's total swaps the changed nodes' terms
+    into the current graph's and sums them as engine.score would, so it
+    equals the candidate's full rescore exactly; only the chosen move
+    builds a Dag.
     """
-    if engine is None:
-        engine = ScoreEngine(dataset, score_config)
     cap = engine.config.regressor.max_in_degree
-    current = start if start is not None else Dag(np.zeros((dataset.d, dataset.d), dtype=np.int8))
+    d = engine.dataset.d
+    current = start if start is not None else Dag(np.zeros((d, d), dtype=np.int8))
     best_total = engine.score(current).total
     for _ in range(max_rounds):
         parents = [current.parents(j) for j in range(current.d)]
@@ -178,30 +171,29 @@ def greedy_hill_climb(
 
 
 def init_seed(
-    dataset: Dataset,
+    engine: ScoreEngine,
     mode: SeedMode | str,
     rng: np.random.Generator,
     *,
-    score_config: ScoreConfig | None = None,
     seed_graph_path: str | None = None,
     expected_edges: float | None = None,
     max_rounds: int = 64,
-    engine: ScoreEngine | None = None,
 ) -> Dag:
-    """Produce the starting graph for refinement.
+    """Produce the starting graph for refinement on the engine's dataset.
 
     random_dag draws an ER graph with expected_edges defaulting to d, then
-    trims each node drawn with more parents than the regressor's
+    trims each node drawn with more parents than the engine regressor's
     max_in_degree to a uniform random subset of that many, using the same
     rng after the draw (a graph within the cap is returned as drawn);
     greedy_hill_climb runs the deterministic ascent; from_file loads an
     adjacency file (CSV or JSON edge list).
     """
     mode = SeedMode(mode)
+    d = engine.dataset.d
     if mode == SeedMode.RANDOM_DAG:
-        ee = float(dataset.d) if expected_edges is None else expected_edges
-        dag = random_er(dataset.d, ee, rng)
-        cap = (score_config or ScoreConfig()).regressor.max_in_degree
+        ee = float(d) if expected_edges is None else expected_edges
+        dag = random_er(d, ee, rng)
+        cap = engine.config.regressor.max_in_degree
         if cap is None:
             return dag
         adj = dag.adjacency.copy()
@@ -210,38 +202,29 @@ def init_seed(
             adj[rng.choice(parents, size=len(parents) - cap, replace=False), node] = 0
         return Dag(adj)
     if mode == SeedMode.GREEDY:
-        return greedy_hill_climb(dataset, score_config, max_rounds=max_rounds, engine=engine)
+        return greedy_hill_climb(engine, max_rounds=max_rounds)
     if not seed_graph_path:
         raise ConfigError("from_file seed mode requires a path")
     from .io import load_graph  # local import keeps io optional for library use
 
     dag = load_graph(seed_graph_path)
-    if dag.d != dataset.d:
-        raise ConfigError(
-            f"seed graph has d={dag.d} but dataset has d={dataset.d}"
-        )
+    if dag.d != d:
+        raise ConfigError(f"seed graph has d={dag.d} but dataset has d={d}")
     return dag
 
 
-def refine(
-    dataset: Dataset,
-    seed: Dag,
-    config: RefineConfig,
-    rng: np.random.Generator,
-    engine: ScoreEngine | None = None,
-) -> RefineTrace:
-    """Run the stochastic search and return the full trace.
+def refine(engine: ScoreEngine, seed: Dag, config: RefineConfig, rng: np.random.Generator) -> RefineTrace:
+    """Run the stochastic search under the engine's score and return the
+    full trace.
 
-    Per step: draw one uniformly random capped feasible move, rescore the
-    candidate incrementally (nodes whose parent sets the move changes are
-    refit from scratch; the rest keep their terms), accept with
-    acceptance_probability, and during the last collect_k steps append
-    the post-decision current graph to the collected list (repeats
-    allowed unless dedup_collected). Tracks the best-scoring visited
-    graph, ties resolved to the earliest.
+    Per step: draw one uniformly random feasible move within the engine's
+    in-degree cap, rescore the candidate incrementally (nodes whose parent
+    sets the move changes are refit from scratch; the rest keep their
+    terms), accept with acceptance_probability, and during the last
+    collect_k steps append the post-decision current graph to the
+    collected list (repeats allowed unless dedup_collected). Tracks the
+    best-scoring visited graph, ties resolved to the earliest.
     """
-    if engine is None:
-        engine = ScoreEngine(dataset, config.score)
     cap = engine.config.regressor.max_in_degree
     s_seed = engine.score(seed)
     temperature = config.temperature

@@ -28,8 +28,6 @@ __all__ = [
     "ScoreConfig",
     "ScoreValue",
     "ScoreEngine",
-    "ad_likelihood",
-    "score",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -160,12 +158,3 @@ class ScoreEngine:
     def cache_size(self) -> int:
         return len(self._cache)
 
-
-def ad_likelihood(dag: Dag, dataset: Dataset, config: ScoreConfig | None = None) -> float:
-    """Alignment term under Gaussian residual log-likelihood."""
-    return ScoreEngine(dataset, config).ad(dag)
-
-
-def score(dag: Dag, dataset: Dataset, config: ScoreConfig | None = None) -> ScoreValue:
-    """Full score under the configured penalty."""
-    return ScoreEngine(dataset, config).score(dag)

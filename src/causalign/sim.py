@@ -10,9 +10,8 @@ a bit-identical result.
 from __future__ import annotations
 
 import enum
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,17 +29,13 @@ __all__ = [
     "RegressorConfig",
     "FittedNode",
     "FittedScm",
-    "fit_sim",
     "fit_node",
     "predict_node",
-    "residual_log_likelihood",
     "sample_from_fitted",
     "SIGMA_FLOOR",
 ]
 
 SIGMA_FLOOR = 1e-3
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 class Basis(str, enum.Enum):
@@ -101,64 +96,6 @@ class FittedScm:
     dag: Dag
     config: RegressorConfig
     nodes: list[FittedNode] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        obj = {
-            "d": self.dag.d,
-            "edges": [[i, j] for i, j in self.dag.edges()],
-            "config": asdict(self.config),  # Basis is a str enum: dumps as its value
-            "nodes": [
-                {
-                    "node": fn.node,
-                    "parents": list(fn.parents),
-                    "intercept": fn.intercept,
-                    "weights": fn.weights.tolist(),
-                    "residual_sigma": fn.residual_sigma,
-                    "residual_samples": fn.residual_samples.tolist(),
-                    "transforms": [
-                        {
-                            "loc": tr.loc,
-                            "scale": tr.scale,
-                            "centers": list(tr.centers),
-                            "width": tr.width,
-                        }
-                        for tr in fn.transforms
-                    ],
-                }
-                for fn in self.nodes
-            ],
-        }
-        return json.dumps(obj)
-
-    @staticmethod
-    def from_json(text: str) -> "FittedScm":
-        obj = json.loads(text)
-        d = int(obj["d"])
-        adj = np.zeros((d, d), dtype=np.int8)
-        for i, j in obj["edges"]:
-            adj[int(i), int(j)] = 1
-        config = RegressorConfig(**obj["config"])
-        nodes = [
-            FittedNode(
-                node=int(fn["node"]),
-                parents=tuple(int(p) for p in fn["parents"]),
-                intercept=float(fn["intercept"]),
-                weights=np.asarray(fn["weights"], dtype=float),
-                residual_sigma=float(fn["residual_sigma"]),
-                residual_samples=np.asarray(fn["residual_samples"], dtype=float),
-                transforms=tuple(
-                    ParentTransform(
-                        loc=float(tr["loc"]),
-                        scale=float(tr["scale"]),
-                        centers=tuple(float(c) for c in tr["centers"]),
-                        width=float(tr["width"]),
-                    )
-                    for tr in fn["transforms"]
-                ),
-            )
-            for fn in obj["nodes"]
-        ]
-        return FittedScm(dag=Dag(adj), config=config, nodes=nodes)
 
 
 # ----------------------------------------------------------------------
@@ -284,26 +221,6 @@ def fit_node(
     )
 
 
-def fit_sim(dag: Dag, dataset: Dataset, config: RegressorConfig) -> FittedScm:
-    """Fit every node of the DAG on the dataset.
-
-    Raises DegreeCapError if any node's in-degree exceeds the configured
-    cap (never truncates parent sets). Node fits are independent of each
-    other, so the result does not depend on fit order.
-    """
-    if dag.d != dataset.d:
-        raise StructuralInputError(
-            f"dag has d={dag.d} but dataset has d={dataset.d}"
-        )
-    values = dataset.values
-    nodes = []
-    for j in range(dag.d):
-        parents = dag.parents(j)
-        pm = values[:, parents] if parents else np.zeros((dataset.n, 0))
-        nodes.append(fit_node(j, parents, values[:, j], pm, config))
-    return FittedScm(dag=dag, config=config, nodes=nodes)
-
-
 def predict_node(fitted: FittedNode, parent_matrix: np.ndarray, config: RegressorConfig) -> np.ndarray:
     """Fitted conditional mean at new parent values; (n, p) -> (n,)."""
     n = parent_matrix.shape[0]
@@ -315,16 +232,6 @@ def predict_node(fitted: FittedNode, parent_matrix: np.ndarray, config: Regresso
         )
     phi = _design(parent_matrix, fitted.transforms, config)
     return fitted.intercept + phi @ fitted.weights
-
-
-def residual_log_likelihood(fitted: FittedNode, x: float, parent_values, config: RegressorConfig) -> float:
-    """Gaussian log-density of one observation under the fitted node:
-    N(x; prediction, residual_sigma^2)."""
-    pv = np.asarray(parent_values, dtype=float).reshape(1, -1)
-    pred = predict_node(fitted, pv, config)[0]
-    r = float(x) - pred
-    s2 = fitted.residual_sigma**2
-    return -0.5 * (_LOG_2PI + math.log(s2)) - r * r / (2.0 * s2)
 
 
 def sample_from_fitted(fitted: FittedScm, n: int, rng: np.random.Generator) -> Dataset:

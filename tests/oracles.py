@@ -5,7 +5,7 @@ force enumeration, explicit threshold sweeps, finite differences, one
 node or one pair at a time) so a bug in the package and a bug in the
 oracle are unlikely to coincide. Besides the Dag container, an oracle
 only calls package functions that have tests of their own (the score
-engine, predict_node, topological_order).
+engine, fit_node, predict_node, topological_order).
 """
 
 import itertools
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from causalign.graph import Dag, topological_order
-from causalign.sim import predict_node
+from causalign.sim import FittedScm, fit_node, predict_node
 
 
 def all_binary_matrices(d):
@@ -209,6 +209,18 @@ def greedy_full_rescore(engine, start, max_rounds, cap):
             break
         current = pick
     return current
+
+
+def fit_sim(dag, dataset, config):
+    """Every node of the DAG fitted on the dataset by its own fit_node
+    call, each parent column expanded afresh, as a FittedScm."""
+    values = dataset.values
+    nodes = []
+    for j in range(dag.d):
+        parents = dag.parents(j)
+        pm = values[:, parents] if parents else np.zeros((dataset.n, 0))
+        nodes.append(fit_node(j, parents, values[:, j], pm, config))
+    return FittedScm(dag=dag, config=config, nodes=nodes)
 
 
 def sample_per_node(fitted, n, rng):

@@ -39,9 +39,9 @@ from causalign.scm import (
     sample_scm,
 )
 from causalign.scoring import ScoreConfig, ScoreEngine
-from causalign.sim import RegressorConfig, fit_sim
+from causalign.sim import RegressorConfig
 
-from oracles import all_dags, central_difference_gradient, exhaustive_best_total
+from oracles import all_dags, central_difference_gradient, exhaustive_best_total, fit_sim
 from oracles import auprc_sweep, auroc_sweep, f1_acc_sweep
 
 import conftest
@@ -65,13 +65,9 @@ def test_criterion_01_search_matches_exhaustive_optimum():
         )
         ds = forward_sample(scm, 1000, rng)
         engine = ScoreEngine(ds, ScoreConfig())
-        seed_dag = init_seed(
-            ds, "random_dag", np.random.default_rng(1000 + seed),
-            score_config=ScoreConfig(), engine=engine,
-        )
+        seed_dag = init_seed(engine, "random_dag", np.random.default_rng(1000 + seed))
         trace = refine(
-            ds, seed_dag, RefineConfig(n_steps=500),
-            np.random.default_rng(2000 + seed), engine=engine,
+            engine, seed_dag, RefineConfig(n_steps=500), np.random.default_rng(2000 + seed)
         )
         best = trace.best_score
         oracle = exhaustive_best_total(ds, ScoreConfig(), 3)
@@ -90,13 +86,10 @@ def test_criterion_02_near_zero_temperature_is_monotone():
         scm = sample_scm("er", "linear", "gaussian", 4, rng)
         ds = forward_sample(scm, 60, rng)
         engine = ScoreEngine(ds, ScoreConfig())
-        seed_dag = init_seed(
-            ds, "random_dag", np.random.default_rng(5000 + seed),
-            score_config=ScoreConfig(), engine=engine,
-        )
+        seed_dag = init_seed(engine, "random_dag", np.random.default_rng(5000 + seed))
         trace = refine(
-            ds, seed_dag, RefineConfig(n_steps=80, temperature=1e-300),
-            np.random.default_rng(9000 + seed), engine=engine,
+            engine, seed_dag, RefineConfig(n_steps=80, temperature=1e-300),
+            np.random.default_rng(9000 + seed),
         )
         accepted = [s.s_cand for s in trace.steps if s.accepted]
         violations += sum(b < a for a, b in zip(accepted, accepted[1:]))
@@ -112,12 +105,11 @@ def test_criterion_03_knn_equals_argmax_selection():
         scm = sample_scm("er", "linear", "gaussian", 4, rng)
         ds = forward_sample(scm, 80, rng)
         graphs = [random_er(4, 3.0, rng) for _ in range(6)]
-        ts = generate_training_set(
-            graphs, ds, regressor=RegressorConfig(), rng=rng
-        )
-        chosen = knn_score_predict(ts, ds, ScoreConfig())
         engine = ScoreEngine(ds, ScoreConfig())
-        totals = [engine.score(g).total for _, g in ts.instances]
+        ts = generate_training_set(graphs, engine, rng)
+        chosen = knn_score_predict(ts, engine)
+        fresh = ScoreEngine(ds, ScoreConfig())
+        totals = [fresh.score(g).total for _, g in ts.instances]
         expected = ts.instances[int(np.argmax(totals))][1]
         matches += chosen == expected
     ok = matches == 20
@@ -284,13 +276,10 @@ def _refine_seconds(n, n_steps, rep):
     scm = sample_scm("er", "linear", "uniform", 10, rng)
     ds = forward_sample(scm, n, rng)
     engine = ScoreEngine(ds, ScoreConfig())
-    seed_dag = init_seed(
-        ds, "random_dag", np.random.default_rng(200 + rep),
-        score_config=ScoreConfig(), engine=engine,
-    )
+    seed_dag = init_seed(engine, "random_dag", np.random.default_rng(200 + rep))
     cfg = RefineConfig(n_steps=n_steps)
     t0 = time.perf_counter()
-    refine(ds, seed_dag, cfg, np.random.default_rng(300 + rep), engine=engine)
+    refine(engine, seed_dag, cfg, np.random.default_rng(300 + rep))
     return time.perf_counter() - t0
 
 

@@ -29,6 +29,7 @@ from causalign.io import (
 from causalign.model import TrainingSet, generate_training_set
 from causalign.refine import RefineConfig, refine
 from causalign.scm import Dataset, SpecTriple, make_shift_suite
+from causalign.scoring import ScoreEngine
 
 from conftest import dag_from_edges, empty_dag, make_rng
 
@@ -248,9 +249,7 @@ class TestInstanceBundle:
 class TestTraceJsonl:
     def test_one_record_per_line(self, tmp_path):
         data = Dataset(make_rng(7).normal(size=(60, 3)))
-        trace = refine(
-            data, empty_dag(3), RefineConfig(n_steps=25, collect_k=5), make_rng(8)
-        )
+        trace = refine(ScoreEngine(data), empty_dag(3), RefineConfig(n_steps=25, collect_k=5), make_rng(8))
         path = str(tmp_path / "trace.jsonl")
         save_trace_jsonl(trace.steps, path)
         lines = open(path).read().splitlines()
@@ -262,8 +261,8 @@ class TestTraceJsonl:
     def test_byte_identical_for_identical_traces(self, tmp_path):
         data = Dataset(make_rng(9).normal(size=(60, 3)))
         cfg = RefineConfig(n_steps=30, collect_k=5)
-        t1 = refine(data, empty_dag(3), cfg, make_rng(10))
-        t2 = refine(data, empty_dag(3), cfg, make_rng(10))
+        t1 = refine(ScoreEngine(data), empty_dag(3), cfg, make_rng(10))
+        t2 = refine(ScoreEngine(data), empty_dag(3), cfg, make_rng(10))
         p1, p2 = str(tmp_path / "t1.jsonl"), str(tmp_path / "t2.jsonl")
         save_trace_jsonl(t1.steps, p1)
         save_trace_jsonl(t2.steps, p2)
@@ -274,7 +273,7 @@ class TestTrainingSetDir:
     def _training_set(self, seed):
         data = Dataset(make_rng(seed).normal(size=(40, 3)))
         graphs = [empty_dag(3), dag_from_edges(3, [(0, 1)])]
-        return generate_training_set(graphs, data, rng=make_rng(seed + 1))
+        return generate_training_set(graphs, ScoreEngine(data), make_rng(seed + 1))
 
     def test_round_trip(self, tmp_path):
         ts = self._training_set(11)
@@ -364,7 +363,7 @@ class TestTrainingSetLoadValidation:
         data = Dataset(make_rng(20).normal(size=(30, 3)))
         graphs = [empty_dag(3), dag_from_edges(3, [(0, 1), (1, 2)])]
         out = tmp_path / "ts"
-        save_training_set(generate_training_set(graphs, data, rng=make_rng(21)), str(out))
+        save_training_set(generate_training_set(graphs, ScoreEngine(data), make_rng(21)), str(out))
         return out
 
     @staticmethod

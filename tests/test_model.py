@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalign import scoring
 from causalign.errors import (
     ConfigError,
     DegreeCapError,
@@ -21,7 +22,6 @@ from causalign.model import (
     TrainConfig,
     TrainingSet,
     featurize_all,
-    featurize_pair,
     generate_training_set,
     knn_score_predict,
     pair_order,
@@ -29,11 +29,17 @@ from causalign.model import (
     train,
 )
 from causalign.scm import Dataset
-from causalign.scoring import ScoreEngine
+from causalign.scoring import ScoreConfig, ScoreEngine
 from causalign.sim import RegressorConfig, fit_node
 
 from conftest import dag_from_edges, empty_dag, linear_dataset, make_rng, noise_dataset
 from oracles import central_difference_gradient, featurize_pairwise
+
+
+def _pair_features(data, i, j):
+    """The featurize_all row of the ordered pair (i, j)."""
+    pairs, feats = featurize_all(data)
+    return feats[pairs.index((i, j))]
 
 
 def _random_dataset(seed, n=150, d=4):
@@ -47,13 +53,13 @@ def _random_dataset(seed, n=150, d=4):
 class TestFeaturize:
     def test_feature_vector_matches_names(self):
         data = _random_dataset(0)
-        f = featurize_pair(data, 0, 1)
+        f = _pair_features(data, 0, 1)
         assert f.shape == (len(PAIR_FEATURE_NAMES),)
         assert len(PAIR_FEATURE_NAMES) == 16
 
     def test_moment_features_are_exact(self):
         data = _random_dataset(1)
-        f = featurize_pair(data, 2, 0)
+        f = _pair_features(data, 2, 0)
         x = data.values[:, 2]
         assert f[0] == pytest.approx(x.mean(), abs=1e-12)
         assert f[1] == pytest.approx(x.std(), abs=1e-12)
@@ -63,7 +69,7 @@ class TestFeaturize:
 
     def test_pearson_matches_numpy(self):
         data = _random_dataset(2)
-        f = featurize_pair(data, 0, 1)
+        f = _pair_features(data, 0, 1)
         expect = np.corrcoef(data.values[:, 0], data.values[:, 1])[0, 1]
         assert f[8] == pytest.approx(expect, abs=1e-10)
 
@@ -71,14 +77,14 @@ class TestFeaturize:
         from scipy.stats import spearmanr
 
         data = _random_dataset(3)
-        f = featurize_pair(data, 1, 3)
+        f = _pair_features(data, 1, 3)
         expect = spearmanr(data.values[:, 1], data.values[:, 3]).statistic
         assert f[9] == pytest.approx(expect, abs=1e-10)
 
     def test_swapped_pair_swaps_blocks(self):
         data = _random_dataset(4)
-        fij = featurize_pair(data, 0, 3)
-        fji = featurize_pair(data, 3, 0)
+        fij = _pair_features(data, 0, 3)
+        fji = _pair_features(data, 3, 0)
         assert np.array_equal(fij[0:4], fji[4:8])
         assert np.array_equal(fij[4:8], fji[0:4])
         assert np.array_equal(fij[8:10], fji[8:10])
@@ -92,16 +98,8 @@ class TestFeaturize:
         assert pairs == pair_order(data.d)
         assert feats.shape == (data.d * (data.d - 1), 16)
         for row, (i, j) in enumerate(pairs):
-            assert np.array_equal(feats[row], featurize_pair(data, i, j))
-
-    def test_invalid_pairs_rejected(self):
-        data = _random_dataset(6)
-        with pytest.raises(StructuralInputError):
-            featurize_pair(data, 1, 1)
-        with pytest.raises(StructuralInputError):
-            featurize_pair(data, 0, 4)
-        with pytest.raises(StructuralInputError):
-            featurize_pair(data, -1, 0)
+            assert feats[row, 0] == pytest.approx(data.values[:, i].mean(), abs=1e-12)
+            assert feats[row, 4] == pytest.approx(data.values[:, j].mean(), abs=1e-12)
 
     def test_label_permutation_equivariance_is_exact(self):
         """Relabeling variables permutes feature rows bit for bit."""
@@ -121,7 +119,7 @@ class TestFeaturize:
         data = Dataset(vals)
         pairs, feats = featurize_all(data)
         assert np.isfinite(feats).all()
-        f = featurize_pair(data, 1, 0)
+        f = _pair_features(data, 1, 0)
         assert f[1] == 0.0  # std of constant source
         assert f[2] == 0.0 and f[3] == 0.0
         assert f[8] == 0.0  # correlation against a constant
@@ -134,7 +132,7 @@ class TestFeaturize:
         x = rng.uniform(-2, 2, size=2000)
         y = x + 0.3 * rng.normal(size=2000)
         data = Dataset(np.column_stack([x, y]))
-        f = featurize_pair(data, 0, 1)
+        f = _pair_features(data, 0, 1)
         fwd_corr, rev_corr = f[11], f[13]
         assert abs(rev_corr) > abs(fwd_corr) + 0.05
 
@@ -177,7 +175,7 @@ class TestGenerateTrainingSet:
     def test_shapes_and_alignment(self):
         data = _random_dataset(10)
         graphs = [empty_dag(4), dag_from_edges(4, [(0, 1), (2, 3)])]
-        ts = generate_training_set(graphs, data, rng=make_rng(0))
+        ts = generate_training_set(graphs, ScoreEngine(data), make_rng(0))
         assert len(ts.instances) == 2
         for (sampled, g), src in zip(ts.instances, graphs):
             assert (sampled.n, sampled.d) == (data.n, data.d)
@@ -185,7 +183,7 @@ class TestGenerateTrainingSet:
 
     def test_provenance_contents(self):
         data = _random_dataset(11)
-        ts = generate_training_set([empty_dag(4)], data, rng=make_rng(0))
+        ts = generate_training_set([empty_dag(4)], ScoreEngine(data), make_rng(0))
         assert ts.provenance["source_indices"] == [0]
         assert ts.provenance["skipped_indices"] == []
         assert ts.provenance["n"] == data.n
@@ -193,59 +191,53 @@ class TestGenerateTrainingSet:
     def test_degree_cap_violator_skipped_with_warning(self):
         data = _random_dataset(12)
         star = dag_from_edges(4, [(0, 3), (1, 3), (2, 3)])  # in-degree 3
-        cfg = RegressorConfig(max_in_degree=2)
+        cfg = ScoreConfig(regressor=RegressorConfig(max_in_degree=2))
         with pytest.warns(RuntimeWarning, match="skipping graph 1"):
-            ts = generate_training_set(
-                [empty_dag(4), star], data, regressor=cfg, rng=make_rng(0)
-            )
+            ts = generate_training_set([empty_dag(4), star], ScoreEngine(data, cfg), make_rng(0))
         assert ts.provenance["skipped_indices"] == [1]
         assert len(ts.instances) == 1
 
     def test_all_skipped_raises(self):
         data = _random_dataset(13)
         star = dag_from_edges(4, [(0, 3), (1, 3), (2, 3)])
-        cfg = RegressorConfig(max_in_degree=2)
+        cfg = ScoreConfig(regressor=RegressorConfig(max_in_degree=2))
         with pytest.warns(RuntimeWarning):
             with pytest.raises(DegreeCapError):
-                generate_training_set([star], data, regressor=cfg, rng=make_rng(0))
+                generate_training_set([star], ScoreEngine(data, cfg), make_rng(0))
 
     def test_dimension_mismatch_raises(self):
         data = _random_dataset(14)
         with pytest.raises(StructuralInputError):
-            generate_training_set([empty_dag(3)], data, rng=make_rng(0))
+            generate_training_set([empty_dag(3)], ScoreEngine(data), make_rng(0))
 
     def test_empty_graph_list_raises(self):
         data = _random_dataset(15)
         with pytest.raises(ConfigError):
-            generate_training_set([], data, rng=make_rng(0))
+            generate_training_set([], ScoreEngine(data), make_rng(0))
 
     def test_deterministic_given_rng(self):
         data = _random_dataset(16)
         graphs = [dag_from_edges(4, [(0, 1)]), dag_from_edges(4, [(1, 2)])]
-        a = generate_training_set(graphs, data, rng=make_rng(3))
-        b = generate_training_set(graphs, data, rng=make_rng(3))
+        a = generate_training_set(graphs, ScoreEngine(data), make_rng(3))
+        b = generate_training_set(graphs, ScoreEngine(data), make_rng(3))
         for (da, _), (db, _) in zip(a.instances, b.instances):
             assert np.array_equal(da.values, db.values)
 
-    def test_node_fitter_called_once_per_unique_parent_set(self):
+    def test_engine_fits_each_parent_set_once(self, monkeypatch):
         data = _random_dataset(17)
         g = dag_from_edges(4, [(0, 1)])
         calls = []
 
-        def fitter(node, parents):
+        def counted(node, parents, *args, **kwargs):
             calls.append((node, parents))
-            pm = (
-                data.values[:, list(parents)]
-                if parents
-                else np.zeros((data.n, 0))
-            )
-            return fit_node(
-                node, parents, data.values[:, node], pm, RegressorConfig()
-            )
+            return fit_node(node, parents, *args, **kwargs)
 
-        generate_training_set([g, g, g], data, rng=make_rng(0), node_fitter=fitter)
-        assert len(calls) == 4  # one per node, not per graph
-        assert len(set(calls)) == 4
+        monkeypatch.setattr(scoring, "fit_node", counted)
+        engine = ScoreEngine(data)
+        generate_training_set([g, g, g], engine, make_rng(0))
+        assert len(calls) == data.d  # one per node, not per graph
+        assert len(set(calls)) == data.d
+        assert engine.cache_size() == data.d
 
 
 class TestTrainConfig:
@@ -348,7 +340,7 @@ def _training_set(seed, n=80, d=4, k=8):
 
     for _ in range(k):
         graphs.append(random_er(d, 3.0, rng))
-    return data, generate_training_set(graphs, data, rng=rng)
+    return data, generate_training_set(graphs, ScoreEngine(data), rng)
 
 
 class TestTrain:
@@ -387,7 +379,7 @@ class TestTrain:
         x2 = 2.0 * x1 + rng.uniform(-0.3, 0.3, size=n)
         data = Dataset(np.column_stack([x0, x1, x2]))
         chain = dag_from_edges(3, [(0, 1), (1, 2)])
-        ts = generate_training_set([chain] * 10, data, rng=make_rng(1))
+        ts = generate_training_set([chain] * 10, ScoreEngine(data), make_rng(1))
         model = train(ts, TrainConfig(epochs=80, learning_rate=3e-3, seed=0))
         probs = predict(model, data)
         assert auroc(probs, chain) == 1.0
@@ -398,7 +390,7 @@ class TestTrain:
 
         rng = make_rng(34)
         graphs = [random_er(4, 3.0, rng) for _ in range(12)]
-        ts = generate_training_set(graphs, data, rng=rng)
+        ts = generate_training_set(graphs, ScoreEngine(data), rng)
         labels = np.concatenate(
             [
                 g.adjacency[~np.eye(4, dtype=bool)].astype(float)
@@ -450,14 +442,16 @@ class TestKnnScorePredict:
             dag_from_edges(3, [(1, 0), (2, 1)]),
             dag_from_edges(3, [(0, 2)]),
         ]
-        ts = generate_training_set(graphs, data, rng=make_rng(0))
-        chosen = knn_score_predict(ts, data)
         engine = ScoreEngine(data)
-        totals = [engine.score(g).total for g in graphs]
+        ts = generate_training_set(graphs, engine, make_rng(0))
+        chosen = knn_score_predict(ts, engine)
+        fresh = ScoreEngine(data)
+        totals = [fresh.score(g).total for g in graphs]
         assert chosen == graphs[int(np.argmax(totals))]
 
     def test_prefers_clearly_better_graph(self):
         data = linear_dataset(51, d=3, n=500, weight=2.0, noise=0.3)
         chain = dag_from_edges(3, [(0, 1), (1, 2)])
-        ts = generate_training_set([empty_dag(3), chain], data, rng=make_rng(0))
-        assert knn_score_predict(ts, data) == chain
+        engine = ScoreEngine(data)
+        ts = generate_training_set([empty_dag(3), chain], engine, make_rng(0))
+        assert knn_score_predict(ts, engine) == chain

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalign import model, pipeline, scoring
+from causalign import pipeline, scoring
 from causalign.cli import main as cli_main
 from causalign.errors import ConfigError, StageError
-from causalign.io import load_dataset, load_graph, load_matrix, load_training_set, save_dataset
+from causalign.graph import Dag, random_er
+from causalign.io import load_dataset, load_graph, load_matrix, load_training_set, save_dataset, save_graph
 from causalign.model import knn_score_predict
 from causalign.pipeline import (
     BENCHMARK_METHODS,
@@ -28,8 +29,8 @@ from causalign.pipeline import (
     run_pipeline,
 )
 from causalign.refine import RefineConfig, SeedMode, refine
-from causalign.scm import Dataset
-from causalign.scoring import ScoreConfig
+from causalign.scm import Dataset, SpecTriple, generate_instance
+from causalign.scoring import ScoreConfig, ScoreEngine
 from causalign.model import TrainConfig
 from causalign.sim import Basis, RegressorConfig
 
@@ -55,9 +56,9 @@ def _blas_threads():
 
 
 def _count_fits_inside(mp, callee):
-    """Count fit_node calls through its module bindings (the score engine's
-    and the synthesizer's own), split by whether they happen inside
-    pipeline.<callee>; returns the live counts {"inside", "rest"}."""
+    """Count the score engine's fit_node calls, split by whether they
+    happen inside pipeline.<callee>; returns the live counts {"inside",
+    "rest"}."""
     fits = {"inside": 0, "rest": 0}
     phase = ["rest"]
 
@@ -79,7 +80,6 @@ def _count_fits_inside(mp, callee):
         return inside
 
     mp.setattr(scoring, "fit_node", count_fits(scoring.fit_node))
-    mp.setattr(model, "fit_node", count_fits(model.fit_node))
     mp.setattr(pipeline, callee, marked(getattr(pipeline, callee)))
     return fits
 
@@ -87,8 +87,8 @@ def _count_fits_inside(mp, callee):
 @pytest.fixture(scope="module")
 def counted_default_run(tmp_path_factory):
     """One full run at library defaults (d=10, n=200, 2000 steps), with the
-    fit_node calls made inside and outside training-set synthesis counted
-    (the score engine's and the synthesizer's own)."""
+    score engine's fit_node calls made inside and outside training-set
+    synthesis counted."""
     out = str(tmp_path_factory.mktemp("default_run"))
     config = PipelineConfig(
         seed=1, out_dir=out, generator=GeneratorConfig(noise="uniform")
@@ -125,6 +125,17 @@ GREEDY_GOLDEN_SHA256 = {
     "trace.jsonl": "1347c9d6da9793ce5db171956f59d6fe155834eeafe7f32aed0b470fe0937508",
     "knn_graph.csv": "0e2cad8c306e2451a6bfbbe739de9929830b0083342df7cc0b5456fe488b70de",
 }
+
+
+# SHA-256 of the make-trainset outputs for the fixed small input of
+# TestCli.test_make_trainset_outputs_match_golden_hashes, per basis,
+# recorded with the same build as GOLDEN_SHA256
+TRAINSET_DATASETS_SHA256 = {
+    "linear": "226aafe450943b934bfa94657161027d15af8f1dba518ace721bbb3bd9a53817",
+    "fourier": "eabefd188050fe20f15db99a2922af6ad3f3e6b2d8ae53d7ae38ed3e40c6b369",
+    "spline": "a951f60f6e272e5980fb8132cbe07047caf98e87a45c07532c2d770e67e5d34a",
+}
+TRAINSET_GRAPHS_SHA256 = "57b254406f822ae33f1d1be6c3547806ade4088587d964ea86204f117660aaeb"
 
 
 def _golden_build_mismatch():
@@ -590,7 +601,7 @@ class TestRunPipelineSmall:
         out = config.out_dir
         data = load_dataset(os.path.join(out, "data.csv"))
         ts = load_training_set(os.path.join(out, "trainset"))
-        expect = knn_score_predict(ts, data, config.refine.score)
+        expect = knn_score_predict(ts, ScoreEngine(data, config.refine.score))
         assert np.array_equal(record.prediction, expect.adjacency.astype(float))
         knn_graph = load_graph(os.path.join(out, "knn_graph.csv"))
         assert knn_graph == expect
@@ -753,14 +764,6 @@ class TestRunBenchmark:
                 assert os.path.join("instances", i, name) in serial
         assert "results.csv" in serial
         assert serial == pooled
-
-    def test_pool_workers_run_single_threaded_blas(self):
-        before = _blas_threads()
-        if before is None:
-            pytest.skip("numpy does not bundle OpenBLAS")
-        with pipeline._worker_pool(2) as pool:
-            assert {pool.submit(_blas_threads).result() for _ in range(4)} == {1}
-        assert _blas_threads() == before
 
     def test_easy_regime_clears_point_nine(self, tmp_path):
         # Sanity sweep on a deliberately easy suite: every weight at the
@@ -1109,6 +1112,28 @@ class TestCli:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("basis", [b.value for b in Basis])
+    def test_make_trainset_outputs_match_golden_hashes(self, tmp_path, basis):
+        reason = _golden_build_mismatch()
+        if reason is not None:
+            pytest.skip(reason)
+        instance = generate_instance(SpecTriple.parse("rff", "laplace", "sf"), 5, 60, 3)
+        save_dataset(instance.data, str(tmp_path / "data.csv"))
+        graphs_dir = tmp_path / "graphs"
+        graphs_dir.mkdir()
+        rng = make_rng(4)
+        graphs = [instance.scm.dag, Dag(np.zeros((5, 5), dtype=np.int8))]
+        graphs += [random_er(5, 5.0, rng) for _ in range(3)]
+        for k, g in enumerate(graphs):
+            save_graph(g, str(graphs_dir / f"g{k}.csv"))
+        out = tmp_path / "ts"
+        args = ["--data", str(tmp_path / "data.csv"), "--graphs", str(graphs_dir), "--out", str(out)]
+        rc = cli_main(["make-trainset", *args, "--basis", basis, "--basis-size", "4", "--seed", "7"])
+        assert rc == 0
+        expected = {"datasets.npy": TRAINSET_DATASETS_SHA256[basis], "graphs.npy": TRAINSET_GRAPHS_SHA256}
+        for name, digest in expected.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_invalid_trainset_exits_two(self, tmp_path, capsys):
         # an instance_### directory is the old layout, which train no longer reads

@@ -95,8 +95,9 @@ class TestRefineTrace:
         data, _ = _linear_instance(seed)
         config = RefineConfig(n_steps=n_steps, collect_k=40, **cfg_kwargs)
         rng = make_rng(seed + 7)
-        seed_dag = init_seed(data, SeedMode.RANDOM_DAG, rng)
-        trace = refine(data, seed_dag, config, rng)
+        engine = ScoreEngine(data, config.score)
+        seed_dag = init_seed(engine, SeedMode.RANDOM_DAG, rng)
+        trace = refine(engine, seed_dag, config, rng)
         return data, config, trace
 
     def test_replay_matches_recorded_scores_exactly(self):
@@ -145,14 +146,14 @@ class TestRefineTrace:
     def test_collect_truncates_to_n_steps(self):
         data, _ = _linear_instance(5)
         config = RefineConfig(n_steps=10, collect_k=200)
-        trace = refine(data, empty_dag(data.d), config, make_rng(0))
+        trace = refine(ScoreEngine(data), empty_dag(data.d), config, make_rng(0))
         assert len(trace.collected) == 10
 
     def test_zero_steps_returns_seed_everywhere(self):
         data, _ = _linear_instance(6)
         config = RefineConfig(n_steps=0, collect_k=5)
         seed_dag = empty_dag(data.d)
-        trace = refine(data, seed_dag, config, make_rng(0))
+        trace = refine(ScoreEngine(data), seed_dag, config, make_rng(0))
         assert trace.steps == []
         assert trace.collected == []
         assert trace.best_dag == seed_dag
@@ -162,10 +163,10 @@ class TestRefineTrace:
     def test_dedup_collects_unique_graphs_in_first_seen_order(self):
         data, _ = _linear_instance(7)
         config = RefineConfig(n_steps=120, collect_k=120, dedup_collected=True)
-        trace = refine(data, empty_dag(data.d), config, make_rng(1))
+        trace = refine(ScoreEngine(data), empty_dag(data.d), config, make_rng(1))
         assert len(set(trace.collected)) == len(trace.collected)
         undeduped = refine(
-            data,
+            ScoreEngine(data),
             empty_dag(data.d),
             RefineConfig(n_steps=120, collect_k=120),
             make_rng(1),
@@ -188,9 +189,9 @@ class TestRefineTrace:
     def test_bit_exact_reproducibility(self):
         data, _ = _linear_instance(10)
         config = RefineConfig(n_steps=80, collect_k=20)
-        seed_dag = init_seed(data, SeedMode.RANDOM_DAG, make_rng(2))
-        a = refine(data, seed_dag, config, make_rng(3))
-        b = refine(data, seed_dag, config, make_rng(3))
+        seed_dag = init_seed(ScoreEngine(data), SeedMode.RANDOM_DAG, make_rng(2))
+        a = refine(ScoreEngine(data), seed_dag, config, make_rng(3))
+        b = refine(ScoreEngine(data), seed_dag, config, make_rng(3))
         assert a.steps == b.steps
         assert a.final_dag == b.final_dag
         assert [g for g in a.collected] == [g for g in b.collected]
@@ -199,7 +200,7 @@ class TestRefineTrace:
     def test_near_zero_temperature_is_monotone(self):
         data, _ = _linear_instance(11)
         config = RefineConfig(n_steps=120, collect_k=10, temperature=1e-12)
-        trace = refine(data, empty_dag(data.d), config, make_rng(4))
+        trace = refine(ScoreEngine(data), empty_dag(data.d), config, make_rng(4))
         totals = [trace.seed_score.total]
         for rec in trace.steps:
             if rec.accepted:
@@ -208,7 +209,7 @@ class TestRefineTrace:
 
     def test_single_node_dataset_has_no_moves(self):
         data = Dataset(make_rng(0).normal(size=(40, 1)))
-        trace = refine(data, empty_dag(1), RefineConfig(n_steps=3, collect_k=2), make_rng(1))
+        trace = refine(ScoreEngine(data), empty_dag(1), RefineConfig(n_steps=3, collect_k=2), make_rng(1))
         assert all(rec.move is None and not rec.accepted for rec in trace.steps)
         assert all(rec.alpha == 0.0 for rec in trace.steps)
         assert len(trace.collected) == 2
@@ -220,7 +221,7 @@ class TestRefineTrace:
             collect_k=200,
             score=ScoreConfig(regressor=RegressorConfig(max_in_degree=2)),
         )
-        trace = refine(data, empty_dag(data.d), cfg, make_rng(5))
+        trace = refine(ScoreEngine(data, cfg.score), empty_dag(data.d), cfg, make_rng(5))
         for g in trace.collected:
             assert int(g.in_degrees().max()) <= 2
 
@@ -239,7 +240,7 @@ class TestAcceptanceFrequency:
             temperature=0.5,
             score=ScoreConfig(sparsity_weight=0.5),
         )
-        trace = refine(data, empty_dag(2), config, make_rng(22))
+        trace = refine(ScoreEngine(data, config.score), empty_dag(2), config, make_rng(22))
         groups = {}
         for rec in trace.steps:
             key = (rec.s_curr, rec.s_cand, rec.move.to_json()["kind"])
@@ -258,22 +259,22 @@ class TestAcceptanceFrequency:
 class TestInitSeed:
     def test_random_dag_deterministic(self):
         data, _ = _linear_instance(30)
-        a = init_seed(data, SeedMode.RANDOM_DAG, make_rng(1))
-        b = init_seed(data, "random_dag", make_rng(1))
+        a = init_seed(ScoreEngine(data), SeedMode.RANDOM_DAG, make_rng(1))
+        b = init_seed(ScoreEngine(data), "random_dag", make_rng(1))
         assert a == b
         assert a.d == data.d
 
     def test_random_dag_within_cap_is_the_drawn_graph(self):
         data = noise_dataset(0, d=8, n=40)
-        assert init_seed(data, SeedMode.RANDOM_DAG, make_rng(4)) == random_er(8, 8.0, make_rng(4))
+        assert init_seed(ScoreEngine(data), SeedMode.RANDOM_DAG, make_rng(4)) == random_er(8, 8.0, make_rng(4))
 
     def test_random_dag_trims_parents_over_cap(self):
         # expected_edges = C(8, 2) draws a complete DAG: in-degrees 0..7
         data = noise_dataset(0, d=8, n=40)
-        cfg = ScoreConfig(regressor=RegressorConfig(max_in_degree=2))
+        engine = ScoreEngine(data, ScoreConfig(regressor=RegressorConfig(max_in_degree=2)))
         drawn = random_er(8, 28.0, make_rng(3))
         seeds = [
-            init_seed(data, SeedMode.RANDOM_DAG, make_rng(3), score_config=cfg, expected_edges=28.0)
+            init_seed(engine, SeedMode.RANDOM_DAG, make_rng(3), expected_edges=28.0)
             for _ in range(2)
         ]
         assert seeds[0] == seeds[1]
@@ -286,9 +287,7 @@ class TestInitSeed:
         dag = dag_from_edges(5, [(0, 1), (1, 2), (3, 4)])
         path = str(tmp_path / "seed.csv")
         save_graph(dag, path)
-        loaded = init_seed(
-            data, SeedMode.FROM_FILE, make_rng(0), seed_graph_path=path
-        )
+        loaded = init_seed(ScoreEngine(data), SeedMode.FROM_FILE, make_rng(0), seed_graph_path=path)
         assert loaded == dag
 
     def test_from_file_dimension_mismatch(self, tmp_path):
@@ -296,12 +295,12 @@ class TestInitSeed:
         path = str(tmp_path / "seed.csv")
         save_graph(dag_from_edges(3, [(0, 1)]), path)
         with pytest.raises(ConfigError):
-            init_seed(data, SeedMode.FROM_FILE, make_rng(0), seed_graph_path=path)
+            init_seed(ScoreEngine(data), SeedMode.FROM_FILE, make_rng(0), seed_graph_path=path)
 
     def test_from_file_requires_path(self):
         data, _ = _linear_instance(33)
         with pytest.raises(ConfigError):
-            init_seed(data, SeedMode.FROM_FILE, make_rng(0))
+            init_seed(ScoreEngine(data), SeedMode.FROM_FILE, make_rng(0))
 
     def test_from_file_rejects_cyclic_adjacency(self, tmp_path):
         data, _ = _linear_instance(34)
@@ -310,14 +309,12 @@ class TestInitSeed:
         rows[0, 1] = rows[1, 0] = 1
         path.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
         with pytest.raises(StructuralInputError):
-            init_seed(
-                data, SeedMode.FROM_FILE, make_rng(0), seed_graph_path=str(path)
-            )
+            init_seed(ScoreEngine(data), SeedMode.FROM_FILE, make_rng(0), seed_graph_path=str(path))
 
     def test_greedy_mode_matches_direct_call(self):
         data, _ = _linear_instance(35)
-        via_init = init_seed(data, SeedMode.GREEDY, make_rng(0))
-        direct = greedy_hill_climb(data)
+        via_init = init_seed(ScoreEngine(data), SeedMode.GREEDY, make_rng(0))
+        direct = greedy_hill_climb(ScoreEngine(data))
         assert via_init == direct
 
     def test_greedy_seed_scores_at_least_random(self):
@@ -326,8 +323,8 @@ class TestInitSeed:
         for seed in range(10):
             data, _ = _linear_instance(200 + seed, d=10, n=200, expected_edges=10.0)
             engine = ScoreEngine(data)
-            greedy = greedy_hill_climb(data, engine=engine)
-            random_seed = init_seed(data, SeedMode.RANDOM_DAG, make_rng(seed))
+            greedy = greedy_hill_climb(engine)
+            random_seed = init_seed(engine, SeedMode.RANDOM_DAG, make_rng(seed))
             if engine.score(greedy).total >= engine.score(random_seed).total:
                 wins += 1
         assert wins == 10
@@ -336,7 +333,7 @@ class TestInitSeed:
 class TestGreedyHillClimb:
     def test_pure_noise_with_heavy_penalty_stays_empty(self):
         data = noise_dataset(40, d=4, n=300)
-        result = greedy_hill_climb(data, ScoreConfig(sparsity_weight=5.0))
+        result = greedy_hill_climb(ScoreEngine(data, ScoreConfig(sparsity_weight=5.0)))
         assert result.edge_count == 0
 
     def test_strong_pair_yields_single_connecting_edge(self):
@@ -344,14 +341,14 @@ class TestGreedyHillClimb:
         x0 = rng.normal(size=500)
         x1 = 2.0 * x0 + 0.05 * rng.normal(size=500)
         data = Dataset(np.column_stack([x0, x1]))
-        result = greedy_hill_climb(data)
+        result = greedy_hill_climb(ScoreEngine(data))
         assert result.edge_count == 1
         assert result.has_edge(0, 1) or result.has_edge(1, 0)
 
     def test_result_is_local_optimum(self):
         data, _ = _linear_instance(42, d=6, n=150, expected_edges=6.0)
         engine = ScoreEngine(data)
-        result = greedy_hill_climb(data, engine=engine)
+        result = greedy_hill_climb(engine)
         base = engine.score(result).total
         cap = engine.config.regressor.max_in_degree
         for move in feasible_moves(result, cap):
@@ -360,20 +357,20 @@ class TestGreedyHillClimb:
     def test_restart_from_optimum_is_fixed_point(self):
         data, _ = _linear_instance(43)
         engine = ScoreEngine(data)
-        result = greedy_hill_climb(data, engine=engine)
-        again = greedy_hill_climb(data, engine=engine, start=result)
+        result = greedy_hill_climb(engine)
+        again = greedy_hill_climb(engine, start=result)
         assert again == result
 
     def test_zero_rounds_returns_start(self):
         data, _ = _linear_instance(44)
-        result = greedy_hill_climb(data, max_rounds=0)
+        result = greedy_hill_climb(ScoreEngine(data), max_rounds=0)
         assert result.edge_count == 0
 
     def test_recovers_true_chain_on_easy_data(self):
         data = linear_dataset(45, d=3, n=2000, weight=1.5, noise=0.5)
         # moderate penalty: large enough to kill finite-sample phantom
         # edges, far below the gain of a true edge
-        result = greedy_hill_climb(data, ScoreConfig(sparsity_weight=0.05))
+        result = greedy_hill_climb(ScoreEngine(data, ScoreConfig(sparsity_weight=0.05)))
         truth = dag_from_edges(3, [(0, 1), (1, 2)])
         # skeleton match: greedy on linear-gaussian data may orient freely
         assert np.array_equal(
@@ -407,11 +404,11 @@ class TestGreedyAgainstFullRescore:
             sparsity_weight=sparsity_weight,
             regressor=RegressorConfig(basis_size=3, max_in_degree=cap),
         )
-        start = None
-        if from_random_start:
-            start = init_seed(data, "random_dag", make_rng(seed + 1), score_config=config)
         engine, oracle_engine = ScoreEngine(data, config), ScoreEngine(data, config)
-        result = greedy_hill_climb(data, max_rounds=max_rounds, engine=engine, start=start)
+        start = None
+        if from_random_start:  # a random draw scores nothing, so the cache stays empty
+            start = init_seed(engine, "random_dag", make_rng(seed + 1))
+        result = greedy_hill_climb(engine, max_rounds=max_rounds, start=start)
         expected = greedy_full_rescore(
             oracle_engine, start if start is not None else empty_dag(d), max_rounds, cap
         )

@@ -13,8 +13,6 @@ from causalign.scoring import (
     ScoreConfig,
     ScoreEngine,
     ScoreValue,
-    ad_likelihood,
-    score,
 )
 
 from conftest import dag_from_edges, empty_dag, linear_dataset, make_rng
@@ -42,7 +40,7 @@ class TestScoreConfig:
 class TestAdLikelihood:
     def test_empty_graph_on_standard_normal(self):
         data = Dataset(make_rng(0).normal(size=(5000, 3)))
-        val = ad_likelihood(empty_dag(3), data, LINEAR_CFG)
+        val = ScoreEngine(data, LINEAR_CFG).ad(empty_dag(3))
         assert val == pytest.approx(-0.5 * math.log(2 * math.pi) - 0.5, abs=0.03)
 
     def test_deterministic_node_term_is_large_positive(self):
@@ -61,8 +59,8 @@ class TestAdLikelihood:
                 expected_edges=4.0, weight_range=(1.0, 2.0),
             )
             data = forward_sample(scm, 2000, rng)
-            true_ad = ad_likelihood(scm.dag, data, LINEAR_CFG)
-            empty_ad = ad_likelihood(empty_dag(4), data, LINEAR_CFG)
+            true_ad = ScoreEngine(data, LINEAR_CFG).ad(scm.dag)
+            empty_ad = ScoreEngine(data, LINEAR_CFG).ad(empty_dag(4))
             assert true_ad >= empty_ad
 
     def test_degree_cap_propagates(self):
@@ -74,47 +72,47 @@ class TestAdLikelihood:
         cfg = ScoreConfig(regressor=RegressorConfig(basis=Basis.LINEAR, max_in_degree=3))
         data = Dataset(make_rng(2).normal(size=(50, d)))
         with pytest.raises(DegreeCapError):
-            ad_likelihood(Dag(adj), data, cfg)
+            ScoreEngine(data, cfg).ad(Dag(adj))
 
 
 class TestScore:
     def test_lambda_zero_total_equals_ad(self):
         data = linear_dataset(10, d=3, n=200)
         cfg = ScoreConfig(sparsity_weight=0.0, regressor=RegressorConfig(basis=Basis.LINEAR))
-        val = score(dag_from_edges(3, [(0, 1)]), data, cfg)
+        val = ScoreEngine(data, cfg).score(dag_from_edges(3, [(0, 1)]))
         assert val.total == val.ad
 
     def test_empty_graph_sparsity_zero(self):
         data = linear_dataset(11, d=3, n=200)
-        val = score(empty_dag(3), data, LINEAR_CFG)
+        val = ScoreEngine(data, LINEAR_CFG).score(empty_dag(3))
         assert val.sparsity == 0
         assert val.total == val.ad
 
     def test_total_recomputable_from_parts(self):
         data = linear_dataset(12, d=3, n=200)
         g = dag_from_edges(3, [(0, 1), (1, 2)])
-        val = score(g, data, LINEAR_CFG)
+        val = ScoreEngine(data, LINEAR_CFG).score(g)
         assert val.sparsity == g.edge_count
         assert val.total == pytest.approx(val.ad - val.sparsity_weight * val.sparsity)
 
     def test_adding_edge_never_hurts_ad_but_can_hurt_total(self):
         data = Dataset(make_rng(13).normal(size=(300, 3)))  # independent noise
         cfg = ScoreConfig(sparsity_weight=0.5, regressor=RegressorConfig(basis=Basis.LINEAR))
-        base = score(empty_dag(3), data, cfg)
-        bigger = score(dag_from_edges(3, [(0, 1)]), data, cfg)
+        base = ScoreEngine(data, cfg).score(empty_dag(3))
+        bigger = ScoreEngine(data, cfg).score(dag_from_edges(3, [(0, 1)]))
         assert bigger.ad >= base.ad - 1e-6
         assert bigger.total < base.total  # spurious-edge gain < lambda
 
     def test_pure_function(self):
         data = linear_dataset(14, d=3, n=150)
         g = dag_from_edges(3, [(0, 1)])
-        a = score(g, data, LINEAR_CFG)
-        b = score(g, data, LINEAR_CFG)
+        a = ScoreEngine(data, LINEAR_CFG).score(g)
+        b = ScoreEngine(data, LINEAR_CFG).score(g)
         assert a.total == b.total and a.ad == b.ad
 
     def test_json_keys(self):
         data = linear_dataset(15, d=3, n=100)
-        obj = score(dag_from_edges(3, [(0, 2)]), data, LINEAR_CFG).to_json()
+        obj = ScoreEngine(data, LINEAR_CFG).score(dag_from_edges(3, [(0, 2)])).to_json()
         assert set(obj) == {"ad", "sparsity", "total", "lambda"}
 
     def test_true_graph_in_top3_of_exhaustive_sweep(self):

