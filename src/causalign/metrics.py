@@ -4,7 +4,8 @@ All metrics treat the d*(d-1) off-diagonal cells of the score matrix as
 independent binary decisions about ordered pairs; the diagonal never
 participates. AUROC uses the midrank (tie-aware) formulation, AUPRC is
 step-interpolated average precision, and F1/accuracy binarize at a
-threshold (0.5 by default).
+threshold (0.5 by default). AUROC and AUPRC need both classes: a report
+on a truth without edges (or without non-edges) leaves them None.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MetricReport:
-    auroc: float
-    auprc: float
+    auroc: float | None
+    auprc: float | None
     f1: float
     acc: float
     threshold: float
@@ -134,14 +135,16 @@ def f1_acc(scores, truth: Dag, threshold: float = 0.5) -> tuple[float, float]:
 
 
 def evaluate(scores, truth: Dag, threshold: float = 0.5) -> MetricReport:
-    """All four metrics in one report."""
+    """All four metrics in one report; AUROC and AUPRC are None when the
+    truth has no positive or no negative off-diagonal cell."""
     y_score, y_true = _offdiag(scores, truth)
     n_pos = int(y_true.sum())
     n_neg = y_true.size - n_pos
     f1, acc = f1_acc(scores, truth, threshold)
+    ranked = n_pos > 0 and n_neg > 0
     return MetricReport(
-        auroc=auroc(scores, truth),
-        auprc=auprc(scores, truth),
+        auroc=auroc(scores, truth) if ranked else None,
+        auprc=auprc(scores, truth) if ranked else None,
         f1=f1,
         acc=acc,
         threshold=threshold,
@@ -151,13 +154,17 @@ def evaluate(scores, truth: Dag, threshold: float = 0.5) -> MetricReport:
 
 
 def aggregate(reports: list[MetricReport]) -> dict:
-    """Per-metric mean and sample standard deviation (ddof=1; a single
-    report aggregates with std 0.0)."""
+    """Per-metric count `n`, mean and sample standard deviation over the
+    reports where the metric is defined (ddof=1; a single value has std
+    0.0, and a metric defined in no report has None for both)."""
     if not reports:
         raise ConfigError("aggregate needs at least one report")
     out = {}
     for name in ("auroc", "auprc", "f1", "acc"):
-        vals = np.array([getattr(r, name) for r in reports], dtype=float)
+        vals = np.array([v for r in reports if (v := getattr(r, name)) is not None], dtype=float)
+        if vals.size == 0:
+            out[name] = {"n": 0, "mean": None, "std": None}
+            continue
         std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-        out[name] = {"mean": float(vals.mean()), "std": std}
+        out[name] = {"n": int(vals.size), "mean": float(vals.mean()), "std": std}
     return out

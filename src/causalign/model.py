@@ -5,8 +5,8 @@ graphs that induced them. Each ordered node pair is summarized by a fixed
 16-dimensional feature vector and a small MLP (two tanh hidden layers of
 width 64, sigmoid output) is trained with mini-batch gradient descent to
 predict edge membership. A 1-nearest-neighbor reduction that just returns
-the best-scoring training graph is provided as the degenerate special
-case of the same interface.
+the best-scoring collected graph is the degenerate special case: it reads
+only the graphs and the score, so it needs no synthesized data.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _rank_std(x: np.ndarray) -> np.ndarray:
     the values arrived in.
     """
     n = x.shape[0]
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)  # any sort kind: tied values share one midrank
     sx = x[order]
     mu = (n + 1) / 2.0
     tied = sx[1:] == sx[:-1]
@@ -551,10 +551,10 @@ def predict(predictor: EdgePredictor, dataset: Dataset) -> np.ndarray:
     return out
 
 
-def knn_score_predict(training_set: TrainingSet, engine: ScoreEngine) -> Dag:
-    """1-nearest-neighbor on the score: return the training graph whose
+def knn_score_predict(graphs: list[Dag], engine: ScoreEngine) -> Dag:
+    """1-nearest-neighbor on the score: return the candidate graph whose
     total engine score against the test dataset is highest (ties -> lowest
-    index). A run passes the engine its search filled, so graphs it
-    visited cost no refit."""
-    totals = np.array([engine.score(g).total for _, g in training_set.instances])
-    return training_set.instances[int(np.argmax(totals))][1]
+    index). A run passes its collected graphs and the engine its search
+    filled, so graphs it visited cost no refit."""
+    totals = np.array([engine.score(g).total for g in graphs])
+    return graphs[int(np.argmax(totals))]

@@ -354,18 +354,16 @@ def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | No
         if config.stages == "refine_only":
             run.save_prediction(_adj_float(trace.best_dag))
 
-    if config.stages != "refine_only":
+    if config.stages == "knn_only":
+        with run.stage("knn_select"):
+            knn_dag = knn_score_predict(trace.collected, engine)
+            run.save("knn_graph", "knn_graph.csv", save_graph, knn_dag)
+            run.save_prediction(_adj_float(knn_dag))
+    elif config.stages == "full":
         with run.stage("generate_training_set"):
             training_set = generate_training_set(trace.collected, engine, streams["trainset"])
             record.training_set_size = len(training_set.instances)
             run.save("trainset", "trainset", save_training_set, training_set)
-
-    if config.stages == "knn_only":
-        with run.stage("knn_select"):
-            knn_dag = knn_score_predict(training_set, engine)
-            run.save("knn_graph", "knn_graph.csv", save_graph, knn_dag)
-            run.save_prediction(_adj_float(knn_dag))
-    elif config.stages == "full":
         with run.stage("train"):
             train_cfg = config.train
             if train_cfg.seed is None:
@@ -635,10 +633,12 @@ def run_benchmark(
     """Generate `instances` test instances from the config's generator,
     run the pipeline on each, and write per-instance and aggregate tables.
 
-    results.csv has one row per (instance, method, metric); summary.csv
-    aggregates mean and sample std (ddof=1, 0.0 for a single instance)
-    over successful instances. Failures are listed in errors.json and
-    excluded from aggregates. Returns the summary rows.
+    results.csv has one row per (instance, method, metric), with an empty
+    value where the metric is undefined (AUROC and AUPRC on an edgeless
+    truth); summary.csv gives, per method and metric, the number `n` of
+    defined values over successful instances and their mean and sample
+    std (ddof=1, 0.0 for a single value). Failures are listed in
+    errors.json and excluded from aggregates. Returns the summary rows.
     """
     setting_label, seeds = _suite_setup(config, setting, instances, out_dir, "benchmark")
     configs = [
@@ -675,7 +675,7 @@ def run_benchmark(
     _write_csv(
         os.path.join(out_dir, "summary.csv"),
         summary,
-        ["setting", "method", "metric", "mean", "std"],
+        ["setting", "method", "metric", "n", "mean", "std"],
     )
     _write_errors(out_dir, errors)
     return summary

@@ -1,6 +1,7 @@
 """Tests for edge-probability evaluation metrics against independent
 threshold-sweep references."""
 
+import json
 import math
 
 import numpy as np
@@ -203,6 +204,15 @@ class TestEvaluate:
         assert report.n_positive == truth.edge_count
         assert report.n_negative == truth.d * (truth.d - 1) - truth.edge_count
 
+    def test_edgeless_truth_leaves_ranking_metrics_undefined(self):
+        scores = _score_matrix(4, 0.3)
+        scores[0, 1] = 0.7
+        report = evaluate(scores, empty_dag(4))
+        assert (report.auroc, report.auprc) == (None, None)
+        assert (report.f1, report.acc) == f1_acc(scores, empty_dag(4))
+        assert (report.n_positive, report.n_negative) == (0, 12)
+        assert json.loads(json.dumps(report.to_json()))["auroc"] is None
+
     def test_json_keys(self):
         rng = make_rng(8)
         scores, truth = _random_case(rng)
@@ -236,6 +246,25 @@ class TestAggregate:
         out = aggregate([self._report(0.7)])
         assert out["auroc"]["mean"] == 0.7
         assert out["auroc"]["std"] == 0.0
+
+    def test_undefined_values_are_left_out_and_counted(self):
+        undefined = MetricReport(
+            auroc=None, auprc=None, f1=0.5, acc=0.5, threshold=0.5, n_positive=0, n_negative=6
+        )
+        out = aggregate([self._report(0.8), undefined, self._report(0.9)])
+        assert out["auroc"]["n"] == out["auprc"]["n"] == 2
+        assert out["auroc"]["mean"] == pytest.approx(0.85, abs=1e-12)
+        assert out["auroc"]["std"] == pytest.approx(math.sqrt(0.005), abs=1e-12)
+        assert out["f1"]["n"] == 3
+        assert out["f1"]["mean"] == pytest.approx((0.8 + 0.5 + 0.9) / 3, abs=1e-12)
+
+    def test_metric_defined_nowhere_has_no_mean(self):
+        undefined = MetricReport(
+            auroc=None, auprc=None, f1=0.0, acc=1.0, threshold=0.5, n_positive=0, n_negative=6
+        )
+        out = aggregate([undefined])
+        assert out["auroc"] == {"n": 0, "mean": None, "std": None}
+        assert out["acc"] == {"n": 1, "mean": 1.0, "std": 0.0}
 
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigError):

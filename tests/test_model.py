@@ -444,7 +444,7 @@ class TestKnnScorePredict:
         ]
         engine = ScoreEngine(data)
         ts = generate_training_set(graphs, engine, make_rng(0))
-        chosen = knn_score_predict(ts, engine)
+        chosen = knn_score_predict([g for _, g in ts.instances], engine)
         fresh = ScoreEngine(data)
         totals = [fresh.score(g).total for g in graphs]
         assert chosen == graphs[int(np.argmax(totals))]
@@ -454,4 +454,10 @@ class TestKnnScorePredict:
         chain = dag_from_edges(3, [(0, 1), (1, 2)])
         engine = ScoreEngine(data)
         ts = generate_training_set([empty_dag(3), chain], engine, make_rng(0))
-        assert knn_score_predict(ts, engine) == chain
+        assert knn_score_predict([g for _, g in ts.instances], engine) == chain
+
+    def test_ties_go_to_the_lowest_index(self):
+        data = linear_dataset(51, d=3, n=500, weight=2.0, noise=0.3)
+        first = dag_from_edges(3, [(0, 1), (1, 2)])
+        again = dag_from_edges(3, [(0, 1), (1, 2)])
+        assert knn_score_predict([empty_dag(3), first, again], ScoreEngine(data)) is first

@@ -13,12 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalign import pipeline, scoring
+from causalign import model, pipeline, scoring
 from causalign.cli import main as cli_main
 from causalign.errors import ConfigError, StageError
 from causalign.graph import Dag, random_er
-from causalign.io import load_dataset, load_graph, load_matrix, load_training_set, save_dataset, save_graph
-from causalign.model import knn_score_predict
+from causalign.io import load_dataset, load_graph, load_matrix, save_dataset, save_graph
 from causalign.pipeline import (
     BENCHMARK_METHODS,
     BENCHMARK_METRICS,
@@ -598,14 +597,57 @@ class TestRunPipelineSmall:
     def test_knn_only_matches_direct_selection(self, tmp_path):
         config = _small_config(str(tmp_path / "r"), seed=10, stages="knn_only")
         record = run_pipeline(config)
-        out = config.out_dir
-        data = load_dataset(os.path.join(out, "data.csv"))
-        ts = load_training_set(os.path.join(out, "trainset"))
-        expect = knn_score_predict(ts, ScoreEngine(data, config.refine.score))
+        out = Path(config.out_dir)
+        fresh = ScoreEngine(load_dataset(str(out / "data.csv")), config.refine.score)
+        graphs = [load_graph(str(p)) for p in sorted((out / "graphs").glob("collected_*.csv"))]
+        assert len(graphs) == record.collected_count
+        totals = [fresh.score(g).total for g in graphs]
+        expect = graphs[totals.index(max(totals))]  # the lowest index among ties
+        assert load_graph(str(out / "knn_graph.csv")) == expect
         assert np.array_equal(record.prediction, expect.adjacency.astype(float))
-        knn_graph = load_graph(os.path.join(out, "knn_graph.csv"))
-        assert knn_graph == expect
-        assert not os.path.exists(os.path.join(out, "predictor.json"))
+        assert np.array_equal(load_matrix(str(out / "prediction.csv")), expect.adjacency.astype(float))
+        assert not (out / "predictor.json").exists()
+
+    def test_knn_only_synthesizes_no_training_set(self, tmp_path, monkeypatch):
+        calls = {"generate_training_set": 0, "sample_from_fitted": 0}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(pipeline, "generate_training_set")
+        counted(model, "sample_from_fitted")
+        config = _small_config(str(tmp_path / "r"), seed=10, stages="knn_only")
+        record = run_pipeline(config)
+        assert calls == {"generate_training_set": 0, "sample_from_fitted": 0}
+        assert record.training_set_size is None
+        assert json.loads((tmp_path / "r" / "run_record.json").read_text())["training_set_size"] is None
+        assert not (tmp_path / "r" / "trainset").exists()
+        assert "generate_training_set" not in record.timings
+        # the counters see a full run's synthesis
+        run_pipeline(dataclasses.replace(config, stages="full", out_dir=None))
+        assert calls == {"generate_training_set": 1, "sample_from_fitted": config.refine.collect_k}
+
+    @pytest.mark.parametrize("stages", ["full", "knn_only", "refine_only"])
+    def test_edgeless_truth_finishes_with_undefined_ranking_metrics(self, tmp_path, stages):
+        data = Dataset(make_rng(4).normal(size=(60, 4)))
+        truth = Dag(np.zeros((4, 4), dtype=np.int8))
+        out = tmp_path / "r"
+        record = run_pipeline(_small_config(str(out), stages=stages, generator=None), data, truth)
+        assert record.status == "ok"
+        persisted = json.loads((out / "run_record.json").read_text())
+        assert (persisted["status"], persisted["failed_stage"]) == ("ok", None)
+        assert "evaluate" in json.loads((out / "timings.json").read_text())
+        metrics = json.loads((out / "metrics.json").read_text())
+        for method in BENCHMARK_METHODS:
+            assert metrics[method]["auroc"] is None and metrics[method]["auprc"] is None
+            assert 0.0 <= metrics[method]["f1"] <= 1.0 and 0.0 <= metrics[method]["acc"] <= 1.0
+            assert (metrics[method]["n_positive"], metrics[method]["n_negative"]) == (0, 12)
 
     def test_knn_select_reuses_the_runs_score_engine(self, tmp_path, monkeypatch):
         # the search has scored every training graph, so selection refits
@@ -660,7 +702,7 @@ class TestRunPipelineSmall:
 # does each stage's work
 MODE_STAGES = {
     "full": ("load_data", "init_seed", "refine", "generate_training_set", "train", "predict", "evaluate"),
-    "knn_only": ("load_data", "init_seed", "refine", "generate_training_set", "knn_select", "evaluate"),
+    "knn_only": ("load_data", "init_seed", "refine", "knn_select", "evaluate"),
     "refine_only": ("load_data", "init_seed", "refine", "evaluate"),
 }
 STAGE_CALLEES = {
@@ -719,6 +761,40 @@ class TestRunBenchmark:
         assert json.load(open(os.path.join(out, "errors.json"))) == []
         assert os.path.isdir(os.path.join(out, "instances", "000"))
         assert os.path.isdir(os.path.join(out, "instances", "001"))
+
+    def test_edgeless_instance_is_kept_with_empty_ranking_metrics(self, tmp_path):
+        # at this seed, one of the four d=3 truths has no edge
+        gen = GeneratorConfig(d=3, n=60, expected_edges=1.0)
+        out = tmp_path / "b"
+        summary = run_benchmark(_small_config(generator=gen, stages="refine_only"), "iid", 4, str(out))
+        edgeless = [
+            i for i in range(4) if not load_graph(str(out / "instances" / f"{i:03d}" / "truth_graph.csv")).edge_count
+        ]
+        assert len(edgeless) == 1
+        assert json.loads((out / "errors.json").read_text()) == []
+        import csv
+
+        with open(out / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4 * len(BENCHMARK_METHODS) * len(BENCHMARK_METRICS)
+        with open(out / "summary.csv") as fh:
+            on_disk = list(csv.DictReader(fh))
+        assert list(on_disk[0]) == ["setting", "method", "metric", "n", "mean", "std"]
+        for row in summary:
+            cells = {
+                int(r["instance"]): r["value"]
+                for r in rows
+                if (r["method"], r["metric"]) == (row["method"], row["metric"])
+            }
+            defined = [float(v) for v in cells.values() if v != ""]
+            if row["metric"] in ("auroc", "auprc"):
+                assert cells[edgeless[0]] == ""
+                assert len(defined) == 3
+            else:
+                assert len(defined) == 4
+            assert row["n"] == len(defined)
+            assert row["mean"] == pytest.approx(np.mean(defined), abs=1e-12)
+            assert row["std"] == pytest.approx(np.std(defined, ddof=1), abs=1e-12)
 
     def test_single_instance_has_zero_std(self, tmp_path):
         summary = run_benchmark(_small_config(), "iid", 1, str(tmp_path / "b"))
