@@ -9,204 +9,34 @@ then scores every ordered variable pair of the original data, yielding
 an edge probability matrix.
 """
 
-from .errors import (
-    CausalignError,
-    ConfigError,
-    DataFormatError,
-    DegreeCapError,
-    InputQualityError,
-    MoveInfeasibleError,
-    NumericalError,
-    StageError,
-    StructuralInputError,
-    UndefinedMetricError,
-)
-from .graph import (
-    Dag,
-    EdgeMove,
-    MoveKind,
-    apply_move,
-    feasible_moves,
-    is_acyclic,
-    random_er,
-    random_sf,
-    topological_order,
-)
-from .scm import (
-    CausalInstance,
-    Dataset,
-    GraphModel,
-    MechanismFamily,
-    NoiseFamily,
-    ScmInstance,
-    ShiftSetting,
-    ShiftSuite,
-    SpecTriple,
-    eval_mechanism,
-    forward_sample,
-    generate_instance,
-    make_shift_suite,
-    plan_shift_suite,
-    sample_scm,
-)
-from .sim import (
-    SIGMA_FLOOR,
-    Basis,
-    FittedNode,
-    FittedScm,
-    RegressorConfig,
-    fit_node,
-    predict_node,
-    sample_from_fitted,
-)
-from .scoring import (
-    ScoreConfig,
-    ScoreEngine,
-    ScoreValue,
-)
-from .refine import (
-    RefineConfig,
-    RefineTrace,
-    SeedMode,
-    StepRecord,
-    acceptance_probability,
-    greedy_hill_climb,
-    init_seed,
-    refine,
-)
-from .model import (
-    PAIR_FEATURE_NAMES,
-    EdgePredictor,
-    TrainConfig,
-    TrainingSet,
-    featurize_all,
-    generate_training_set,
-    knn_score_predict,
-    pair_order,
-    predict,
-    train,
-)
-from .metrics import MetricReport, aggregate, auprc, auroc, evaluate, f1_acc
-from .io import (
-    load_dataset,
-    load_graph,
-    load_instance_bundle,
-    load_matrix,
-    load_training_set,
-    save_dataset,
-    save_graph,
-    save_instance_bundle,
-    save_matrix,
-    save_trace_jsonl,
-    save_training_set,
-)
-from .pipeline import (
-    GeneratorConfig,
-    PipelineConfig,
-    RunRecord,
-    run_ablation_sparsity,
-    run_benchmark,
-    run_pipeline,
-)
+# each module's __all__ is the one list of its public names; the package
+# exports their union. The aliases keep the modules reachable after the
+# star imports (causalign.refine becomes the refine function).
+from . import errors as _errors, graph as _graph, scm as _scm, sim as _sim, scoring as _scoring
+from . import refine as _refine, model as _model, metrics as _metrics, io as _io, pipeline as _pipeline
+from .errors import *
+from .graph import *
+from .scm import *
+from .sim import *
+from .scoring import *
+from .refine import *
+from .model import *
+from .metrics import *
+from .io import *
+from .pipeline import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "CausalignError",
-    "ConfigError",
-    "DataFormatError",
-    "DegreeCapError",
-    "InputQualityError",
-    "MoveInfeasibleError",
-    "NumericalError",
-    "StageError",
-    "StructuralInputError",
-    "UndefinedMetricError",
-    # graphs
-    "Dag",
-    "EdgeMove",
-    "MoveKind",
-    "apply_move",
-    "feasible_moves",
-    "is_acyclic",
-    "random_er",
-    "random_sf",
-    "topological_order",
-    # generators
-    "CausalInstance",
-    "Dataset",
-    "GraphModel",
-    "MechanismFamily",
-    "NoiseFamily",
-    "ScmInstance",
-    "ShiftSetting",
-    "ShiftSuite",
-    "SpecTriple",
-    "eval_mechanism",
-    "forward_sample",
-    "generate_instance",
-    "make_shift_suite",
-    "plan_shift_suite",
-    "sample_scm",
-    # structure-fitted mechanisms
-    "SIGMA_FLOOR",
-    "Basis",
-    "FittedNode",
-    "FittedScm",
-    "RegressorConfig",
-    "fit_node",
-    "predict_node",
-    "sample_from_fitted",
-    # scoring
-    "ScoreConfig",
-    "ScoreEngine",
-    "ScoreValue",
-    # refinement
-    "RefineConfig",
-    "RefineTrace",
-    "SeedMode",
-    "StepRecord",
-    "acceptance_probability",
-    "greedy_hill_climb",
-    "init_seed",
-    "refine",
-    # supervised model
-    "PAIR_FEATURE_NAMES",
-    "EdgePredictor",
-    "TrainConfig",
-    "TrainingSet",
-    "featurize_all",
-    "generate_training_set",
-    "knn_score_predict",
-    "pair_order",
-    "predict",
-    "train",
-    # metrics
-    "MetricReport",
-    "aggregate",
-    "auprc",
-    "auroc",
-    "evaluate",
-    "f1_acc",
-    # io
-    "load_dataset",
-    "load_graph",
-    "load_instance_bundle",
-    "load_matrix",
-    "load_training_set",
-    "save_dataset",
-    "save_graph",
-    "save_instance_bundle",
-    "save_matrix",
-    "save_trace_jsonl",
-    "save_training_set",
-    # pipeline
-    "GeneratorConfig",
-    "PipelineConfig",
-    "RunRecord",
-    "run_ablation_sparsity",
-    "run_benchmark",
-    "run_pipeline",
+    *_errors.__all__,
+    *_graph.__all__,
+    *_scm.__all__,
+    *_sim.__all__,
+    *_scoring.__all__,
+    *_refine.__all__,
+    *_model.__all__,
+    *_metrics.__all__,
+    *_io.__all__,
+    *_pipeline.__all__,
 ]

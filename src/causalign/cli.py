@@ -81,13 +81,21 @@ def _load_pipeline_config(args) -> PipelineConfig:
 
 
 def _preload(cfg: PipelineConfig):
-    """Resolve file inputs up front so unreadable paths exit 2, not 3."""
+    """Resolve file inputs up front so a missing data source or an
+    unreadable path exits 2, not 3."""
+    if cfg.data_path is None and cfg.generator is None:
+        raise ConfigError("no data source: give a data path or a generator section in --config")
     dataset = truth = None
     if cfg.data_path:
         dataset = load_dataset(cfg.data_path)
     if cfg.truth_path:
         truth = load_graph(cfg.truth_path)
     return dataset, truth
+
+
+def _fmt(value) -> str:
+    """A metric to 4 decimals; undefined (None) prints as n/a."""
+    return "n/a" if value is None else f"{value:.4f}"
 
 
 def _print_run_summary(record) -> None:
@@ -100,10 +108,7 @@ def _print_run_summary(record) -> None:
     )
     if record.metrics and "final" in record.metrics:
         final = record.metrics["final"]
-        print(
-            "final vs truth: auroc={auroc:.4f} auprc={auprc:.4f} "
-            "f1={f1:.4f} acc={acc:.4f}".format(**{k: final[k] for k in ("auroc", "auprc", "f1", "acc")})
-        )
+        print("final vs truth: " + " ".join(f"{k}={_fmt(final[k])}" for k in ("auroc", "auprc", "f1", "acc")))
 
 
 def cmd_generate(args) -> int:
@@ -124,8 +129,6 @@ def cmd_generate(args) -> int:
 def cmd_refine(args) -> int:
     cfg = _load_pipeline_config(args)
     cfg = dataclasses.replace(cfg, stages="refine_only")
-    if cfg.data_path is None and cfg.generator is None:
-        raise ConfigError("refine needs --data or a generator section in --config")
     dataset, truth = _preload(cfg)
     record = run_pipeline(cfg, dataset=dataset, truth=truth)
     _print_run_summary(record)
@@ -206,7 +209,7 @@ def cmd_benchmark(args) -> int:
     for row in summary:
         print(
             f"{row['setting']} {row['method']} {row['metric']}: "
-            f"{row['mean']:.4f} +/- {row['std']:.4f}"
+            f"{_fmt(row['mean'])} +/- {_fmt(row['std'])}"
         )
     return 0
 

@@ -347,22 +347,45 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _param_layout(n_features: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Name and shape of every MLP parameter, in their order in theta."""
+    h1, h2 = _HIDDEN
+    return (
+        ("w1", (n_features, h1)),
+        ("b1", (h1,)),
+        ("w2", (h1, h2)),
+        ("b2", (h2,)),
+        ("w3", (h2,)),
+        ("b3", ()),
+    )
+
+
+def _param_views(vec: np.ndarray, n_features: int) -> dict[str, np.ndarray]:
+    """One view of vec per parameter, shaped and ordered by _param_layout."""
+    views = {}
+    pos = 0
+    for name, shape in _param_layout(n_features):
+        size = math.prod(shape)
+        views[name] = vec[pos : pos + size].reshape(shape)
+        pos += size
+    return views
+
+
 class EdgePredictor:
     """Two-hidden-layer tanh MLP with sigmoid output over pair features.
 
-    Normalization statistics are frozen at training time and applied to
-    every later input. All math is plain numpy with analytic gradients.
+    Every parameter lives in one float64 vector, `theta`; the attributes
+    w1, b1, w2, b2, w3 and b3 are views of it, so writing into theta (as
+    the optimizer does, in place) changes the network. Normalization
+    statistics are frozen at training time and applied to every later
+    input. All math is plain numpy with analytic gradients.
     """
 
-    def __init__(self, weights: dict, feature_mean, feature_std, config: TrainConfig, epoch_losses=None):
-        self.w1 = np.asarray(weights["w1"], dtype=float)
-        self.b1 = np.asarray(weights["b1"], dtype=float)
-        self.w2 = np.asarray(weights["w2"], dtype=float)
-        self.b2 = np.asarray(weights["b2"], dtype=float)
-        self.w3 = np.asarray(weights["w3"], dtype=float)
-        self.b3 = float(weights["b3"])
+    def __init__(self, theta, feature_mean, feature_std, config: TrainConfig, epoch_losses=None):
+        self.theta = np.asarray(theta, dtype=float)
         self.feature_mean = np.asarray(feature_mean, dtype=float)
         self.feature_std = np.asarray(feature_std, dtype=float)
+        vars(self).update(_param_views(self.theta, self.feature_mean.shape[0]))
         self.config = config
         self.epoch_losses = list(epoch_losses) if epoch_losses is not None else []
 
@@ -372,19 +395,14 @@ class EdgePredictor:
 
     @staticmethod
     def initialize(n_features: int, config: TrainConfig, rng: np.random.Generator) -> "EdgePredictor":
-        def glorot(fan_in, fan_out):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-        weights = {
-            "w1": glorot(n_features, _HIDDEN[0]),
-            "b1": np.zeros(_HIDDEN[0]),
-            "w2": glorot(_HIDDEN[0], _HIDDEN[1]),
-            "b2": np.zeros(_HIDDEN[1]),
-            "w3": glorot(_HIDDEN[1], 1)[:, 0],
-            "b3": 0.0,
-        }
-        return EdgePredictor(weights, np.zeros(n_features), np.ones(n_features), config)
+        """Glorot-uniform weights, drawn in layout order, and zero biases."""
+        theta = np.zeros(sum(math.prod(shape) for _, shape in _param_layout(n_features)))
+        for name, view in _param_views(theta, n_features).items():
+            if name.startswith("w"):
+                fan_in, fan_out = (*view.shape, 1)[:2]  # w3 is one output column
+                limit = np.sqrt(6.0 / (fan_in + fan_out))
+                view[...] = rng.uniform(-limit, limit, size=view.shape)
+        return EdgePredictor(theta, np.zeros(n_features), np.ones(n_features), config)
 
     # -- math ---------------------------------------------------------------
 
@@ -399,8 +417,9 @@ class EdgePredictor:
     def forward(self, fn: np.ndarray) -> np.ndarray:
         return _sigmoid(self.logits(fn))
 
-    def loss_and_grads(self, fn: np.ndarray, y: np.ndarray) -> tuple[float, dict]:
-        """Mean binary cross-entropy and its gradients on one batch."""
+    def loss_and_grads(self, fn: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """Mean binary cross-entropy on one batch and its gradient, laid
+        out like theta."""
         batch = fn.shape[0]
         z1 = fn @ self.w1 + self.b1
         h1 = np.tanh(z1)
@@ -410,49 +429,19 @@ class EdgePredictor:
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
         p = _sigmoid(z)
         dz = (p - y) / batch
-        grads = {
-            "w3": h2.T @ dz,
-            "b3": float(dz.sum()),
-        }
+        grad = np.empty_like(self.theta)
+        g = _param_views(grad, self.n_features)
+        g["w3"][...] = h2.T @ dz
+        g["b3"][...] = dz.sum()
         dh2 = np.outer(dz, self.w3)
         dz2 = dh2 * (1.0 - h2 * h2)
-        grads["w2"] = h1.T @ dz2
-        grads["b2"] = dz2.sum(axis=0)
+        g["w2"][...] = h1.T @ dz2
+        g["b2"][...] = dz2.sum(axis=0)
         dh1 = dz2 @ self.w2.T
         dz1 = dh1 * (1.0 - h1 * h1)
-        grads["w1"] = fn.T @ dz1
-        grads["b1"] = dz1.sum(axis=0)
-        return loss, grads
-
-    # -- flat parameter view (gradient checks, optimizer) ---------------------
-
-    def params_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [self.w1.ravel(), self.b1, self.w2.ravel(), self.b2, self.w3, [self.b3]]
-        )
-
-    def set_params_flat(self, vec: np.ndarray) -> None:
-        shapes = [self.w1.shape, self.b1.shape, self.w2.shape, self.b2.shape, self.w3.shape, (1,)]
-        pos = 0
-        parts = []
-        for shape in shapes:
-            size = int(np.prod(shape))
-            parts.append(vec[pos : pos + size].reshape(shape))
-            pos += size
-        self.w1, self.b1, self.w2, self.b2, self.w3 = parts[:5]
-        self.b3 = float(parts[5][0])
-
-    def grads_flat(self, grads: dict) -> np.ndarray:
-        return np.concatenate(
-            [
-                grads["w1"].ravel(),
-                grads["b1"],
-                grads["w2"].ravel(),
-                grads["b2"],
-                grads["w3"],
-                [grads["b3"]],
-            ]
-        )
+        g["w1"][...] = fn.T @ dz1
+        g["b1"][...] = dz1.sum(axis=0)
+        return loss, grad
 
     # -- persistence ----------------------------------------------------------
 
@@ -461,12 +450,8 @@ class EdgePredictor:
             {
                 "arch": {"n_features": self.n_features, "hidden": list(_HIDDEN)},
                 "weights": {
-                    "w1": self.w1.tolist(),
-                    "b1": self.b1.tolist(),
-                    "w2": self.w2.tolist(),
-                    "b2": self.b2.tolist(),
-                    "w3": self.w3.tolist(),
-                    "b3": self.b3,
+                    name: view.tolist()
+                    for name, view in _param_views(self.theta, self.n_features).items()
                 },
                 "feature_mean": self.feature_mean.tolist(),
                 "feature_std": self.feature_std.tolist(),
@@ -479,8 +464,9 @@ class EdgePredictor:
     @staticmethod
     def from_json(text: str) -> "EdgePredictor":
         obj = json.loads(text)
+        layout = _param_layout(len(obj["feature_mean"]))
         return EdgePredictor(
-            obj["weights"],
+            np.concatenate([np.ravel(obj["weights"][name]) for name, _ in layout]),
             obj["feature_mean"],
             obj["feature_std"],
             TrainConfig(**obj["train_config"]),
@@ -488,16 +474,12 @@ class EdgePredictor:
         )
 
 
-def train(
-    training_set: TrainingSet,
-    config: TrainConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> EdgePredictor:
+def train(training_set: TrainingSet, config: TrainConfig | None = None) -> EdgePredictor:
     """Featurize every instance, freeze normalization statistics, and run
-    seeded mini-batch gradient descent with momentum on mean BCE."""
+    mini-batch gradient descent with momentum on mean BCE, seeded from
+    config.seed; the momentum step updates theta in place."""
     config = config if config is not None else TrainConfig()
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     feats_list = []
     labels_list = []
     for data, g in training_set.instances:
@@ -519,17 +501,17 @@ def train(
     model.feature_mean = mean
     model.feature_std = std
 
-    velocity = np.zeros_like(model.params_flat())
+    velocity = np.zeros_like(model.theta)
     n = fn.shape[0]
     for _ in range(config.epochs):
         perm = rng.permutation(n)
         batch_losses = []
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            loss, grads = model.loss_and_grads(fn[idx], labels[idx])
-            gvec = model.grads_flat(grads)
-            velocity = config.momentum * velocity - config.learning_rate * gvec
-            model.set_params_flat(model.params_flat() + velocity)
+            loss, grad = model.loss_and_grads(fn[idx], labels[idx])
+            velocity *= config.momentum
+            velocity -= config.learning_rate * grad
+            model.theta += velocity
             batch_losses.append(loss)
         model.epoch_losses.append(float(np.mean(batch_losses)))
     return model

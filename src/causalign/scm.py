@@ -230,9 +230,6 @@ def sample_scm(
     attach_m: int = 1,
     weight_range: tuple[float, float] = _WEIGHT_RANGE,
     noise_scale_range: tuple[float, float] = _NOISE_SCALE_RANGE,
-    rff_features: int = _RFF_FEATURES,
-    rff_lengthscale: float = _RFF_LENGTHSCALE,
-    cheb_degree: int = _CHEB_DEGREE,
 ) -> ScmInstance:
     """Draw a complete synthetic SCM.
 
@@ -261,15 +258,15 @@ def sample_scm(
         elif mechanism == MechanismFamily.RFF:
             node_params.append(
                 RffNode(
-                    omega=rng.normal(0.0, 1.0 / rff_lengthscale, size=(rff_features, p)),
-                    phase=rng.uniform(0.0, 2.0 * math.pi, size=rff_features),
-                    weights=rng.normal(0.0, 1.0, size=rff_features),
+                    omega=rng.normal(0.0, 1.0 / _RFF_LENGTHSCALE, size=(_RFF_FEATURES, p)),
+                    phase=rng.uniform(0.0, 2.0 * math.pi, size=_RFF_FEATURES),
+                    weights=rng.normal(0.0, 1.0, size=_RFF_FEATURES),
                 )
             )
         else:
             # damped magnitudes keep deep descendants off the clamp rails
-            coeffs = np.empty((p, cheb_degree), dtype=float)
-            for deg in range(cheb_degree):
+            coeffs = np.empty((p, _CHEB_DEGREE), dtype=float)
+            for deg in range(_CHEB_DEGREE):
                 coeffs[:, deg] = _signed_uniform(rng, lo, hi, p) / (2.0**deg)
             node_params.append(ChebNode(coeffs=coeffs))
 
@@ -282,9 +279,9 @@ def sample_scm(
         "attach_m": attach_m,
         "weight_range": list(weight_range),
         "noise_scale_range": list(noise_scale_range),
-        "rff_features": rff_features,
-        "rff_lengthscale": rff_lengthscale,
-        "cheb_degree": cheb_degree,
+        "rff_features": _RFF_FEATURES,
+        "rff_lengthscale": _RFF_LENGTHSCALE,
+        "cheb_degree": _CHEB_DEGREE,
     }
     mechanisms = MechanismSpec(family=mechanism, node_params=node_params, meta=meta)
     scales = rng.uniform(noise_scale_range[0], noise_scale_range[1], size=d)
@@ -356,15 +353,13 @@ def forward_sample(
     rng: np.random.Generator,
     *,
     noise: np.ndarray | None = None,
-    standardize: bool = False,
 ) -> Dataset:
     """Ancestral sampling: one pass over a deterministic topological order.
 
     Noise is drawn up-front as an (n, d) matrix in node-index order (or
     taken from the `noise` argument, which lets callers pin per-node draws
     exactly); each node then receives mechanism(parents) + its noise
-    column. With standardize=True every column is shifted/scaled to mean 0,
-    std 1 after sampling; default is raw.
+    column. The values are returned raw, not standardized.
     """
     if n < 1:
         raise StructuralInputError("n must be >= 1")
@@ -380,11 +375,6 @@ def forward_sample(
         pa = scm.dag.parents(j)
         parent_vals = values[:, pa] if pa else np.zeros((n, 0))
         values[:, j] = _eval_node_batch(scm.mechanisms, j, parent_vals) + noise[:, j]
-    if standardize:
-        mu = values.mean(axis=0)
-        sd = values.std(axis=0)
-        sd[sd == 0] = 1.0
-        values = (values - mu) / sd
     return Dataset(values)
 
 

@@ -267,17 +267,25 @@ class TestEdgePredictor:
         assert m.w3.shape == (64,)
         assert m.n_features == 16
 
-    def test_flat_param_round_trip(self):
+    def test_parameters_are_views_of_theta(self):
         m = self._fresh(1)
-        vec = m.params_flat()
-        rng = make_rng(2)
-        new = rng.normal(size=vec.shape)
-        m.set_params_flat(new)
-        assert np.array_equal(m.params_flat(), new)
+        new = make_rng(2).normal(size=m.theta.shape)
+        m.theta[:] = new
+        parts = [m.w1.ravel(), m.b1, m.w2.ravel(), m.b2, m.w3, [m.b3]]
+        assert np.array_equal(np.concatenate(parts), new)
+
+    def test_writing_theta_changes_forward(self):
+        m = self._fresh(12)
+        fn = make_rng(13).normal(size=(6, 16))
+        before = m.forward(fn)
+        m.theta[0] += 0.5  # w1[0, 0]
+        assert not np.array_equal(m.forward(fn), before)
+        m.theta[-1] = 500.0  # the output bias
+        assert np.all(m.forward(np.zeros((4, 16))) > 0.99)
 
     def test_zero_weights_give_log2_loss(self):
         m = self._fresh(3)
-        m.set_params_flat(np.zeros_like(m.params_flat()))
+        m.theta[:] = 0.0
         fn = make_rng(4).normal(size=(10, 16))
         y = (make_rng(5).random(10) < 0.5).astype(float)
         loss, _ = m.loss_and_grads(fn, y)
@@ -285,17 +293,13 @@ class TestEdgePredictor:
 
     def test_sigmoid_is_stable_at_extreme_logits(self):
         m = self._fresh(6)
-        m.b3 = 500.0
         fn = np.zeros((4, 16))
-        m.set_params_flat(
-            np.concatenate([np.zeros(m.params_flat().size - 1), [500.0]])
-        )
+        m.theta[:] = 0.0
+        m.theta[-1] = 500.0
         with np.errstate(all="raise"):
             p = m.forward(fn)
         assert np.all(p == 1.0)
-        m.set_params_flat(
-            np.concatenate([np.zeros(m.params_flat().size - 1), [-500.0]])
-        )
+        m.theta[-1] = -500.0
         with np.errstate(all="raise"):
             p = m.forward(fn)
         assert np.all(p < 1e-100)
@@ -305,16 +309,16 @@ class TestEdgePredictor:
         rng = make_rng(8)
         fn = rng.normal(size=(8, 16))
         y = (rng.random(8) < 0.5).astype(float)
-        base = m.params_flat()
+        base = m.theta.copy()
 
         def loss_at(vec):
-            m.set_params_flat(vec)
+            m.theta[:] = vec
             loss, _ = m.loss_and_grads(fn, y)
             return loss
 
-        m.set_params_flat(base)
-        _, grads = m.loss_and_grads(fn, y)
-        analytic = m.grads_flat(grads)
+        m.theta[:] = base
+        _, analytic = m.loss_and_grads(fn, y)
+        assert analytic.shape == m.theta.shape
         numeric = central_difference_gradient(loss_at, base, eps=1e-5)
         denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric))
         assert np.linalg.norm(analytic - numeric) / denom < 1e-6
@@ -325,7 +329,7 @@ class TestEdgePredictor:
         m.feature_std = np.abs(make_rng(11).normal(size=16)) + 0.5
         m.epoch_losses = [0.7, 0.6, 0.5]
         back = EdgePredictor.from_json(m.to_json())
-        assert np.array_equal(back.params_flat(), m.params_flat())
+        assert np.array_equal(back.theta, m.theta)
         assert np.array_equal(back.feature_mean, m.feature_mean)
         assert np.array_equal(back.feature_std, m.feature_std)
         assert back.epoch_losses == m.epoch_losses
@@ -356,7 +360,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=10, seed=5)
         a = train(ts, cfg)
         b = train(ts, cfg)
-        assert np.array_equal(a.params_flat(), b.params_flat())
+        assert np.array_equal(a.theta, b.theta)
         assert a.epoch_losses == b.epoch_losses
 
     def test_normalization_statistics_frozen_from_training_features(self):

@@ -113,6 +113,7 @@ GOLDEN_BUILD = ("2.4.6", "scipy-openblas", "0.3.31")
 GOLDEN_SHA256 = {
     "prediction.csv": "5c9aa82b7e2be1f215dbc8e3f4583e996ec5068657258e5ed9fbf28368c025f3",
     "trace.jsonl": "f3d0cfba441acf8f1fdd2dbcc5e07f9db9f1b6b90ea5a71ec5b32f5fbac154d6",
+    "predictor.json": "15ef9b66a9fae1d5e6e27cfb9d1199b8fb8365ed1c1c8fb2862fe06e70a29296",
 }
 
 
@@ -1110,6 +1111,33 @@ class TestCli:
         )
         assert rc == 0
         assert (out / "ablation.csv").exists()
+
+    def test_pipeline_command_prints_undefined_metrics_as_na(self, tmp_path, capsys):
+        # an edgeless truth leaves AUROC and AUPRC undefined (None)
+        data, truth = tmp_path / "data.csv", tmp_path / "truth.csv"
+        save_dataset(Dataset(make_rng(0).normal(size=(60, 3))), str(data))
+        save_graph(Dag(np.zeros((3, 3), dtype=np.int8)), str(truth))
+        data_section = {"path": str(data), "truth": str(truth)}
+        cfg_path = _write_config(tmp_path / "cfg.json", generator=None, data=data_section)
+        rc = cli_main(["pipeline", "--config", cfg_path, "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert "final vs truth: auroc=n/a auprc=n/a f1=" in capsys.readouterr().out
+
+    def test_benchmark_command_prints_undefined_means_as_na(self, tmp_path, capsys):
+        cfg_path = _write_config(tmp_path / "cfg.json", generator={"d": 4, "n": 60, "expected_edges": 0.0})
+        args = ["--setting", "iid", "--instances", "1", "--out", str(tmp_path / "b")]
+        rc = cli_main(["benchmark", "--config", cfg_path, *args])
+        assert rc == 0
+        assert "final auroc: n/a +/- n/a" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["pipeline", "refine"])
+    def test_config_without_data_source_exits_two(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 0}))
+        rc = cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "no data source" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_unknown_config_key_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -174,13 +174,6 @@ class TestForwardSample:
         with pytest.raises(StructuralInputError):
             forward_sample(scm, 0, make_rng(0))
 
-    def test_standardize_flag(self):
-        rng = make_rng(5)
-        scm = sample_scm("er", "linear", "gaussian", 5, rng)
-        data = forward_sample(scm, 500, rng, standardize=True).values
-        assert np.allclose(data.mean(axis=0), 0.0, atol=1e-9)
-        assert np.allclose(data.std(axis=0), 1.0, atol=1e-9)
-
     def test_determinism(self):
         scm = sample_scm("er", "linear", "gaussian", 5, make_rng(5))
         a = forward_sample(scm, 100, make_rng(9)).values
