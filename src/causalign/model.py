@@ -101,13 +101,17 @@ def _rank_std(x: np.ndarray) -> np.ndarray:
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of contiguous rows (b may be one shared
-    vector). np.vecdot runs the same BLAS ddot per row that np.dot runs on
-    a single pair of vectors, so each value equals that pair's np.dot."""
+    """Dot products along the last axis of two arrays that broadcast
+    against each other, each over contiguous vectors. np.vecdot runs the
+    same BLAS ddot per vector pair that np.dot runs on a single pair, so
+    each value equals that pair's np.dot (which the fallback calls)."""
     if hasattr(np, "vecdot"):
         return np.vecdot(a, b)
-    b = np.broadcast_to(b, a.shape)
-    return np.array([np.dot(x, y) for x, y in zip(a, b)], dtype=float)
+    a, b = np.broadcast_arrays(a, b)
+    out = np.empty(a.shape[:-1])
+    for idx in np.ndindex(out.shape):
+        out[idx] = np.dot(a[idx], b[idx])
+    return out
 
 
 def _standardize_rows(x: np.ndarray, ones: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,11 +133,15 @@ class _DatasetStats:
 
     Every reduction is one BLAS call per column or per pair: a ddot per
     row through _rowdot, and for the direction regressions the same
-    per-target gemv that a matrix-vector product issues, stacked over the
-    targets of one source. Axis reductions of the whole matrix are never
-    used (they are not bitwise stable under column reordering), so a value
-    never depends on which other columns exist and permuting variable
-    labels permutes the features bit for bit.
+    per-source Gram product and per-target gemv that the two-dimensional
+    products run. The passes are stacked over all d columns at once
+    (standardization, moments, the pairwise correlation dots, the
+    sources' Fourier designs, their Gram matrices and one batched
+    inverse), so the only Python loops left are the rank transform and
+    the per-source target fit. Axis reductions of the whole matrix are
+    never used (they are not bitwise stable under column reordering), so
+    a value never depends on which other columns exist and permuting
+    variable labels permutes the features bit for bit.
     """
 
     def __init__(self, values: np.ndarray):
@@ -152,12 +160,12 @@ class _DatasetStats:
         self.spearman = self._correlations(rz)
 
     def _correlations(self, z: np.ndarray) -> np.ndarray:
-        """Correlation matrix from standardized rows, one dot per pair."""
-        out = np.eye(self.d)
-        for i in range(self.d - 1):
-            r = _rowdot(z[i + 1 :], z[i]) / self.n
-            out[i, i + 1 :] = r
-            out[i + 1 :, i] = r
+        """Correlation matrix from standardized rows, one dot per ordered
+        pair in a single _rowdot of every row against every row. A dot
+        does not depend on its operands' order, so the result is exactly
+        symmetric, and broadcasting gathers no row copies."""
+        out = _rowdot(z[:, None, :], z[None, :, :]) / self.n
+        np.fill_diagonal(out, 1.0)
         return out
 
     def direction_matrices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -172,31 +180,42 @@ class _DatasetStats:
         bowtie) is exactly the anti-causal footprint of additive-noise
         data, which is what this feature is for. A constant target gives
         (0, 0).
+
+        The (d, n, 6) designs, their Gram matrices (one product per
+        source), one batched inverse and the standardized |source| rows
+        are built for all sources in stacked passes; the loop over
+        sources keeps only the per-target fit (one gemv per target) and
+        the residual reductions.
         """
         ratio = np.zeros((self.d, self.d))
         corr = np.zeros((self.d, self.d))
+        live = np.flatnonzero(self.std != 0.0)
+        z = self._z
+        design = np.empty((self.d, self.n, 6))
+        design[:, :, 0] = 1.0
+        design[:, :, 1] = z
+        design[:, :, 2] = np.sin(z)
+        design[:, :, 3] = np.cos(z)
+        design[:, :, 4] = np.sin(2 * z)
+        design[:, :, 5] = np.cos(2 * z)
+        design_t = design.transpose(0, 2, 1)
+        gram = design_t @ design
+        gram[:, np.arange(1, 6), np.arange(1, 6)] += _DIR_RIDGE  # not the intercept
+        inv_gram = np.linalg.inv(gram)
+        _, _, mag_src = _standardize_rows(np.abs(z), self._ones)
         for src in range(self.d):
-            dsts = [k for k in range(self.d) if k != src and self.std[k] != 0.0]
-            if not dsts:
+            dsts = live[live != src]
+            if dsts.size == 0:
                 continue
-            t = self._z[src]
-            design = np.column_stack(
-                [self._ones, t, np.sin(t), np.cos(t), np.sin(2 * t), np.cos(2 * t)]
-            )
-            gram = design.T @ design
-            penalty = np.full(design.shape[1], _DIR_RIDGE)
-            penalty[0] = 0.0
-            gram[np.diag_indices_from(gram)] += penalty
-            inv_gram = np.linalg.inv(gram)
-            _, _, mag_src = _standardize_rows(np.abs(t)[None, :], self._ones)
-            # stacked matrix @ column products: one gemv per target
-            targets = self._z[dsts]
-            coef = inv_gram @ (design.T @ targets[:, :, None])
-            resid = targets - (design @ coef)[:, :, 0]
-            centered = resid - (_rowdot(resid, self._ones) / self.n)[:, None]
-            ratio[src, dsts] = _rowdot(centered, centered) / self.n
+            # stacked matrix @ column products: one gemv per target; the
+            # gathered targets are overwritten by their residuals
+            resid = z[dsts]
+            coef = inv_gram[src] @ (design_t[src] @ resid[:, :, None])
+            resid -= (design[src] @ coef)[:, :, 0]
             _, _, mag_resid = _standardize_rows(np.abs(resid), self._ones)
-            corr[src, dsts] = _rowdot(mag_resid, mag_src[0]) / self.n
+            corr[src, dsts] = _rowdot(mag_resid, mag_src[src]) / self.n
+            resid -= (_rowdot(resid, self._ones) / self.n)[:, None]
+            ratio[src, dsts] = _rowdot(resid, resid) / self.n
         return ratio, corr
 
     def partial_summaries(self) -> tuple[np.ndarray, np.ndarray]:
@@ -232,6 +251,12 @@ def pair_order(d: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(d) if i != j]
 
 
+def _pair_index(pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target index arrays of a list of ordered pairs."""
+    src, dst = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return src, dst
+
+
 def featurize_all(dataset: Dataset) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Features for every ordered pair, one row per pair in pair_order.
 
@@ -244,7 +269,7 @@ def featurize_all(dataset: Dataset) -> tuple[list[tuple[int, int]], np.ndarray]:
     """
     stats = _DatasetStats(dataset.values)
     pairs = pair_order(dataset.d)
-    src, dst = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    src, dst = _pair_index(pairs)
     ratio, corr = stats.direction_matrices()
     p_max, p_mean = stats.partial_summaries()
     feats = np.empty((len(pairs), len(PAIR_FEATURE_NAMES)))
@@ -347,6 +372,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tanh_derivative(h: np.ndarray) -> np.ndarray:
+    """1 - h**2 for h = tanh(z), computed in place: h is overwritten."""
+    np.multiply(h, h, out=h)
+    return np.subtract(1.0, h, out=h)
+
+
 def _param_layout(n_features: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Name and shape of every MLP parameter, in their order in theta."""
     h1, h2 = _HIDDEN
@@ -419,28 +450,37 @@ class EdgePredictor:
 
     def loss_and_grads(self, fn: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean binary cross-entropy on one batch and its gradient, laid
-        out like theta."""
+        out like theta and freshly allocated on every call.
+
+        The step holds three batch-sized arrays: each hidden layer's
+        pre-activation is turned into its tanh, and later into the tanh
+        derivative, in place, the second layer's buffer then takes the
+        first layer's backward signal, and every gradient block is
+        written straight into its view of the gradient vector.
+        """
         batch = fn.shape[0]
-        z1 = fn @ self.w1 + self.b1
-        h1 = np.tanh(z1)
-        z2 = h1 @ self.w2 + self.b2
-        h2 = np.tanh(z2)
+        h1 = fn @ self.w1
+        h1 += self.b1
+        np.tanh(h1, out=h1)
+        h2 = h1 @ self.w2
+        h2 += self.b2
+        np.tanh(h2, out=h2)
         z = h2 @ self.w3 + self.b3
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
         p = _sigmoid(z)
         dz = (p - y) / batch
         grad = np.empty_like(self.theta)
         g = _param_views(grad, self.n_features)
-        g["w3"][...] = h2.T @ dz
+        np.matmul(h2.T, dz, out=g["w3"])
         g["b3"][...] = dz.sum()
-        dh2 = np.outer(dz, self.w3)
-        dz2 = dh2 * (1.0 - h2 * h2)
-        g["w2"][...] = h1.T @ dz2
-        g["b2"][...] = dz2.sum(axis=0)
-        dh1 = dz2 @ self.w2.T
-        dz1 = dh1 * (1.0 - h1 * h1)
-        g["w1"][...] = fn.T @ dz1
-        g["b1"][...] = dz1.sum(axis=0)
+        dz2 = dz[:, None] * self.w3
+        dz2 *= _tanh_derivative(h2)
+        np.matmul(h1.T, dz2, out=g["w2"])
+        np.sum(dz2, axis=0, out=g["b2"])
+        dz1 = np.matmul(dz2, self.w2.T, out=h2)  # h2 is spent
+        dz1 *= _tanh_derivative(h1)
+        np.matmul(fn.T, dz1, out=g["w1"])
+        np.sum(dz1, axis=0, out=g["b1"])
         return loss, grad
 
     # -- persistence ----------------------------------------------------------
@@ -486,8 +526,7 @@ def train(training_set: TrainingSet, config: TrainConfig | None = None) -> EdgeP
         pairs, feats = featurize_all(data)
         if not np.isfinite(feats).all():
             raise InputQualityError("non-finite pair features in training set")
-        idx = np.asarray(pairs)
-        labels_list.append(g.adjacency[idx[:, 0], idx[:, 1]].astype(float))
+        labels_list.append(g.adjacency[_pair_index(pairs)].astype(float))
         feats_list.append(feats)
     feats = np.vstack(feats_list)
     labels = np.concatenate(labels_list)
@@ -510,7 +549,8 @@ def train(training_set: TrainingSet, config: TrainConfig | None = None) -> EdgeP
             idx = perm[start : start + config.batch_size]
             loss, grad = model.loss_and_grads(fn[idx], labels[idx])
             velocity *= config.momentum
-            velocity -= config.learning_rate * grad
+            grad *= config.learning_rate
+            velocity -= grad
             model.theta += velocity
             batch_losses.append(loss)
         model.epoch_losses.append(float(np.mean(batch_losses)))
@@ -528,8 +568,7 @@ def predict(predictor: EdgePredictor, dataset: Dataset) -> np.ndarray:
         )
     probs = predictor.forward(predictor.normalize(feats))
     out = np.zeros((dataset.d, dataset.d), dtype=float)
-    for (i, j), p in zip(pairs, probs):
-        out[i, j] = p
+    out[_pair_index(pairs)] = probs
     return out
 
 

@@ -5,7 +5,8 @@ force enumeration, explicit threshold sweeps, finite differences, one
 node or one pair at a time) so a bug in the package and a bug in the
 oracle are unlikely to coincide. Besides the Dag container, an oracle
 only calls package functions that have tests of their own (the score
-engine, fit_node, predict_node, topological_order).
+engine, fit_node, predict_node, topological_order, featurize_all and
+EdgePredictor.initialize).
 """
 
 import itertools
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 from causalign.graph import Dag, topological_order
+from causalign.model import EdgePredictor, featurize_all
 from causalign.sim import FittedScm, fit_node, predict_node
 
 
@@ -341,3 +343,73 @@ def featurize_pairwise(values):
                  pearson[i, j], spearman[i, j], *fwd, *rev, p_max, p_mean]
             )
     return np.array(rows, dtype=float).reshape(-1, 16)
+
+
+def _sigmoid_reference(z):
+    """The package's overflow-free logistic: 1 / (1 + e^-z) for z >= 0 and
+    e^z / (1 + e^z) below."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def loss_and_grads_reference(model, fn, y):
+    """Mean BCE of one batch through the 64-64 tanh MLP and its gradient,
+    every intermediate its own fresh array, the gradient concatenated in
+    theta's layout (w1, b1, w2, b2, w3, b3)."""
+    batch = fn.shape[0]
+    z1 = fn @ model.w1 + model.b1
+    h1 = np.tanh(z1)
+    z2 = h1 @ model.w2 + model.b2
+    h2 = np.tanh(z2)
+    z = h2 @ model.w3 + model.b3
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    dz = (_sigmoid_reference(z) - y) / batch
+    g_w3 = h2.T @ dz
+    g_b3 = dz.sum()
+    dh2 = np.outer(dz, model.w3)
+    dz2 = dh2 * (1.0 - h2 * h2)
+    g_w2 = h1.T @ dz2
+    g_b2 = dz2.sum(axis=0)
+    dh1 = dz2 @ model.w2.T
+    dz1 = dh1 * (1.0 - h1 * h1)
+    g_w1 = fn.T @ dz1
+    g_b1 = dz1.sum(axis=0)
+    grad = np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2, g_w3, [g_b3]])
+    return loss, grad
+
+
+def train_reference(training_set, config):
+    """The training loop written out: featurize each dataset, label each
+    pair from its graph one pair at a time, z-score the features, then per
+    epoch draw one permutation and gather every minibatch from it, with
+    the momentum step v = momentum*v - lr*grad, theta = theta + v. Returns
+    (theta, epoch_losses)."""
+    rng = np.random.default_rng(config.seed)
+    feats, labels = [], []
+    for data, g in training_set.instances:
+        pairs, f = featurize_all(data)
+        feats.append(f)
+        labels.append(np.array([float(g.adjacency[i, j]) for i, j in pairs]))
+    feats = np.vstack(feats)
+    labels = np.concatenate(labels)
+    std = feats.std(axis=0)
+    fn = (feats - feats.mean(axis=0)) / np.where(std < 1e-8, 1.0, std)
+    model = EdgePredictor.initialize(feats.shape[1], config, rng)
+    velocity = np.zeros_like(model.theta)
+    epoch_losses = []
+    n = fn.shape[0]
+    for _ in range(config.epochs):
+        perm = rng.permutation(n)
+        losses = []
+        for start in range(0, n, config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            loss, grad = loss_and_grads_reference(model, fn[idx], labels[idx])
+            velocity = config.momentum * velocity - config.learning_rate * grad
+            model.theta[:] = model.theta + velocity
+            losses.append(loss)
+        epoch_losses.append(float(np.mean(losses)))
+    return model.theta.copy(), epoch_losses

@@ -33,7 +33,12 @@ from causalign.scoring import ScoreConfig, ScoreEngine
 from causalign.sim import RegressorConfig, fit_node
 
 from conftest import dag_from_edges, empty_dag, linear_dataset, make_rng, noise_dataset
-from oracles import central_difference_gradient, featurize_pairwise
+from oracles import (
+    central_difference_gradient,
+    featurize_pairwise,
+    loss_and_grads_reference,
+    train_reference,
+)
 
 
 def _pair_features(data, i, j):
@@ -164,11 +169,42 @@ class TestFeaturizeAgainstPairwise:
         _, feats = featurize_all(Dataset(values))
         assert feats.tobytes() == featurize_pairwise(values).tobytes()
 
-    @pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (12, 50), (40, 30)])
+    # (10, 200) and (10, 2000) are the benchmark's shapes, beyond the
+    # n <= 120 that the property test draws
+    @pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (12, 50), (40, 30), (10, 200), (10, 2000)])
     def test_edge_shapes_equal_pairwise_oracle(self, d, n):
         values = make_rng(d * n).normal(size=(n, d))
         _, feats = featurize_all(Dataset(values))
         assert feats.tobytes() == featurize_pairwise(values).tobytes()
+
+    @pytest.mark.parametrize(
+        "d, live",
+        [
+            (6, [3]),  # the one live column, as a source, has no live target
+            (5, []),  # no column is live: no source has a live target
+            (2, [0]),  # d=2 with one constant column
+            (2, [1]),
+        ],
+    )
+    def test_constant_columns_equal_pairwise_oracle(self, d, live):
+        values = np.full((40, d), 2.5)
+        values[:, live] = make_rng(d).normal(size=(40, len(live)))
+        _, feats = featurize_all(Dataset(values))
+        assert np.isfinite(feats).all()
+        assert feats.tobytes() == featurize_pairwise(values).tobytes()
+
+    def test_rowdot_fallback_without_vecdot_gives_the_same_bytes(self, monkeypatch):
+        """numpy before 2.0 has no np.vecdot; _rowdot then calls np.dot once
+        per vector pair, and every feature keeps its bytes."""
+        tied = np.round(3.0 * make_rng(3).normal(size=(60, 5)))
+        one_constant = make_rng(4).normal(size=(30, 2))
+        one_constant[:, 1] = 2.5
+        cases = [make_rng(2).normal(size=(200, 10)), tied, one_constant]
+        expected = [featurize_all(Dataset(v))[1].tobytes() for v in cases]
+        monkeypatch.delattr(np, "vecdot")
+        assert not hasattr(np, "vecdot")
+        for values, want in zip(cases, expected):
+            assert featurize_all(Dataset(values))[1].tobytes() == want
 
 
 class TestGenerateTrainingSet:
@@ -323,6 +359,31 @@ class TestEdgePredictor:
         denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric))
         assert np.linalg.norm(analytic - numeric) / denom < 1e-6
 
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    def test_loss_and_grads_match_reference_bit_for_bit(self, batch):
+        m = self._fresh(16)
+        rng = make_rng(17)
+        m.theta[:] = rng.normal(scale=0.3, size=m.theta.shape)
+        fn = rng.normal(size=(batch, 16))
+        y = (rng.random(batch) < 0.3).astype(float)
+        loss, grad = m.loss_and_grads(fn, y)
+        want_loss, want_grad = loss_and_grads_reference(m, fn, y)
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+
+    def test_consecutive_gradients_are_independent_arrays(self):
+        m = self._fresh(14)
+        rng = make_rng(15)
+        fn_a, fn_b = rng.normal(size=(9, 16)), rng.normal(size=(9, 16))
+        y = (rng.random(9) < 0.5).astype(float)
+        _, first = m.loss_and_grads(fn_a, y)
+        kept = first.copy()
+        _, second = m.loss_and_grads(fn_b, y)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, m.theta)
+        assert first.tobytes() == kept.tobytes()
+        assert not np.array_equal(first, second)
+
     def test_json_round_trip(self):
         m = self._fresh(9)
         m.feature_mean = make_rng(10).normal(size=16)
@@ -362,6 +423,18 @@ class TestTrain:
         b = train(ts, cfg)
         assert np.array_equal(a.theta, b.theta)
         assert a.epoch_losses == b.epoch_losses
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 256])
+    def test_matches_reference_loop_bit_for_bit(self, batch_size):
+        """15 datasets of 20 ordered pairs give 300 rows, a multiple of
+        neither 7 nor 256, so every epoch ends on a short batch."""
+        _, ts = _training_set(35, n=60, d=5, k=15)
+        cfg = TrainConfig(epochs=2, batch_size=batch_size, seed=3)
+        model = train(ts, cfg)
+        theta, epoch_losses = train_reference(ts, cfg)
+        assert len(ts.instances) * 20 == 300
+        assert model.theta.tobytes() == theta.tobytes()
+        assert model.epoch_losses == epoch_losses
 
     def test_normalization_statistics_frozen_from_training_features(self):
         _, ts = _training_set(31)
