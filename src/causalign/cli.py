@@ -126,15 +126,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_refine(args) -> int:
-    cfg = _load_pipeline_config(args)
-    cfg = dataclasses.replace(cfg, stages="refine_only")
-    dataset, truth = _preload(cfg)
-    record = run_pipeline(cfg, dataset=dataset, truth=truth)
-    _print_run_summary(record)
-    return 0
-
-
 def cmd_pipeline(args) -> int:
     cfg = _load_pipeline_config(args)
     dataset, truth = _preload(cfg)
@@ -201,6 +192,18 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _suite_exit_code(out_dir: str, runs: int) -> int:
+    """0 when errors.json under out_dir is empty; otherwise say how many of
+    the suite's `runs` failed and return 3."""
+    errors_path = os.path.join(out_dir, "errors.json")
+    with open(errors_path) as fh:
+        failed = len(json.load(fh))
+    if not failed:
+        return 0
+    print(f"{failed} of {runs} runs failed; see {errors_path}", file=sys.stderr)
+    return 3
+
+
 def cmd_benchmark(args) -> int:
     cfg = _load_pipeline_config(args)
     summary = run_benchmark(
@@ -211,7 +214,7 @@ def cmd_benchmark(args) -> int:
             f"{row['setting']} {row['method']} {row['metric']}: "
             f"{_fmt(row['mean'])} +/- {_fmt(row['std'])}"
         )
-    return 0
+    return _suite_exit_code(args.out, args.instances)
 
 
 def cmd_ablate(args) -> int:
@@ -220,7 +223,7 @@ def cmd_ablate(args) -> int:
         cfg, args.setting, args.instances, args.out, threads=args.threads
     )
     print(f"wrote {len(rows)} ablation row(s) to {os.path.join(args.out, 'ablation.csv')}")
-    return 0
+    return _suite_exit_code(args.out, 2 * args.instances)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_refine)
+    p.set_defaults(func=cmd_pipeline, stages="refine_only")
 
     p = sub.add_parser("make-trainset", help="fit mechanisms to graphs and resample data")
     p.add_argument("--data", required=True)

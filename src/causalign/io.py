@@ -156,20 +156,9 @@ def save_matrix(matrix: np.ndarray, path: str) -> None:
 
 
 def load_matrix(path: str) -> np.ndarray:
-    rows = _read_rows(path)
-    width = len(rows[0])
-    out = np.empty((len(rows), width), dtype=float)
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise DataFormatError(f"{path}: line {r + 1} is ragged")
-        for c, cell in enumerate(row):
-            try:
-                out[r, c] = float(cell)
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"{path}: line {r + 1}, column {c + 1}: not a number: {cell!r}"
-                ) from exc
-    return out
+    """A headerless float CSV (a prediction matrix), parsed and checked as
+    load_dataset does."""
+    return load_dataset(path, header=False).values
 
 
 def save_instance_bundle(instance: CausalInstance, out_dir: str) -> None:

@@ -503,56 +503,8 @@ def _save_collected(graphs: list[Dag], directory: str) -> None:
 # benchmark and ablation drivers
 
 
-def _suite_setup(
-    config: PipelineConfig,
-    setting: ShiftSetting | str,
-    instances: int,
-    out_dir: str,
-    driver: str,
-) -> tuple[str, list[int]]:
-    """Validate a suite driver's arguments, create out_dir and draw the
-    instance seeds; returns (setting label, seeds). `driver` names the
-    command in the error messages."""
-    if config.generator is None:
-        raise ConfigError(f"{driver} requires a generator section in the config")
-    if instances < 1:
-        raise ConfigError("instances must be >= 1")
-    try:
-        setting_label = ShiftSetting(setting).value
-    except ValueError as exc:
-        raise ConfigError(f"unknown shift setting {setting!r}") from exc
-    os.makedirs(out_dir, exist_ok=True)
-    seeds = np.random.default_rng(config.seed).integers(0, 2**63 - 1, size=instances)
-    return setting_label, [int(s) for s in seeds]
-
-
-def _write_errors(out_dir: str, errors: list[dict]) -> None:
-    with open(os.path.join(out_dir, "errors.json"), "w") as fh:
-        json.dump(errors, fh, indent=2)
-
-
 def _run_one(config: PipelineConfig) -> RunRecord:
     return run_pipeline(config)
-
-
-def _metric_rows(idx: int, seed: int, setting: str, record: RunRecord) -> list[dict]:
-    rows = []
-    for method in BENCHMARK_METHODS:
-        rep = (record.metrics or {}).get(method)
-        if rep is None:
-            continue
-        for metric in BENCHMARK_METRICS:
-            rows.append(
-                {
-                    "instance": idx,
-                    "seed": seed,
-                    "setting": setting,
-                    "method": method,
-                    "metric": metric,
-                    "value": rep[metric],
-                }
-            )
-    return rows
 
 
 def _write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
@@ -623,6 +575,61 @@ def _run_instances(
         return results
 
 
+def _run_suite(
+    config: PipelineConfig,
+    setting: ShiftSetting | str,
+    instances: int,
+    out_dir: str,
+    threads: int,
+    arms: list[tuple[str, PipelineConfig]],
+) -> list[tuple[dict, RunRecord]]:
+    """Run every (instance, arm) of a suite and list the failed runs in
+    out_dir/errors.json.
+
+    `arms` holds (name, config) pairs that all take instance i's seed, the
+    i-th draw from config.seed, so every arm sees the same data. With one
+    arm a run writes instances/### and the name goes unused; with several
+    it writes instances/###_<name>, and its table and error rows carry the
+    name in an `arm` column. Returns the finished runs in order as
+    (key, record), where key holds the run's instance, seed, setting and
+    (with several arms) arm columns."""
+    if config.generator is None:
+        raise ConfigError("benchmark and ablate require a generator section in the config")
+    if instances < 1:
+        raise ConfigError("instances must be >= 1")
+    try:
+        setting_label = ShiftSetting(setting).value
+    except ValueError as exc:
+        raise ConfigError(f"unknown shift setting {setting!r}") from exc
+    os.makedirs(out_dir, exist_ok=True)
+    seeds = np.random.default_rng(config.seed).integers(0, 2**63 - 1, size=instances)
+    keys, configs = [], []
+    for i, seed in enumerate(seeds.tolist()):
+        for name, arm_config in arms:
+            key = {"instance": i, "seed": seed, "setting": setting_label}
+            run_dir = f"{i:03d}"
+            if len(arms) > 1:
+                key["arm"] = name
+                run_dir += f"_{name}"
+            keys.append(key)
+            configs.append(
+                dataclasses.replace(arm_config, seed=seed, out_dir=os.path.join(out_dir, "instances", run_dir))
+            )
+
+    finished, errors = [], []
+    for key, res in zip(keys, _run_instances(configs, threads)):
+        if isinstance(res, BaseException):
+            error = {k: v for k, v in key.items() if k in ("instance", "arm")}
+            error["stage"] = res.stage if isinstance(res, StageError) else None
+            error["error"] = str(res)
+            errors.append(error)
+        else:
+            finished.append((key, res))
+    with open(os.path.join(out_dir, "errors.json"), "w") as fh:
+        json.dump(errors, fh, indent=2)
+    return finished
+
+
 def run_benchmark(
     config: PipelineConfig,
     setting: ShiftSetting | str,
@@ -638,37 +645,25 @@ def run_benchmark(
     truth); summary.csv gives, per method and metric, the number `n` of
     defined values over successful instances and their mean and sample
     std (ddof=1, 0.0 for a single value). Failures are listed in
-    errors.json and excluded from aggregates. Returns the summary rows.
+    errors.json and excluded from both tables. Returns the summary rows.
     """
-    setting_label, seeds = _suite_setup(config, setting, instances, out_dir, "benchmark")
-    configs = [
-        dataclasses.replace(
-            config,
-            seed=seeds[i],
-            out_dir=os.path.join(out_dir, "instances", f"{i:03d}"),
-        )
-        for i in range(instances)
+    finished = _run_suite(config, setting, instances, out_dir, threads, [("", config)])
+    rows = [
+        {**key, "method": method, "metric": metric, "value": record.metrics[method][metric]}
+        for key, record in finished
+        for method in BENCHMARK_METHODS
+        if method in (record.metrics or {})
+        for metric in BENCHMARK_METRICS
     ]
-    results = _run_instances(configs, threads)
-
-    rows: list[dict] = []
-    errors: list[dict] = []
-    for i, res in enumerate(results):
-        if isinstance(res, BaseException):
-            stage = res.stage if isinstance(res, StageError) else None
-            errors.append({"instance": i, "stage": stage, "error": str(res)})
-            continue
-        rows.extend(_metric_rows(i, seeds[i], setting_label, res))
-
     _write_csv(
         os.path.join(out_dir, "results.csv"),
         rows,
         ["instance", "seed", "setting", "method", "metric", "value"],
     )
-    records = [res for res in results if not isinstance(res, BaseException)]
+    setting_label = ShiftSetting(setting).value
     summary: list[dict] = []
     for method in BENCHMARK_METHODS:
-        reports = [MetricReport(**rec.metrics[method]) for rec in records if method in (rec.metrics or {})]
+        reports = [MetricReport(**rec.metrics[method]) for _, rec in finished if method in (rec.metrics or {})]
         if reports:
             for metric, stats in aggregate(reports).items():
                 summary.append({"setting": setting_label, "method": method, "metric": metric, **stats})
@@ -677,14 +672,7 @@ def run_benchmark(
         summary,
         ["setting", "method", "metric", "n", "mean", "std"],
     )
-    _write_errors(out_dir, errors)
     return summary
-
-
-def _zero_lambda(config: PipelineConfig) -> PipelineConfig:
-    score = dataclasses.replace(config.refine.score, sparsity_weight=0.0)
-    refine_cfg = dataclasses.replace(config.refine, score=score)
-    return dataclasses.replace(config, refine=refine_cfg)
 
 
 def run_ablation_sparsity(
@@ -698,44 +686,21 @@ def run_ablation_sparsity(
     configured lambda and once with lambda = 0, sharing the instance seed
     so both arms see identical data. Emits ablation.csv with score
     diagnostics (ad, sparsity, total averaged over collected graphs),
-    final AUROC, and the mean collected edge count."""
-    setting_label, seeds = _suite_setup(config, setting, instances, out_dir, "ablation")
-    arms = [("penalized", config), ("unpenalized", _zero_lambda(config))]
-    configs = []
-    labels = []
-    for i in range(instances):
-        for arm_name, arm_cfg in arms:
-            configs.append(
-                dataclasses.replace(
-                    arm_cfg,
-                    seed=seeds[i],
-                    out_dir=os.path.join(out_dir, "instances", f"{i:03d}_{arm_name}"),
-                )
-            )
-            labels.append((i, arm_name))
-    results = _run_instances(configs, threads)
-
-    rows: list[dict] = []
-    errors: list[dict] = []
-    for (i, arm_name), res in zip(labels, results):
-        if isinstance(res, BaseException):
-            stage = res.stage if isinstance(res, StageError) else None
-            errors.append({"instance": i, "arm": arm_name, "stage": stage, "error": str(res)})
-            continue
-        stats = res.collected_stats or {}
-        final_auroc = None
-        if res.metrics and "final" in res.metrics:
-            final_auroc = res.metrics["final"]["auroc"]
+    final AUROC, and the mean collected edge count; failures are listed
+    in errors.json and left out of the table."""
+    score = dataclasses.replace(config.refine.score, sparsity_weight=0.0)
+    unpenalized = dataclasses.replace(config, refine=dataclasses.replace(config.refine, score=score))
+    arms = [("penalized", config), ("unpenalized", unpenalized)]
+    rows = []
+    for key, record in _run_suite(config, setting, instances, out_dir, threads, arms):
+        stats = record.collected_stats or {}
         rows.append(
             {
-                "instance": i,
-                "seed": seeds[i],
-                "setting": setting_label,
-                "arm": arm_name,
-                "lambda": (res.best_score or {}).get("lambda"),
+                **key,
+                "lambda": (record.best_score or {}).get("lambda"),
                 "ad": stats.get("mean_ad"),
                 "total": stats.get("mean_total"),
-                "auroc": final_auroc,
+                "auroc": (record.metrics or {}).get("final", {}).get("auroc"),
                 "collected_mean_edges": stats.get("mean_sparsity"),
             }
         )
@@ -754,7 +719,6 @@ def run_ablation_sparsity(
             "collected_mean_edges",
         ],
     )
-    _write_errors(out_dir, errors)
     return rows
 
 

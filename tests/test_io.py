@@ -223,10 +223,16 @@ class TestMatrixFiles:
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_bad_cell_reported(self, tmp_path):
+        cases = [
+            ("0.1,0.2\n0.3,x\n", r"line 2, column 2: not a number"),
+            ("0.1,0.2\n0.3,nan\n", r"line 2, column 2: non-finite"),
+            ("0.1,0.2\n0.3\n", r"line 2 has 1 fields, expected 2"),
+        ]
         path = tmp_path / "bad.csv"
-        path.write_text("0.1,0.2\n0.3,x\n")
-        with pytest.raises(DataFormatError, match=r"line 2, column 2"):
-            load_matrix(str(path))
+        for text, where in cases:
+            path.write_text(text)
+            with pytest.raises(DataFormatError, match=where):
+                load_matrix(str(path))
 
 
 class TestInstanceBundle:

@@ -751,6 +751,21 @@ class TestStageFailures:
         assert sorted(json.loads((out / "timings.json").read_text())) == sorted(finished)
 
 
+def _fail_second_refine(monkeypatch):
+    """Make pipeline.refine raise on its second call only, so with
+    threads=1 exactly the suite's second run fails in its refine stage."""
+    real = pipeline.refine
+    calls = []
+
+    def refine_failing_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("boom")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "refine", refine_failing_once)
+
+
 class TestRunBenchmark:
     def test_row_counts_and_schema(self, tmp_path):
         out = str(tmp_path / "bench")
@@ -875,6 +890,25 @@ class TestRunBenchmark:
         )
         assert final_auroc["mean"] > 0.9
 
+    def test_failed_run_is_listed_and_left_out_of_the_tables(self, tmp_path, monkeypatch):
+        _fail_second_refine(monkeypatch)
+        out = tmp_path / "b"
+        summary = run_benchmark(_small_config(stages="refine_only"), "iid", 3, str(out), threads=1)
+        errors = json.loads((out / "errors.json").read_text())
+        assert errors == [{"instance": 1, "stage": "refine", "error": "stage 'refine' failed: boom"}]
+        assert list(errors[0]) == ["instance", "stage", "error"]
+        import csv
+
+        with open(out / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sorted({int(r["instance"]) for r in rows}) == [0, 2]
+        assert len(rows) == 2 * len(BENCHMARK_METHODS) * len(BENCHMARK_METRICS)
+        with open(out / "summary.csv") as fh:
+            on_disk = list(csv.DictReader(fh))
+        assert len(on_disk) == len(summary) == len(BENCHMARK_METHODS) * len(BENCHMARK_METRICS)
+        assert all(int(row["n"]) == 2 for row in on_disk)
+        assert all(row["n"] == 2 for row in summary)
+
     def test_requires_generator(self, tmp_path):
         cfg = dataclasses.replace(_small_config(), generator=None)
         with pytest.raises(ConfigError):
@@ -909,6 +943,22 @@ class TestRunAblation:
         for row in rows:
             expect = 0.5 if row["arm"] == "penalized" else 0.0
             assert row["lambda"] == expect
+
+    def test_failed_run_is_listed_and_left_out_of_the_table(self, tmp_path, monkeypatch):
+        _fail_second_refine(monkeypatch)
+        out = tmp_path / "abl"
+        rows = run_ablation_sparsity(_small_config(stages="refine_only"), "iid", 2, str(out), threads=1)
+        errors = json.loads((out / "errors.json").read_text())
+        expect = {"instance": 0, "arm": "unpenalized", "stage": "refine", "error": "stage 'refine' failed: boom"}
+        assert errors == [expect]
+        assert list(errors[0]) == ["instance", "arm", "stage", "error"]
+        kept = [(0, "penalized"), (1, "penalized"), (1, "unpenalized")]
+        assert [(r["instance"], r["arm"]) for r in rows] == kept
+        import csv
+
+        with open(out / "ablation.csv") as fh:
+            on_disk = list(csv.DictReader(fh))
+        assert [(int(r["instance"]), r["arm"]) for r in on_disk] == kept
 
     def test_unpenalized_arm_is_denser_on_average(self, tmp_path):
         config = _small_config(
@@ -1111,6 +1161,22 @@ class TestCli:
         )
         assert rc == 0
         assert (out / "ablation.csv").exists()
+
+    @pytest.mark.parametrize("command, runs", [("benchmark", 2), ("ablate", 4)])
+    def test_failed_runs_exit_three_after_writing_the_tables(self, tmp_path, capsys, command, runs):
+        # a from_file seed whose graph is missing fails every run in init_seed
+        refine = {"n_steps": 50, "collect_k": 10, "seed_mode": "from_file", "seed_graph": str(tmp_path / "absent.csv")}
+        cfg_path = _write_config(tmp_path / "cfg.json", refine=refine)
+        out = tmp_path / "suite"
+        rc = cli_main([command, "--config", cfg_path, "--setting", "iid", "--instances", "2", "--out", str(out)])
+        assert rc == 3
+        errors = json.loads((out / "errors.json").read_text())
+        assert len(errors) == runs
+        assert {e["stage"] for e in errors} == {"init_seed"}
+        table = "results.csv" if command == "benchmark" else "ablation.csv"
+        assert len((out / table).read_text().splitlines()) == 1
+        err = capsys.readouterr().err
+        assert f"{runs} of {runs} runs failed; see {out / 'errors.json'}" in err
 
     def test_pipeline_command_prints_undefined_metrics_as_na(self, tmp_path, capsys):
         # an edgeless truth leaves AUROC and AUPRC undefined (None)
