@@ -37,6 +37,7 @@ from .io import (
 from .metrics import evaluate
 from .model import EdgePredictor, TrainConfig, generate_training_set, predict, train
 from .pipeline import (
+    STAGES,
     GeneratorConfig,
     PipelineConfig,
     generate_instances,
@@ -45,7 +46,7 @@ from .pipeline import (
     run_pipeline,
     save_instances,
 )
-from .scm import ShiftSetting, SpecTriple
+from .scm import ShiftSetting
 from .scoring import ScoreConfig, ScoreEngine
 from .sim import Basis, RegressorConfig
 
@@ -112,15 +113,16 @@ def _print_run_summary(record) -> None:
 
 
 def cmd_generate(args) -> int:
-    spec = SpecTriple.parse(args.mechanism, args.noise, args.graph)
-    kwargs = {}
-    if args.expected_edges is not None:
-        kwargs["expected_edges"] = args.expected_edges
-    if args.attach_m is not None:
-        kwargs["attach_m"] = args.attach_m
-    instances = generate_instances(
-        spec, args.d, args.n, args.count, args.seed, **kwargs
+    gen = GeneratorConfig(
+        mechanism=args.mechanism,
+        noise=args.noise,
+        graph_model=args.graph,
+        d=args.d,
+        n=args.n,
+        expected_edges=args.expected_edges,
+        attach_m=args.attach_m,
     )
+    instances = generate_instances(gen.triple(), gen.d, gen.n, args.count, args.seed, **gen.scm_kwargs())
     save_instances(instances, args.out)
     print(f"wrote {len(instances)} instance bundle(s) under {args.out}")
     return 0
@@ -240,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=GeneratorConfig.d)
     p.add_argument("--n", type=int, default=GeneratorConfig.n)
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--expected-edges", type=float, default=None)
-    p.add_argument("--attach-m", type=int, default=None)
+    p.add_argument("--expected-edges", type=float, default=GeneratorConfig.expected_edges)
+    p.add_argument("--attach-m", type=int, default=GeneratorConfig.attach_m)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--stages", default=None, choices=["full", "refine_only", "knn_only"])
+    p.add_argument("--stages", default=None, choices=STAGES)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("benchmark", help="run the pipeline over generated instances")

@@ -166,8 +166,12 @@ class GeneratorConfig:
     noise_scale_range: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ConfigError(f"generator d must be >= 2, got {self.d}")
+        for name, low in (("d", 2), ("n", 1), ("attach_m", 1)):
+            value = getattr(self, name)
+            if value < low:
+                raise ConfigError(f"generator {name} must be >= {low}, got {value}")
+        if self.expected_edges is not None and self.expected_edges < 0:
+            raise ConfigError(f"generator expected_edges must be >= 0, got {self.expected_edges}")
         self.triple()  # validates the mechanism, noise and graph names
 
     def triple(self) -> SpecTriple:
@@ -332,8 +336,6 @@ def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | No
             config.refine.seed_mode,
             streams["init_seed"],
             seed_graph_path=config.refine.seed_graph_path,
-            expected_edges=config.refine.seed_expected_edges,
-            max_rounds=config.refine.greedy_max_rounds,
         )
         run.save("seed_graph", "seed_graph.csv", save_graph, seed_dag)
 

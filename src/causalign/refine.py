@@ -41,8 +41,8 @@ class SeedMode(str, enum.Enum):
 class RefineConfig:
     """Search parameters.
 
-    temperature=None resolves to max(0.01 * |seed total|, 1e-6) once the
-    seed graph is scored. score configures the run's ScoreEngine; the
+    temperature=None resolves from the seed graph's score through
+    resolve_temperature. score configures the run's ScoreEngine; the
     search itself reads the score, and the in-degree cap, from the engine
     it is given.
     """
@@ -52,9 +52,7 @@ class RefineConfig:
     temperature: float | None = None
     seed_mode: SeedMode = SeedMode.RANDOM_DAG
     seed_graph_path: str | None = None
-    seed_expected_edges: float | None = None
     dedup_collected: bool = False
-    greedy_max_rounds: int = 64
     score: ScoreConfig = field(default_factory=ScoreConfig)
 
     def __post_init__(self):
@@ -67,6 +65,13 @@ class RefineConfig:
             raise ConfigError("temperature must be > 0")
         if self.seed_mode == SeedMode.FROM_FILE and not self.seed_graph_path:
             raise ConfigError("seed_mode=from_file requires seed_graph_path")
+
+    def resolve_temperature(self, seed_total: float) -> float:
+        """The Metropolis temperature: the configured one, or
+        max(0.01 * |seed_total|, 1e-6) when it is None."""
+        if self.temperature is not None:
+            return self.temperature
+        return max(0.01 * abs(seed_total), 1e-6)
 
 
 @dataclass(frozen=True)
@@ -176,12 +181,10 @@ def init_seed(
     rng: np.random.Generator,
     *,
     seed_graph_path: str | None = None,
-    expected_edges: float | None = None,
-    max_rounds: int = 64,
 ) -> Dag:
     """Produce the starting graph for refinement on the engine's dataset.
 
-    random_dag draws an ER graph with expected_edges defaulting to d, then
+    random_dag draws an ER graph with d expected edges, then
     trims each node drawn with more parents than the engine regressor's
     max_in_degree to a uniform random subset of that many, using the same
     rng after the draw (a graph within the cap is returned as drawn);
@@ -191,8 +194,7 @@ def init_seed(
     mode = SeedMode(mode)
     d = engine.dataset.d
     if mode == SeedMode.RANDOM_DAG:
-        ee = float(d) if expected_edges is None else expected_edges
-        dag = random_er(d, ee, rng)
+        dag = random_er(d, float(d), rng)
         cap = engine.config.regressor.max_in_degree
         if cap is None:
             return dag
@@ -202,7 +204,7 @@ def init_seed(
             adj[rng.choice(parents, size=len(parents) - cap, replace=False), node] = 0
         return Dag(adj)
     if mode == SeedMode.GREEDY:
-        return greedy_hill_climb(engine, max_rounds=max_rounds)
+        return greedy_hill_climb(engine)
     if not seed_graph_path:
         raise ConfigError("from_file seed mode requires a path")
     from .io import load_graph  # local import keeps io optional for library use
@@ -227,9 +229,7 @@ def refine(engine: ScoreEngine, seed: Dag, config: RefineConfig, rng: np.random.
     """
     cap = engine.config.regressor.max_in_degree
     s_seed = engine.score(seed)
-    temperature = config.temperature
-    if temperature is None:
-        temperature = max(0.01 * abs(s_seed.total), 1e-6)
+    temperature = config.resolve_temperature(s_seed.total)
 
     current, s_curr = seed, s_seed
     # per-node AD terms of the current graph, carried across steps

@@ -29,9 +29,7 @@ __all__ = [
     "ScmInstance",
     "Dataset",
     "CausalInstance",
-    "ShiftSuite",
     "sample_scm",
-    "eval_mechanism",
     "forward_sample",
     "generate_instance",
     "plan_shift_suite",
@@ -119,7 +117,6 @@ class MechanismSpec:
 
     family: MechanismFamily
     node_params: list
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -283,7 +280,7 @@ def sample_scm(
         "rff_lengthscale": _RFF_LENGTHSCALE,
         "cheb_degree": _CHEB_DEGREE,
     }
-    mechanisms = MechanismSpec(family=mechanism, node_params=node_params, meta=meta)
+    mechanisms = MechanismSpec(family=mechanism, node_params=node_params)
     scales = rng.uniform(noise_scale_range[0], noise_scale_range[1], size=d)
     return ScmInstance(dag=dag, mechanisms=mechanisms, noise=NoiseSpec(noise, scales), meta=meta)
 
@@ -321,30 +318,6 @@ def _eval_node_batch(spec: MechanismSpec, node: int, parent_values: np.ndarray) 
         polys = _cheb_polys(parent_values[:, col], degree)
         total += polys @ params.coeffs[col]
     return total
-
-
-def eval_mechanism(spec: MechanismSpec, node: int, parent_values) -> float:
-    """Mechanism value for a single observation.
-
-    parent_values is a 1-d vector over the node's parents in ascending
-    index order; an empty vector (root node) evaluates to 0.0.
-    """
-    vals = np.asarray(parent_values, dtype=float).reshape(1, -1)
-    expected = _node_param_arity(spec, node)
-    if vals.shape[1] != expected:
-        raise StructuralInputError(
-            f"node {node} expects {expected} parent values, got {vals.shape[1]}"
-        )
-    return float(_eval_node_batch(spec, node, vals)[0])
-
-
-def _node_param_arity(spec: MechanismSpec, node: int) -> int:
-    params = spec.node_params[node]
-    if spec.family == MechanismFamily.LINEAR:
-        return params.weights.shape[0]
-    if spec.family == MechanismFamily.RFF:
-        return params.omega.shape[1]
-    return params.coeffs.shape[0]
 
 
 def forward_sample(
@@ -394,17 +367,7 @@ _MECH_SHIFT = {
 }
 
 
-@dataclass
-class ShiftSuite:
-    """A test setting plus the training settings (with mixture weights)
-    implied by a distribution-shift scenario."""
-
-    setting: ShiftSetting
-    test_spec: SpecTriple
-    train_specs: list[tuple[SpecTriple, float]]
-
-
-def plan_shift_suite(setting: ShiftSetting | str, test_spec: SpecTriple) -> ShiftSuite:
+def plan_shift_suite(setting: ShiftSetting | str, test_spec: SpecTriple) -> list[SpecTriple]:
     """Map (setting, test triple) to the training triples.
 
     iid keeps the triple; graph_shift swaps ER <-> SF; noise_shift advances
@@ -418,35 +381,19 @@ def plan_shift_suite(setting: ShiftSetting | str, test_spec: SpecTriple) -> Shif
     setting = ShiftSetting(setting)
     t = test_spec
     if setting == ShiftSetting.IID:
-        train = [t]
-    elif setting == ShiftSetting.GRAPH_SHIFT:
+        return [t]
+    if setting == ShiftSetting.GRAPH_SHIFT:
         other = GraphModel.SF if t.graph_model == GraphModel.ER else GraphModel.ER
-        train = [SpecTriple(t.mechanism, t.noise, other)]
-    elif setting == ShiftSetting.NOISE_SHIFT:
-        train = [SpecTriple(t.mechanism, _NOISE_CYCLE[t.noise], t.graph_model)]
-    elif setting == ShiftSetting.MECHANISM_SHIFT:
-        train = [SpecTriple(_MECH_SHIFT[t.mechanism], t.noise, t.graph_model)]
-    else:
-        train = []
-        for mech in MechanismFamily:
-            noise = _NOISE_CYCLE[t.noise] if mech == t.mechanism else t.noise
-            for gm in GraphModel:
-                train.append(SpecTriple(mech, noise, gm))
-        if any(spec == t for spec in train):
-            raise ConfigError(
-                f"component_mixed could not exclude the test triple {t.label()}"
-            )
-        missing = []
-        if not any(s.mechanism == t.mechanism for s in train):
-            missing.append("mechanism")
-        if not any(s.noise == t.noise for s in train):
-            missing.append("noise")
-        if not any(s.graph_model == t.graph_model for s in train):
-            missing.append("graph_model")
-        if missing:
-            raise ConfigError(f"component_mixed failed to cover: {missing}")
-    weight = 1.0 / len(train)
-    return ShiftSuite(setting, t, [(spec, weight) for spec in train])
+        return [SpecTriple(t.mechanism, t.noise, other)]
+    if setting == ShiftSetting.NOISE_SHIFT:
+        return [SpecTriple(t.mechanism, _NOISE_CYCLE[t.noise], t.graph_model)]
+    if setting == ShiftSetting.MECHANISM_SHIFT:
+        return [SpecTriple(_MECH_SHIFT[t.mechanism], t.noise, t.graph_model)]
+    return [
+        SpecTriple(mech, _NOISE_CYCLE[t.noise] if mech == t.mechanism else t.noise, gm)
+        for mech in MechanismFamily
+        for gm in GraphModel
+    ]
 
 
 def generate_instance(
@@ -469,16 +416,15 @@ def make_shift_suite(
     rng: np.random.Generator,
     **scm_kwargs,
 ) -> tuple[list[CausalInstance], list[CausalInstance]]:
-    """Materialize a shift suite: `count` training instances drawn from the
-    setting's training mixture (uniform weights) and `count` test instances
-    from the test triple. Every instance carries its ground-truth graph and
-    the child seed it was generated from, so suites replay exactly and can
-    be regenerated per-instance in parallel.
+    """Materialize a shift suite: `count` training instances cycling
+    through the setting's training triples and `count` test instances from
+    the test triple. Every instance carries its ground-truth graph and the
+    child seed it was generated from, so suites replay exactly and can be
+    regenerated per-instance in parallel.
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
-    suite = plan_shift_suite(setting, test_spec)
-    specs = [s for s, _ in suite.train_specs]
+    specs = plan_shift_suite(setting, test_spec)
     train: list[CausalInstance] = []
     for k in range(count):
         child_seed = int(rng.integers(0, 2**63 - 1))

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 SIGMA_FLOOR = 1e-3
+# penalty on every coefficient but the intercept; it keeps the normal
+# equations solvable when expanded parent features are collinear
+_RIDGE = 1e-6
 
 
 class Basis(str, enum.Enum):
@@ -56,15 +59,12 @@ class RegressorConfig:
 
     basis: Basis = Basis.FOURIER
     basis_size: int = 8
-    ridge: float = 1e-6
     max_in_degree: int | None = 6
 
     def __post_init__(self):
         object.__setattr__(self, "basis", Basis(self.basis))
         if self.basis_size < 1:
             raise ConfigError("basis_size must be >= 1")
-        if self.ridge < 0:
-            raise ConfigError("ridge must be >= 0")
         if self.max_in_degree is not None and self.max_in_degree < 0:
             raise ConfigError("max_in_degree must be >= 0 or None")
 
@@ -190,18 +190,15 @@ def fit_node(
         transforms = tuple(tr for tr, _ in expanded)
         full = np.concatenate([np.ones((n, 1)), *(block for _, block in expanded)], axis=1)
         k = full.shape[1]
-        if config.ridge > 0:
-            gram = full.T @ full
-            penalty = np.full(k, config.ridge)
-            penalty[0] = 0.0  # intercept unpenalized
-            gram[np.diag_indices(k)] += penalty
-            rhs = full.T @ x
-            try:
-                coef = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"singular system fitting node {node}: {exc}") from exc
-        else:
-            coef, *_ = np.linalg.lstsq(full, x, rcond=None)
+        gram = full.T @ full
+        penalty = np.full(k, _RIDGE)
+        penalty[0] = 0.0  # intercept unpenalized
+        gram[np.diag_indices(k)] += penalty
+        rhs = full.T @ x
+        try:
+            coef = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"singular system fitting node {node}: {exc}") from exc
         if not np.isfinite(coef).all():
             raise NumericalError(f"non-finite coefficients fitting node {node}")
         intercept = float(coef[0])

@@ -282,16 +282,21 @@ def _refine_seconds(n, n_steps, rep):
     return time.perf_counter() - t0
 
 
+def _doubling_ratio(base, doubled):
+    """Median of 3 doubled (n, n_steps) runs over median of 3 base runs.
+    The runs alternate (base, doubled, base, ...), so a slow spell of the
+    host lands on both sides of the ratio."""
+    pairs = [(_refine_seconds(*base, r), _refine_seconds(*doubled, r)) for r in range(3)]
+    base_times, doubled_times = zip(*pairs)
+    return float(np.median(doubled_times) / np.median(base_times))
+
+
 @pytest.mark.timing
 def test_criterion_10_wall_clock_scaling():
     # step term measured at suite scale; sample term at n large enough
     # that the per-step O(n) refit dominates fixed move-enumeration work
-    base_steps = np.median([_refine_seconds(200, 1000, r) for r in range(3)])
-    dbl_steps = np.median([_refine_seconds(200, 2000, r) for r in range(3)])
-    steps_ratio = float(dbl_steps / base_steps)
-    base_n = np.median([_refine_seconds(4000, 500, r) for r in range(3)])
-    dbl_n = np.median([_refine_seconds(8000, 500, r) for r in range(3)])
-    n_ratio = float(dbl_n / base_n)
+    steps_ratio = _doubling_ratio((200, 1000), (200, 2000))
+    n_ratio = _doubling_ratio((4000, 500), (8000, 500))
     ok = 1.6 <= steps_ratio <= 2.5 and 1.5 <= n_ratio <= 2.8
     _emit(
         10,

@@ -161,7 +161,6 @@ _regressors = st.builds(
     RegressorConfig,
     basis=st.sampled_from(Basis),
     basis_size=st.integers(1, 32),
-    ridge=_floats,
     max_in_degree=st.none() | st.integers(0, 12),
 )
 _scores = st.builds(
@@ -176,9 +175,7 @@ _refines = st.builds(
     temperature=st.none() | st.floats(min_value=1e-9, max_value=1e6),
     seed_mode=st.sampled_from(SeedMode),
     seed_graph_path=st.text(min_size=1, max_size=12),
-    seed_expected_edges=st.none() | _floats,
     dedup_collected=st.booleans(),
-    greedy_max_rounds=st.integers(1, 256),
     score=_scores,
 )
 _ranges = st.none() | st.tuples(_floats, _floats)
@@ -1219,6 +1216,9 @@ class TestCli:
             ({"score": {"ad_variant": "likelihood"}}, "ad_variant"),
             ({"score": {"ad_scale_mode": "averaged"}}, "ad_scale_mode"),
             ({"noise_mode": "empirical"}, "noise_mode"),
+            ({"regressor": {"ridge": 1e-6}}, "ridge"),
+            ({"refine": {"seed_expected_edges": 10}}, "seed_expected_edges"),
+            ({"refine": {"greedy_max_rounds": 64}}, "greedy_max_rounds"),
         ],
     )
     def test_removed_config_key_exits_two(self, tmp_path, capsys, obj, key):
@@ -1230,6 +1230,27 @@ class TestCli:
         rc = cli_main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
         assert rc == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "generator, message",
+        [
+            ({"n": 0}, "generator n must be >= 1, got 0"),
+            ({"attach_m": 0}, "generator attach_m must be >= 1, got 0"),
+            ({"expected_edges": -1}, "generator expected_edges must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_generator_value_exits_two(self, tmp_path, capsys, generator, message):
+        cfg_path = _write_config(tmp_path / "cfg.json", generator={"d": 4, **generator})
+        rc = cli_main(["pipeline", "--config", cfg_path, "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_generate_single_variable_exits_two(self, tmp_path, capsys):
+        rc = cli_main(["generate", "--d", "1", "--out", str(tmp_path / "g")])
+        assert rc == 2
+        assert "generator d must be >= 2, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
     def test_single_variable_data_exits_two(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

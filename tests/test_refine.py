@@ -269,17 +269,15 @@ class TestInitSeed:
         assert init_seed(ScoreEngine(data), SeedMode.RANDOM_DAG, make_rng(4)) == random_er(8, 8.0, make_rng(4))
 
     def test_random_dag_trims_parents_over_cap(self):
-        # expected_edges = C(8, 2) draws a complete DAG: in-degrees 0..7
+        # a cap of 1 trims the default-density draw, which has nodes of in-degree 2 and more
         data = noise_dataset(0, d=8, n=40)
-        engine = ScoreEngine(data, ScoreConfig(regressor=RegressorConfig(max_in_degree=2)))
-        drawn = random_er(8, 28.0, make_rng(3))
-        seeds = [
-            init_seed(engine, SeedMode.RANDOM_DAG, make_rng(3), expected_edges=28.0)
-            for _ in range(2)
-        ]
+        engine = ScoreEngine(data, ScoreConfig(regressor=RegressorConfig(max_in_degree=1)))
+        drawn = random_er(8, 8.0, make_rng(3))
+        assert drawn.in_degrees().max() > 1
+        seeds = [init_seed(engine, SeedMode.RANDOM_DAG, make_rng(3)) for _ in range(2)]
         assert seeds[0] == seeds[1]
         trimmed = seeds[0]
-        assert np.array_equal(trimmed.in_degrees(), np.minimum(drawn.in_degrees(), 2))
+        assert np.array_equal(trimmed.in_degrees(), np.minimum(drawn.in_degrees(), 1))
         assert np.all(trimmed.adjacency <= drawn.adjacency)
 
     def test_from_file_round_trip(self, tmp_path):

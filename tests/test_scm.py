@@ -18,7 +18,6 @@ from causalign.scm import (
     ScmInstance,
     ShiftSetting,
     SpecTriple,
-    eval_mechanism,
     forward_sample,
     make_shift_suite,
     plan_shift_suite,
@@ -85,22 +84,37 @@ class TestSampleScm:
             assert key in scm.meta
 
 
+def _noiseless(dag, spec, root_values):
+    """forward_sample of one row with zero noise, except that the roots
+    named in root_values take those values through their noise column."""
+    d = dag.d
+    noise = np.zeros((1, d))
+    for j, value in root_values.items():
+        noise[0, j] = value
+    scm = ScmInstance(dag=dag, mechanisms=spec, noise=NoiseSpec(NoiseFamily.GAUSSIAN, np.ones(d)))
+    return forward_sample(scm, 1, make_rng(0), noise=noise).values[0]
+
+
 class TestEvalMechanism:
+    """Mechanism values, read off forward_sample with the noise pinned."""
+
     def test_linear_dot_product(self):
         spec = MechanismSpec(
             family=MechanismFamily.LINEAR,
             node_params=[
                 LinearNode(weights=np.array([])),
+                LinearNode(weights=np.array([])),
                 LinearNode(weights=np.array([2.0, -1.0])),
             ],
         )
-        assert eval_mechanism(spec, 1, np.array([1.0, 3.0])) == pytest.approx(-1.0)
+        row = _noiseless(dag_from_edges(3, [(0, 2), (1, 2)]), spec, {0: 1.0, 1: 3.0})
+        assert row[2] == pytest.approx(-1.0)
 
     def test_root_node_returns_zero(self):
         for family in ("linear", "rff", "chebyshev"):
             scm = sample_scm("er", family, "gaussian", 4, make_rng(6), expected_edges=0.0)
-            for j in range(4):
-                assert eval_mechanism(scm.mechanisms, j, np.array([])) == 0.0
+            data = forward_sample(scm, 5, make_rng(0), noise=np.zeros((5, 4)))
+            assert (data.values == 0.0).all()
 
     def test_chebyshev_degree_two(self):
         # coefficient 1 at degree 2 only: T_2(0.5) = 2*(0.5)^2 - 1 = -0.5
@@ -112,15 +126,8 @@ class TestEvalMechanism:
             family=MechanismFamily.CHEBYSHEV,
             node_params=[ChebNode(coeffs=np.zeros((0, 3))), ChebNode(coeffs=coeffs)],
         )
-        assert eval_mechanism(spec, 1, np.array([0.5])) == pytest.approx(-0.5)
-
-    def test_shape_mismatch_raises(self):
-        spec = MechanismSpec(
-            family=MechanismFamily.LINEAR,
-            node_params=[LinearNode(weights=np.array([1.0, 2.0]))],
-        )
-        with pytest.raises(StructuralInputError):
-            eval_mechanism(spec, 0, np.array([1.0]))
+        row = _noiseless(dag_from_edges(2, [(0, 1)]), spec, {0: 0.5})
+        assert row[1] == pytest.approx(-0.5)
 
 
 def _independent_scm(d, scale, family):
@@ -237,27 +244,23 @@ class TestForwardSample:
 class TestShiftSuite:
     def test_iid_keeps_triple(self):
         t = SpecTriple.parse("rff", "gaussian", "er")
-        suite = plan_shift_suite("iid", t)
-        assert [s for s, _ in suite.train_specs] == [t]
+        assert plan_shift_suite("iid", t) == [t]
 
     def test_graph_shift_swaps_model(self):
         t = SpecTriple.parse("linear", "uniform", "er")
-        suite = plan_shift_suite("graph_shift", t)
-        (spec, _weight), = suite.train_specs
+        (spec,) = plan_shift_suite("graph_shift", t)
         assert spec.graph_model == GraphModel.SF
         assert spec.mechanism == t.mechanism and spec.noise == t.noise
 
     def test_mechanism_shift_rff_becomes_chebyshev(self):
         t = SpecTriple.parse("rff", "gaussian", "er")
-        suite = plan_shift_suite("mechanism_shift", t)
-        (spec, _weight), = suite.train_specs
+        (spec,) = plan_shift_suite("mechanism_shift", t)
         assert spec.mechanism == MechanismFamily.CHEBYSHEV
         assert spec.noise == t.noise and spec.graph_model == t.graph_model
 
     def test_component_mixed_excludes_triple_but_covers_components(self):
         t = SpecTriple.parse("rff", "gaussian", "er")
-        suite = plan_shift_suite("component_mixed", t)
-        specs = [s for s, _ in suite.train_specs]
+        specs = plan_shift_suite("component_mixed", t)
         assert all(s != t for s in specs)
         assert any(s.mechanism == t.mechanism for s in specs)
         assert any(s.noise == t.noise for s in specs)
@@ -268,13 +271,11 @@ class TestShiftSuite:
             for noise in NoiseFamily:
                 for gm in GraphModel:
                     t = SpecTriple(mech, noise, gm)
-                    suite = plan_shift_suite(ShiftSetting.COMPONENT_MIXED, t)
-                    assert all(s != t for s, _ in suite.train_specs)
-
-    def test_weights_sum_to_one(self):
-        t = SpecTriple.parse("linear", "gaussian", "er")
-        suite = plan_shift_suite("component_mixed", t)
-        assert sum(w for _, w in suite.train_specs) == pytest.approx(1.0)
+                    specs = plan_shift_suite(ShiftSetting.COMPONENT_MIXED, t)
+                    assert all(s != t for s in specs)
+                    assert any(s.mechanism == t.mechanism for s in specs)
+                    assert any(s.noise == t.noise for s in specs)
+                    assert any(s.graph_model == t.graph_model for s in specs)
 
     def test_make_shift_suite_materializes_counts(self):
         t = SpecTriple.parse("linear", "gaussian", "er")

@@ -257,7 +257,3 @@ class TestRegressorConfig:
     def test_rejects_bad_basis_size(self):
         with pytest.raises(ConfigError):
             RegressorConfig(basis_size=0)
-
-    def test_rejects_negative_ridge(self):
-        with pytest.raises(ConfigError):
-            RegressorConfig(ridge=-1.0)
