@@ -27,12 +27,12 @@ from .errors import (
     UndefinedMetricError,
 )
 from .io import (
+    TrainingSetWriter,
     load_dataset,
     load_graph,
     load_matrix,
     load_training_set,
     save_matrix,
-    save_training_set,
 )
 from .metrics import evaluate
 from .model import EdgePredictor, TrainConfig, generate_training_set, predict, train
@@ -144,9 +144,9 @@ def cmd_make_trainset(args) -> int:
     graphs = [load_graph(p) for p in paths]
     regressor = RegressorConfig(basis=Basis(args.basis), basis_size=args.basis_size)
     engine = ScoreEngine(dataset, ScoreConfig(regressor=regressor))
-    training_set = generate_training_set(graphs, engine, np.random.default_rng(args.seed))
-    save_training_set(training_set, args.out)
-    print(f"wrote {len(training_set.instances)} training instance(s) under {args.out}")
+    writer = TrainingSetWriter(args.out, dataset.n, dataset.d)
+    generate_training_set(graphs, engine, np.random.default_rng(args.seed), writer)
+    print(f"wrote {writer.added} training instance(s) under {args.out}")
     return 0
 
 

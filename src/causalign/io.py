@@ -30,6 +30,7 @@ __all__ = [
     "save_instance_bundle",
     "load_instance_bundle",
     "save_trace_jsonl",
+    "TrainingSetWriter",
     "save_training_set",
     "load_training_set",
 ]
@@ -202,37 +203,64 @@ _TRAINSET_DATASETS = "datasets.npy"
 _TRAINSET_GRAPHS = "graphs.npy"
 
 
-def _save_stacked(path: str, arrays, dtype) -> None:
-    """Write what np.save(path, np.stack(arrays)) writes, one array at a
-    time: a .npy 1.0 header for the stacked shape, then each C-order
-    buffer, so memory stays at one array however many there are."""
-    dtype = np.dtype(dtype)
-    shapes = {arr.shape for arr in arrays}
-    if len(shapes) != 1:
-        raise StructuralInputError(f"{path}: arrays of differing shapes {sorted(shapes)}")
-    header = {
-        "descr": np.lib.format.dtype_to_descr(dtype),
-        "fortran_order": False,
-        "shape": (len(arrays),) + arrays[0].shape,
-    }
-    with open(path, "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, header)
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype=dtype).data)
+class TrainingSetWriter:
+    """Writes a training-set directory one instance at a time, as
+    generate_training_set's sink: start writes provenance.json and the
+    .npy 1.0 headers of datasets.npy (float64, shape (K, n, d)) and
+    graphs.npy (int8, shape (K, d, d)), and each add appends one
+    instance's C-order buffers. Once all K are added the files hold what
+    np.save of the stacked arrays writes, while memory held one instance
+    at a time."""
+
+    def __init__(self, out_dir: str, n: int, d: int):
+        self.out_dir = out_dir
+        self._parts = (
+            (os.path.join(out_dir, _TRAINSET_DATASETS), (n, d), np.dtype(np.float64)),
+            (os.path.join(out_dir, _TRAINSET_GRAPHS), (d, d), np.dtype(np.int8)),
+        )
+        self.count = 0
+        self.added = 0
+
+    def start(self, count: int, provenance: dict) -> None:
+        os.makedirs(self.out_dir, exist_ok=True)
+        for path, shape, dtype in self._parts:
+            header = {
+                "descr": np.lib.format.dtype_to_descr(dtype),
+                "fortran_order": False,
+                "shape": (count, *shape),
+            }
+            with open(path, "wb") as fh:
+                np.lib.format.write_array_header_1_0(fh, header)
+        with open(os.path.join(self.out_dir, "provenance.json"), "w") as fh:
+            json.dump(provenance, fh, indent=2)
+        self.count = count
+
+    def add(self, dataset: Dataset, graph: Dag) -> None:
+        if self.added == self.count:
+            raise StructuralInputError(f"{self.out_dir}: already holds its {self.count} instances")
+        arrays = (dataset.values, graph.adjacency)
+        for (path, shape, _), arr in zip(self._parts, arrays):
+            if arr.shape != shape:
+                raise StructuralInputError(
+                    f"{path}: arrays of differing shapes: instance {self.added} is {arr.shape}, not {shape}"
+                )
+        for (path, _, dtype), arr in zip(self._parts, arrays):
+            with open(path, "ab") as fh:
+                fh.write(np.ascontiguousarray(arr, dtype=dtype).data)
+        self.added += 1
 
 
 def save_training_set(training_set, out_dir: str) -> None:
     """datasets.npy (float64, shape (K, n, d)), graphs.npy (int8, shape
-    (K, d, d)) and provenance.json; instance k is datasets[k] paired with
-    graphs[k]."""
+    (K, d, d)) and provenance.json, written by a TrainingSetWriter;
+    instance k is datasets[k] paired with graphs[k]."""
     if not training_set.instances:
         raise StructuralInputError("training set has no instances")
-    datasets, graphs = zip(*training_set.instances)
-    os.makedirs(out_dir, exist_ok=True)
-    _save_stacked(os.path.join(out_dir, _TRAINSET_DATASETS), [data.values for data in datasets], np.float64)
-    _save_stacked(os.path.join(out_dir, _TRAINSET_GRAPHS), [g.adjacency for g in graphs], np.int8)
-    with open(os.path.join(out_dir, "provenance.json"), "w") as fh:
-        json.dump(training_set.provenance, fh, indent=2)
+    first = training_set.instances[0][0]
+    writer = TrainingSetWriter(out_dir, first.n, first.d)
+    writer.start(len(training_set.instances), training_set.provenance)
+    for data, g in training_set.instances:
+        writer.add(data, g)
 
 
 def _load_3d(ts_dir: str, name: str) -> tuple[str, np.ndarray]:

@@ -32,6 +32,7 @@ from .scoring import ScoreEngine
 __all__ = [
     "PAIR_FEATURE_NAMES",
     "TrainingSet",
+    "TrainingFeatures",
     "TrainConfig",
     "EdgePredictor",
     "pair_order",
@@ -66,37 +67,32 @@ _DIR_RIDGE = 1e-6
 
 
 def _rank_std(x: np.ndarray) -> np.ndarray:
-    """Standardized midranks in one pass.
+    """Standardized midranks of every row of a (rows, n) array.
 
-    Rank mean is exactly (n+1)/2; without ties the rank std has the
-    closed form sqrt((n^2-1)/12), and with ties it is computed over the
-    value-sorted rank vector, so the result never depends on the order
-    the values arrived in.
+    Rank mean is exactly (n+1)/2. One argsort ranks all rows; a row
+    without ties takes the closed-form rank std sqrt((n^2-1)/12), and a
+    row with ties takes its midranks and their std over the value-sorted
+    rank vector, so the result never depends on the order the values
+    arrived in.
     """
-    n = x.shape[0]
-    order = np.argsort(x)  # any sort kind: tied values share one midrank
-    sx = x[order]
+    rows, n = x.shape
+    order = np.argsort(x, axis=1)  # any sort kind: tied values share one midrank
+    # order as indices into the flattened rows: plain fancy indexing is
+    # several times faster than take_along_axis / put_along_axis here
+    flat = order + n * np.arange(rows)[:, None]
+    sx = x.ravel()[flat]
     mu = (n + 1) / 2.0
-    tied = sx[1:] == sx[:-1]
-    if not tied.any():
-        sd = math.sqrt((n * n - 1) / 12.0)
-        out = np.empty(n, dtype=float)
-        out[order] = np.arange(1, n + 1, dtype=float)
-        out -= mu
-        out /= sd
-        return out
-    boundaries = np.flatnonzero(~tied) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [n]))
-    mid = (starts + ends + 1) / 2.0
-    ranks_sorted = np.repeat(mid, ends - starts)
-    sd = float(np.sqrt(np.mean((ranks_sorted - mu) ** 2)))
-    if sd == 0.0:
-        return np.zeros(n, dtype=float)
-    out = np.empty(n, dtype=float)
-    out[order] = ranks_sorted
-    out -= mu
-    out /= sd
+    out = np.empty((rows, n))
+    out.ravel()[flat] = (np.arange(1, n + 1, dtype=float) - mu) / math.sqrt((n * n - 1) / 12.0)
+    tied = sx[:, 1:] == sx[:, :-1]
+    for row in np.flatnonzero(tied.any(axis=1)):
+        boundaries = np.flatnonzero(~tied[row]) + 1
+        starts = np.concatenate(([0], boundaries))
+        ends = np.concatenate((boundaries, [n]))
+        mid = (starts + ends + 1) / 2.0
+        ranks_sorted = np.repeat(mid, ends - starts)
+        sd = float(np.sqrt(np.mean((ranks_sorted - mu) ** 2)))
+        out[row, order[row]] = (ranks_sorted - mu) / sd if sd else 0.0
     return out
 
 
@@ -137,11 +133,12 @@ class _DatasetStats:
     products run. The passes are stacked over all d columns at once
     (standardization, moments, the pairwise correlation dots, the
     sources' Fourier designs, their Gram matrices and one batched
-    inverse), so the only Python loops left are the rank transform and
-    the per-source target fit. Axis reductions of the whole matrix are
-    never used (they are not bitwise stable under column reordering), so
-    a value never depends on which other columns exist and permuting
-    variable labels permutes the features bit for bit.
+    inverse, and one argsort for the ranks), so the only Python loops
+    left are the midranks of tied columns and the per-source target fit.
+    Axis reductions of the whole matrix are never used (they are not
+    bitwise stable under column reordering), so a value never depends on
+    which other columns exist and permuting variable labels permutes the
+    features bit for bit.
     """
 
     def __init__(self, values: np.ndarray):
@@ -154,8 +151,8 @@ class _DatasetStats:
         self.skew = np.where(constant, 0.0, _rowdot(z2, self._z) / self.n)
         self.kurt = np.where(constant, 0.0, _rowdot(z2, z2) / self.n - 3.0)
         rz = np.zeros_like(cols)
-        for j in np.flatnonzero(~constant):
-            rz[j] = _rank_std(cols[j])
+        live = np.flatnonzero(~constant)
+        rz[live] = _rank_std(cols[live])
         self.pearson = self._correlations(self._z)
         self.spearman = self._correlations(rz)
 
@@ -295,13 +292,23 @@ def featurize_all(dataset: Dataset) -> tuple[list[tuple[int, int]], np.ndarray]:
 class TrainingSet:
     """Instance-aligned training data: (dataset, graph) pairs where each
     dataset was sampled from mechanisms fitted on the test data under the
-    paired graph."""
+    paired graph.
+
+    It is generate_training_set's default sink: start records the
+    provenance and add appends the pair, so every dataset stays in
+    memory."""
 
     instances: list[tuple[Dataset, Dag]]
     provenance: dict = field(default_factory=dict)
 
+    def start(self, count: int, provenance: dict) -> None:
+        self.provenance = provenance
 
-def generate_training_set(graphs: list[Dag], engine: ScoreEngine, rng: np.random.Generator) -> TrainingSet:
+    def add(self, dataset: Dataset, graph: Dag) -> None:
+        self.instances.append((dataset, graph))
+
+
+def generate_training_set(graphs: list[Dag], engine: ScoreEngine, rng: np.random.Generator, sink=None):
     """Fit each graph's mechanisms on the engine's dataset and
     forward-sample one aligned dataset of the same size per graph,
     bootstrapping each node's fitted residuals as its noise.
@@ -310,11 +317,17 @@ def generate_training_set(graphs: list[Dag], engine: ScoreEngine, rng: np.random
     collected ensembles overlap heavily and a search has mostly filled
     already. Graphs violating the in-degree cap are skipped with a
     warning; if every graph is skipped the cap error propagates.
+
+    Every graph is fitted before any is sampled, so which graphs are kept
+    is known first: sink.start(count, provenance) receives the number
+    kept and the provenance, then sink.add(dataset, graph) receives each
+    sampled dataset as soon as it is drawn, and nothing here keeps it.
+    Returns the sink, by default a new TrainingSet holding every pair.
     """
     if not graphs:
         raise ConfigError("graphs list is empty")
     dataset = engine.dataset
-    instances: list[tuple[Dataset, Dag]] = []
+    fitted: list[FittedScm] = []
     kept: list[int] = []
     skipped: list[int] = []
     for idx, g in enumerate(graphs):
@@ -326,20 +339,38 @@ def generate_training_set(graphs: list[Dag], engine: ScoreEngine, rng: np.random
             warnings.warn(f"skipping graph {idx}: {exc}", RuntimeWarning, stacklevel=2)
             skipped.append(idx)
             continue
-        fitted = FittedScm(dag=g, config=engine.config.regressor, nodes=nodes)
-        sampled = sample_from_fitted(fitted, dataset.n, rng)
-        instances.append((sampled, g))
+        fitted.append(FittedScm(dag=g, config=engine.config.regressor, nodes=nodes))
         kept.append(idx)
-    if not instances:
+    if not fitted:
         raise DegreeCapError("every graph exceeded the in-degree cap")
-    return TrainingSet(
-        instances=instances,
-        provenance={
-            "source_indices": kept,
-            "skipped_indices": skipped,
-            "n": dataset.n,
-        },
-    )
+    sink = sink if sink is not None else TrainingSet(instances=[])
+    sink.start(len(fitted), {"source_indices": kept, "skipped_indices": skipped, "n": dataset.n})
+    for scm in fitted:
+        sink.add(sample_from_fitted(scm, dataset.n, rng), scm.dag)
+    return sink
+
+
+class TrainingFeatures:
+    """The pair features and edge labels of a training set, written into
+    preallocated rows: one block per dataset, in the order they are
+    added, each laid out as featurize_all's rows.
+
+    Filled as the datasets are drawn, a training set costs its feature
+    rows, O(K·d²) floats, rather than its datasets' O(K·n·d)."""
+
+    def __init__(self, rows: int):
+        self.feats = np.empty((rows, len(PAIR_FEATURE_NAMES)))
+        self.labels = np.empty(rows)
+        self.filled = 0
+
+    def add(self, dataset: Dataset, graph: Dag) -> None:
+        pairs, feats = featurize_all(dataset)
+        if not np.isfinite(feats).all():
+            raise InputQualityError("non-finite pair features in training set")
+        block = slice(self.filled, self.filled + len(pairs))
+        self.feats[block] = feats
+        self.labels[block] = graph.adjacency[_pair_index(pairs)]
+        self.filled = block.stop
 
 
 # ----------------------------------------------------------------------
@@ -514,29 +545,29 @@ class EdgePredictor:
         )
 
 
-def train(training_set: TrainingSet, config: TrainConfig | None = None) -> EdgePredictor:
-    """Featurize every instance, freeze normalization statistics, and run
-    mini-batch gradient descent with momentum on mean BCE, seeded from
-    config.seed; the momentum step updates theta in place."""
+def train(training_set: TrainingSet | TrainingFeatures, config: TrainConfig | None = None) -> EdgePredictor:
+    """Featurize every instance (a TrainingFeatures holds them already),
+    freeze normalization statistics, and run mini-batch gradient descent
+    with momentum on mean BCE, seeded from config.seed; the momentum step
+    updates theta in place. The feature matrix is normalized in place."""
     config = config if config is not None else TrainConfig()
     rng = np.random.default_rng(config.seed)
-    feats_list = []
-    labels_list = []
-    for data, g in training_set.instances:
-        pairs, feats = featurize_all(data)
-        if not np.isfinite(feats).all():
-            raise InputQualityError("non-finite pair features in training set")
-        labels_list.append(g.adjacency[_pair_index(pairs)].astype(float))
-        feats_list.append(feats)
-    feats = np.vstack(feats_list)
-    labels = np.concatenate(labels_list)
+    features = training_set
+    if isinstance(training_set, TrainingSet):
+        features = TrainingFeatures(sum(data.d * (data.d - 1) for data, _ in training_set.instances))
+        for data, g in training_set.instances:
+            features.add(data, g)
+    fn, labels = features.feats, features.labels
+    if not 0 < features.filled == len(labels):
+        raise StructuralInputError(f"training features fill {features.filled} of {len(labels)} rows")
 
-    mean = feats.mean(axis=0)
-    std = feats.std(axis=0)
+    mean = fn.mean(axis=0)
+    std = fn.std(axis=0)
     std = np.where(std < 1e-8, 1.0, std)
-    fn = (feats - mean) / std
+    fn -= mean
+    fn /= std
 
-    model = EdgePredictor.initialize(feats.shape[1], config, rng)
+    model = EdgePredictor.initialize(fn.shape[1], config, rng)
     model.feature_mean = mean
     model.feature_std = std
 

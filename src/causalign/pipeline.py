@@ -36,13 +36,14 @@ from .io import (
     save_instance_bundle,
     save_matrix,
     save_trace_jsonl,
-    save_training_set,
+    TrainingSetWriter,
     load_dataset,
     load_graph,
 )
 from .metrics import MetricReport, aggregate, evaluate
 from .model import (
     TrainConfig,
+    TrainingFeatures,
     generate_training_set,
     knn_score_predict,
     predict,
@@ -363,15 +364,14 @@ def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | No
             run.save_prediction(_adj_float(knn_dag))
     elif config.stages == "full":
         with run.stage("generate_training_set"):
-            training_set = generate_training_set(trace.collected, engine, streams["trainset"])
-            record.training_set_size = len(training_set.instances)
-            run.save("trainset", "trainset", save_training_set, training_set)
+            stream = generate_training_set(trace.collected, engine, streams["trainset"], _TrainsetStream(run, dataset))
+            record.training_set_size = stream.count
         with run.stage("train"):
             train_cfg = config.train
             if train_cfg.seed is None:
                 derived = int(streams["train"].integers(0, 2**63 - 1))
                 train_cfg = dataclasses.replace(train_cfg, seed=derived)
-            predictor = train(training_set, train_cfg)
+            predictor = train(stream.features, train_cfg)
             run.save("predictor", "predictor.json", _write_text, predictor.to_json())
         with run.stage("predict"):
             run.save_prediction(predict(predictor, dataset))
@@ -437,23 +437,44 @@ class _Run:
             paths={},
         )
         self.threshold = config.threshold
+        # per open stage, innermost last: seconds spent in stages nested in it
+        self._nested: list[float] = []
         if config.out_dir:
             os.makedirs(config.out_dir, exist_ok=True)
         self.save("config", "config.json", _write_json, self.record.config)
 
     @contextlib.contextmanager
     def stage(self, name: str):
+        """Time the stage `name`. Its time excludes the stages nested in
+        it, and a stage entered again adds to its time, so no second is
+        counted twice; timings keep the order stages were first entered
+        in. A failure drops the failing stage and every stage entered
+        since, so timings list the stages that finished before it; the
+        innermost failing stage is the one the record names."""
+        timings = self.record.timings
+        timings.setdefault(name, 0.0)
+        self._nested.append(0.0)
         t0 = time.perf_counter()
         try:
             yield
         except Exception as exc:
+            names = list(timings)
+            if name in names:
+                for dropped in names[names.index(name) :]:
+                    del timings[dropped]
+            if isinstance(exc, StageError):
+                self.persist()
+                raise
             self.record.status = "error"
             self.record.failed_stage = name
             self.persist()
-            if isinstance(exc, StageError):
-                raise
             raise StageError(name, exc) from exc
-        self.record.timings[name] = time.perf_counter() - t0
+        finally:
+            elapsed = time.perf_counter() - t0
+            nested = self._nested.pop()
+            if self._nested:
+                self._nested[-1] += elapsed
+        timings[name] += elapsed - nested
 
     def save(self, key: str, filename: str, writer, obj) -> None:
         """writer(obj, path) for the file `filename` of the run directory,
@@ -477,6 +498,35 @@ class _Run:
         if self.record.out_dir:
             _write_json(self.record.timings, os.path.join(self.record.out_dir, "timings.json"))
             _write_json(self.record.to_json(), os.path.join(self.record.out_dir, "run_record.json"))
+
+
+class _TrainsetStream:
+    """generate_training_set's sink in a full run: each sampled dataset is
+    appended to trainset/ when the run has a directory, then featurized
+    under the train stage into its rows of the training features, and
+    dropped, so the run holds the features and one dataset at a time."""
+
+    def __init__(self, run: _Run, dataset: Dataset):
+        self.run = run
+        self.pairs = dataset.d * (dataset.d - 1)
+        self.writer = None
+        if run.record.out_dir:
+            self.writer = TrainingSetWriter(os.path.join(run.record.out_dir, "trainset"), dataset.n, dataset.d)
+        self.count = 0
+        self.features: TrainingFeatures | None = None
+
+    def start(self, count: int, provenance: dict) -> None:
+        if self.writer is not None:
+            self.writer.start(count, provenance)
+            self.run.record.paths["trainset"] = self.writer.out_dir
+        self.count = count
+        self.features = TrainingFeatures(count * self.pairs)
+
+    def add(self, dataset: Dataset, graph: Dag) -> None:
+        if self.writer is not None:
+            self.writer.add(dataset, graph)
+        with self.run.stage("train"):
+            self.features.add(dataset, graph)
 
 
 def _write_json(obj, path: str) -> None:
@@ -734,6 +784,8 @@ def generate_instances(
 ) -> list[CausalInstance]:
     """Standalone instance generation used by the CLI's generate command:
     `count` instances, each from its own child seed of `seed`."""
+    if count < 1:
+        raise ConfigError("count must be >= 1")
     rng = np.random.default_rng(seed)
     return [generate_instance(spec, d, n, int(rng.integers(0, 2**63 - 1)), **scm_kwargs) for _ in range(count)]
 

@@ -14,6 +14,7 @@ import pytest
 
 from causalign.errors import DataFormatError, StructuralInputError
 from causalign.io import (
+    TrainingSetWriter,
     load_dataset,
     load_graph,
     load_instance_bundle,
@@ -29,7 +30,8 @@ from causalign.io import (
 from causalign.model import TrainingSet, generate_training_set
 from causalign.refine import RefineConfig, refine
 from causalign.scm import Dataset, SpecTriple, make_shift_suite
-from causalign.scoring import ScoreEngine
+from causalign.scoring import ScoreConfig, ScoreEngine
+from causalign.sim import RegressorConfig
 
 from conftest import dag_from_edges, empty_dag, make_rng
 
@@ -355,6 +357,41 @@ class TestTrainingSetDir:
     def test_empty_training_set_rejected(self, tmp_path):
         with pytest.raises(StructuralInputError, match="no instances"):
             save_training_set(TrainingSet(instances=[]), str(tmp_path / "ts"))
+
+    def test_streamed_files_equal_the_stacked_arrays_without_skipped_graphs(self, tmp_path):
+        # the writer as generate_training_set's sink writes each dataset as
+        # it is drawn; graph 1 breaks the in-degree cap and is skipped
+        data = Dataset(make_rng(17).normal(size=(40, 4)))
+        star = dag_from_edges(4, [(0, 3), (1, 3), (2, 3)])
+        graphs = [empty_dag(4), star, dag_from_edges(4, [(0, 1), (1, 2)])]
+        cfg = ScoreConfig(regressor=RegressorConfig(max_in_degree=2))
+        out = tmp_path / "ts"
+        with pytest.warns(RuntimeWarning, match="skipping graph 1"):
+            ts = generate_training_set(graphs, ScoreEngine(data, cfg), make_rng(18))
+        with pytest.warns(RuntimeWarning, match="skipping graph 1"):
+            writer = generate_training_set(
+                graphs, ScoreEngine(data, cfg), make_rng(18), TrainingSetWriter(str(out), 40, 4)
+            )
+        assert writer.added == len(ts.instances) == 2
+        for name, stacked in (
+            ("datasets.npy", np.stack([data.values for data, _ in ts.instances])),
+            ("graphs.npy", np.stack([g.adjacency for _, g in ts.instances])),
+        ):
+            oracle = io.BytesIO()
+            np.save(oracle, stacked)
+            assert (out / name).read_bytes() == oracle.getvalue(), name
+            assert np.load(out / name).shape[0] == 2
+        provenance = {"source_indices": [0, 2], "skipped_indices": [1], "n": 40}
+        assert ts.provenance == provenance
+        assert (out / "provenance.json").read_text() == json.dumps(provenance, indent=2)
+
+    def test_writer_rejects_an_instance_beyond_its_count(self, tmp_path):
+        ts = self._training_set(18)
+        writer = TrainingSetWriter(str(tmp_path / "ts"), 40, 3)
+        writer.start(1, ts.provenance)
+        writer.add(*ts.instances[0])
+        with pytest.raises(StructuralInputError, match="already holds its 1 instances"):
+            writer.add(*ts.instances[1])
 
     def test_instances_of_differing_shapes_rejected(self, tmp_path):
         rng = make_rng(16)

@@ -20,6 +20,7 @@ from causalign.model import (
     PAIR_FEATURE_NAMES,
     EdgePredictor,
     TrainConfig,
+    TrainingFeatures,
     TrainingSet,
     featurize_all,
     generate_training_set,
@@ -435,6 +436,14 @@ class TestTrain:
         assert len(ts.instances) * 20 == 300
         assert model.theta.tobytes() == theta.tobytes()
         assert model.epoch_losses == epoch_losses
+
+    def test_partly_filled_features_rejected(self):
+        _, ts = _training_set(36, n=60, d=5, k=3)
+        features = TrainingFeatures(3 * 20)
+        for data, g in ts.instances[:2]:
+            features.add(data, g)
+        with pytest.raises(StructuralInputError, match="fill 40 of 60 rows"):
+            train(features, TrainConfig(epochs=1, seed=0))
 
     def test_normalization_statistics_frozen_from_training_features(self):
         _, ts = _training_set(31)

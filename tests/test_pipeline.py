@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -631,6 +632,25 @@ class TestRunPipelineSmall:
         run_pipeline(dataclasses.replace(config, stages="full", out_dir=None))
         assert calls == {"generate_training_set": 1, "sample_from_fitted": config.refine.collect_k}
 
+    def test_full_run_holds_one_sampled_dataset_at_a_time(self, tmp_path, monkeypatch):
+        # each dataset is written and featurized as it is drawn, then
+        # dropped: when the next one is drawn, every earlier one is dead
+        real = model.sample_from_fitted
+        drawn = []
+        alive_at_draw = []
+
+        def tracked(*args, **kwargs):
+            dataset = real(*args, **kwargs)
+            alive_at_draw.append(sum(ref() is not None for ref in drawn))
+            drawn.append(weakref.ref(dataset.values))
+            return dataset
+
+        monkeypatch.setattr(model, "sample_from_fitted", tracked)
+        config = _small_config(str(tmp_path / "r"), seed=10)
+        record = run_pipeline(config)
+        assert record.training_set_size == config.refine.collect_k
+        assert alive_at_draw == [0] * config.refine.collect_k
+
     @pytest.mark.parametrize("stages", ["full", "knn_only", "refine_only"])
     def test_edgeless_truth_finishes_with_undefined_ranking_metrics(self, tmp_path, stages):
         data = Dataset(make_rng(4).normal(size=(60, 4)))
@@ -746,6 +766,60 @@ class TestStageFailures:
         assert (persisted["status"], persisted["failed_stage"]) == ("error", failing)
         finished = MODE_STAGES[mode][: MODE_STAGES[mode].index(failing)]
         assert sorted(json.loads((out / "timings.json").read_text())) == sorted(finished)
+
+    def test_nested_stage_time_is_its_own_and_reentry_adds(self, monkeypatch):
+        clock = [0.0]
+        monkeypatch.setattr(pipeline.time, "perf_counter", lambda: clock[0])
+        run = pipeline._Run(_small_config())
+        with run.stage("outer"):
+            clock[0] += 1.0
+            with run.stage("inner"):
+                clock[0] += 2.0
+            clock[0] += 4.0
+            with run.stage("inner"):
+                clock[0] += 8.0
+        with run.stage("inner"):
+            clock[0] += 16.0
+        assert list(run.record.timings.items()) == [("outer", 5.0), ("inner", 26.0)]
+
+    def test_non_finite_training_features_fail_in_train(self, tmp_path, monkeypatch):
+        real = model.featurize_all
+
+        def poisoned(dataset):
+            pairs, feats = real(dataset)
+            feats[0, 0] = np.nan
+            return pairs, feats
+
+        monkeypatch.setattr(model, "featurize_all", poisoned)
+        out = tmp_path / "r"
+        with pytest.raises(StageError) as err:
+            run_pipeline(_small_config(str(out)))
+        assert err.value.stage == "train"
+        assert "non-finite pair features" in str(err.value.cause)
+        persisted = json.loads((out / "run_record.json").read_text())
+        assert (persisted["status"], persisted["failed_stage"]) == ("error", "train")
+        assert list(json.loads((out / "timings.json").read_text())) == ["init_seed", "load_data", "refine"]
+
+    def test_sampling_error_fails_in_generate_training_set(self, tmp_path, monkeypatch):
+        # the first dataset was drawn and featurized under the train stage
+        # before the second draw fails; timings drop that partial train time
+        real = model.sample_from_fitted
+        calls = []
+
+        def failing_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, "sample_from_fitted", failing_second)
+        out = tmp_path / "r"
+        with pytest.raises(StageError) as err:
+            run_pipeline(_small_config(str(out)))
+        assert err.value.stage == "generate_training_set"
+        persisted = json.loads((out / "run_record.json").read_text())
+        assert persisted["failed_stage"] == "generate_training_set"
+        assert list(json.loads((out / "timings.json").read_text())) == ["init_seed", "load_data", "refine"]
 
 
 def _fail_second_refine(monkeypatch):
@@ -1245,6 +1319,13 @@ class TestCli:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_generate_count_below_one_exits_two(self, tmp_path, capsys, count):
+        rc = cli_main(["generate", "--count", count, "--out", str(tmp_path / "g")])
+        assert rc == 2
+        assert "count must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
     def test_generate_single_variable_exits_two(self, tmp_path, capsys):
         rc = cli_main(["generate", "--d", "1", "--out", str(tmp_path / "g")])
