@@ -201,6 +201,7 @@ def save_trace_jsonl(steps, path: str) -> None:
 
 _TRAINSET_DATASETS = "datasets.npy"
 _TRAINSET_GRAPHS = "graphs.npy"
+_PARTIAL = ".partial"
 
 
 class TrainingSetWriter:
@@ -208,7 +209,9 @@ class TrainingSetWriter:
     generate_training_set's sink: start writes provenance.json and the
     .npy 1.0 headers of datasets.npy (float64, shape (K, n, d)) and
     graphs.npy (int8, shape (K, d, d)), and each add appends one
-    instance's C-order buffers. Once all K are added the files hold what
+    instance's C-order buffers. Both arrays are written under a .partial
+    suffix and renamed on the K-th add, so a run that stops early leaves
+    no datasets.npy or graphs.npy. Once renamed the files hold what
     np.save of the stacked arrays writes, while memory held one instance
     at a time."""
 
@@ -224,12 +227,14 @@ class TrainingSetWriter:
     def start(self, count: int, provenance: dict) -> None:
         os.makedirs(self.out_dir, exist_ok=True)
         for path, shape, dtype in self._parts:
+            if os.path.exists(path):  # an earlier set here must not outlive this one's provenance
+                os.remove(path)
             header = {
                 "descr": np.lib.format.dtype_to_descr(dtype),
                 "fortran_order": False,
                 "shape": (count, *shape),
             }
-            with open(path, "wb") as fh:
+            with open(path + _PARTIAL, "wb") as fh:
                 np.lib.format.write_array_header_1_0(fh, header)
         with open(os.path.join(self.out_dir, "provenance.json"), "w") as fh:
             json.dump(provenance, fh, indent=2)
@@ -245,9 +250,12 @@ class TrainingSetWriter:
                     f"{path}: arrays of differing shapes: instance {self.added} is {arr.shape}, not {shape}"
                 )
         for (path, _, dtype), arr in zip(self._parts, arrays):
-            with open(path, "ab") as fh:
+            with open(path + _PARTIAL, "ab") as fh:
                 fh.write(np.ascontiguousarray(arr, dtype=dtype).data)
         self.added += 1
+        if self.added == self.count:
+            for path, _, _ in self._parts:
+                os.replace(path + _PARTIAL, path)
 
 
 def save_training_set(training_set, out_dir: str) -> None:

@@ -127,10 +127,9 @@ def _decode(cls, obj, where: str, json_names: dict | None = None, **given):
 
 def _coerce(tp, value, where: str):
     """`value` as declared type `tp`: `X | None` keeps None, dataclasses
-    decode as sections, tuples convert item by item, a bool takes only a
-    JSON boolean, an int only an integral number and a float any number
-    (neither a boolean), and anything else (strings, enums) converts by
-    calling the type."""
+    decode as sections, tuples convert item by item, an int takes only an
+    integral number and a float any number (neither a JSON boolean), and
+    anything else (strings, enums) converts by calling the type."""
     args = typing.get_args(tp)
     if type(None) in args:
         if value is None:
@@ -140,8 +139,6 @@ def _coerce(tp, value, where: str):
         return _decode(tp, value, where)
     if typing.get_origin(tp) is tuple:
         return tuple(_coerce(t, v, where) for t, v in zip(typing.get_args(tp), value, strict=True))
-    if tp is bool and not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
     if tp is int and (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
@@ -308,7 +305,8 @@ def run_pipeline(
     re-raises as StageError with the stage name. Structure learning needs
     at least two variables: a passed-in dataset with fewer is a
     ConfigError raised before any stage runs, and one read from
-    config.data_path fails the load_data stage.
+    config.data_path fails the load_data stage. So is a `full` or
+    `knn_only` run with refine.n_steps=0, which collects no graphs.
 
     The stages run with one BLAS thread: their matrices are small, so a
     second thread burns CPU without shortening the run. The caller's
@@ -319,6 +317,7 @@ def run_pipeline(
 
 
 def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | None) -> RunRecord:
+    _require_collected_graphs(config)
     if dataset is not None:
         _require_two_variables(dataset)
     run = _Run(config)
@@ -345,12 +344,13 @@ def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | No
         record.seed_score = trace.seed_score.to_json()
         record.best_score = trace.best_score.to_json()
         record.collected_count = len(trace.collected)
-        coll_scores = [engine.score(g) for g in trace.collected]
-        record.collected_stats = {
-            "mean_ad": float(np.mean([s.ad for s in coll_scores])),
-            "mean_sparsity": float(np.mean([s.sparsity for s in coll_scores])),
-            "mean_total": float(np.mean([s.total for s in coll_scores])),
-        }
+        if trace.collected:
+            coll_scores = [engine.score(g) for g in trace.collected]
+            record.collected_stats = {
+                "mean_ad": float(np.mean([s.ad for s in coll_scores])),
+                "mean_sparsity": float(np.mean([s.sparsity for s in coll_scores])),
+                "mean_total": float(np.mean([s.total for s in coll_scores])),
+            }
         run.save("trace", "trace.jsonl", save_trace_jsonl, trace.steps)
         run.save("best_graph", "best_graph.csv", save_graph, trace.best_dag)
         run.save("graphs", "graphs", _save_collected, trace.collected)
@@ -420,6 +420,14 @@ def _load_data(
 def _require_two_variables(dataset: Dataset) -> None:
     if dataset.d < 2:
         raise ConfigError(f"need at least 2 variables, got d={dataset.d}")
+
+
+def _require_collected_graphs(config: PipelineConfig) -> None:
+    """knn_only and full read the collected graphs, which a search of
+    zero steps does not produce."""
+    stage = {"knn_only": "knn_select", "full": "generate_training_set"}.get(config.stages)
+    if stage is not None and config.refine.n_steps == 0:
+        raise ConfigError(f"refine.n_steps=0 collects no graphs, and stages={config.stages!r} needs them in {stage}")
 
 
 class _Run:
@@ -649,6 +657,8 @@ def _run_suite(
         raise ConfigError("benchmark and ablate require a generator section in the config")
     if instances < 1:
         raise ConfigError("instances must be >= 1")
+    for _, arm_config in arms:
+        _require_collected_graphs(arm_config)
     try:
         setting_label = ShiftSetting(setting).value
     except ValueError as exc:

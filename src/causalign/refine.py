@@ -42,7 +42,8 @@ class RefineConfig:
     """Search parameters.
 
     temperature=None resolves from the seed graph's score through
-    resolve_temperature. score configures the run's ScoreEngine; the
+    resolve_temperature. collect_k is the length of refine's collected
+    tail, repeats included. score configures the run's ScoreEngine; the
     search itself reads the score, and the in-degree cap, from the engine
     it is given.
     """
@@ -52,7 +53,6 @@ class RefineConfig:
     temperature: float | None = None
     seed_mode: SeedMode = SeedMode.RANDOM_DAG
     seed_graph_path: str | None = None
-    dedup_collected: bool = False
     score: ScoreConfig = field(default_factory=ScoreConfig)
 
     def __post_init__(self):
@@ -224,7 +224,9 @@ def refine(engine: ScoreEngine, seed: Dag, config: RefineConfig, rng: np.random.
     sets the move changes are refit from scratch; the rest keep their
     terms), accept with acceptance_probability, and during the last
     collect_k steps append the post-decision current graph to the
-    collected list (repeats allowed unless dedup_collected). Tracks the
+    collected list. Repeats are kept, so a graph the chain holds longer
+    weighs more; this tail of min(collect_k, n_steps) graphs is what a
+    replay of the trace reproduces (bench/checks.py). Tracks the
     best-scoring visited graph, ties resolved to the earliest.
     """
     cap = engine.config.regressor.max_in_degree
@@ -267,15 +269,6 @@ def refine(engine: ScoreEngine, seed: Dag, config: RefineConfig, rng: np.random.
                     best, s_best = current, s_curr
         if t > collect_from:
             collected.append(current)
-
-    if config.dedup_collected:
-        seen = set()
-        unique = []
-        for g in collected:
-            if g not in seen:
-                seen.add(g)
-                unique.append(g)
-        collected = unique
 
     return RefineTrace(
         seed_dag=seed,

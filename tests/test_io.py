@@ -393,6 +393,18 @@ class TestTrainingSetDir:
         with pytest.raises(StructuralInputError, match="already holds its 1 instances"):
             writer.add(*ts.instances[1])
 
+    def test_arrays_get_their_names_on_the_last_add(self, tmp_path):
+        ts = self._training_set(19)
+        out = tmp_path / "ts"
+        save_training_set(ts, str(out))
+        writer = TrainingSetWriter(str(out), 40, 3)
+        writer.start(2, ts.provenance)
+        writer.add(*ts.instances[0])
+        # the earlier set is gone, and this one is not named until complete
+        assert sorted(os.listdir(out)) == ["datasets.npy.partial", "graphs.npy.partial", "provenance.json"]
+        writer.add(*ts.instances[1])
+        assert sorted(os.listdir(out)) == ["datasets.npy", "graphs.npy", "provenance.json"]
+
     def test_instances_of_differing_shapes_rejected(self, tmp_path):
         rng = make_rng(16)
         instances = [(Dataset(rng.normal(size=(n, 3))), empty_dag(3)) for n in (10, 11)]

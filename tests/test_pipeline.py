@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 
 from causalign import model, pipeline, scoring
 from causalign.cli import main as cli_main
-from causalign.errors import ConfigError, StageError
+from causalign.errors import ConfigError, DataFormatError, StageError
 from causalign.graph import Dag, random_er
-from causalign.io import load_dataset, load_graph, load_matrix, save_dataset, save_graph
+from causalign.io import load_dataset, load_graph, load_matrix, load_training_set, save_dataset, save_graph
 from causalign.pipeline import (
     BENCHMARK_METHODS,
     BENCHMARK_METRICS,
@@ -176,7 +177,6 @@ _refines = st.builds(
     temperature=st.none() | st.floats(min_value=1e-9, max_value=1e6),
     seed_mode=st.sampled_from(SeedMode),
     seed_graph_path=st.text(min_size=1, max_size=12),
-    dedup_collected=st.booleans(),
     score=_scores,
 )
 _ranges = st.none() | st.tuples(_floats, _floats)
@@ -274,8 +274,6 @@ class TestPipelineConfig:
     @pytest.mark.parametrize(
         "obj, key",
         [
-            ({"refine": {"dedup_collected": "false"}}, "config.refine.dedup_collected"),
-            ({"refine": {"dedup_collected": 0}}, "config.refine.dedup_collected"),
             ({"train": {"epochs": 2.5}}, "config.train.epochs"),
             ({"train": {"epochs": True}}, "config.train.epochs"),
             ({"train": {"epochs": "20"}}, "config.train.epochs"),
@@ -312,9 +310,8 @@ class TestPipelineConfig:
         assert cli_main(["pipeline", "--config", path, "--out", str(tmp_path / "run")]) == 2
 
     def test_integral_number_reads_as_int(self):
-        cfg = PipelineConfig.from_dict({"train": {"epochs": 2.0}, "refine": {"dedup_collected": True}})
+        cfg = PipelineConfig.from_dict({"train": {"epochs": 2.0}})
         assert cfg.train.epochs == 2 and type(cfg.train.epochs) is int
-        assert cfg.refine.dedup_collected is True
 
     def test_coerce_errors_exit_two_from_cli(self, tmp_path):
         path = _write_config(tmp_path / "cfg.json", train={"epochs": 2.5})
@@ -555,6 +552,24 @@ class TestRunPipelineSmall:
         out = tmp_path / "r"
         with pytest.raises(ConfigError, match="at least 2 variables"):
             run_pipeline(PipelineConfig(out_dir=str(out)), dataset=data)
+        assert not out.exists()
+
+    def test_zero_steps_refine_only_has_null_collected_stats(self, tmp_path):
+        out = tmp_path / "r"
+        config = _small_config(str(out), stages="refine_only", refine=RefineConfig(n_steps=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = run_pipeline(config)
+        assert (record.status, record.collected_count) == ("ok", 0)
+        assert record.collected_stats is None
+        assert json.loads((out / "run_record.json").read_text())["collected_stats"] is None
+
+    @pytest.mark.parametrize("stages, stage", [("knn_only", "knn_select"), ("full", "generate_training_set")])
+    def test_zero_steps_rejected_before_any_stage(self, tmp_path, stages, stage):
+        out = tmp_path / "r"
+        config = _small_config(str(out), stages=stages, refine=RefineConfig(n_steps=0))
+        with pytest.raises(ConfigError, match=f"n_steps=0 .*{stage}"):
+            run_pipeline(config)
         assert not out.exists()
 
     def test_random_seed_graph_respects_degree_cap(self):
@@ -803,16 +818,7 @@ class TestStageFailures:
     def test_sampling_error_fails_in_generate_training_set(self, tmp_path, monkeypatch):
         # the first dataset was drawn and featurized under the train stage
         # before the second draw fails; timings drop that partial train time
-        real = model.sample_from_fitted
-        calls = []
-
-        def failing_second(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 2:
-                raise RuntimeError("boom")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(model, "sample_from_fitted", failing_second)
+        _fail_sampling_call(monkeypatch, 2)
         out = tmp_path / "r"
         with pytest.raises(StageError) as err:
             run_pipeline(_small_config(str(out)))
@@ -820,6 +826,30 @@ class TestStageFailures:
         persisted = json.loads((out / "run_record.json").read_text())
         assert persisted["failed_stage"] == "generate_training_set"
         assert list(json.loads((out / "timings.json").read_text())) == ["init_seed", "load_data", "refine"]
+
+    def test_sampling_error_leaves_no_training_set(self, tmp_path, monkeypatch):
+        _fail_sampling_call(monkeypatch, 3)
+        out = tmp_path / "r"
+        with pytest.raises(StageError, match="generate_training_set"):
+            run_pipeline(_small_config(str(out)))
+        assert not (out / "trainset" / "datasets.npy").exists()
+        assert not (out / "trainset" / "graphs.npy").exists()
+        with pytest.raises(DataFormatError, match="datasets.npy"):
+            load_training_set(str(out / "trainset"))
+
+
+def _fail_sampling_call(monkeypatch, which):
+    """Make model.sample_from_fitted raise on its `which`-th call only."""
+    real = model.sample_from_fitted
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == which:
+            raise RuntimeError("boom")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "sample_from_fitted", failing)
 
 
 def _fail_second_refine(monkeypatch):
@@ -992,6 +1022,12 @@ class TestRunBenchmark:
     def test_rejects_unknown_setting(self, tmp_path):
         with pytest.raises(ConfigError):
             run_benchmark(_small_config(), "sideways", 1, str(tmp_path / "x"))
+
+    def test_rejects_zero_steps_before_any_run(self, tmp_path):
+        cfg = _small_config(stages="knn_only", refine=RefineConfig(n_steps=0))
+        with pytest.raises(ConfigError, match="n_steps=0"):
+            run_benchmark(cfg, "iid", 2, str(tmp_path / "x"))
+        assert not (tmp_path / "x").exists()
 
 
 class TestRunAblation:
@@ -1293,6 +1329,7 @@ class TestCli:
             ({"regressor": {"ridge": 1e-6}}, "ridge"),
             ({"refine": {"seed_expected_edges": 10}}, "seed_expected_edges"),
             ({"refine": {"greedy_max_rounds": 64}}, "greedy_max_rounds"),
+            ({"refine": {"dedup_collected": False}}, "dedup_collected"),
         ],
     )
     def test_removed_config_key_exits_two(self, tmp_path, capsys, obj, key):
@@ -1332,6 +1369,14 @@ class TestCli:
         assert rc == 2
         assert "generator d must be >= 2, got 1" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("stages", ["knn_only", "full"])
+    def test_zero_steps_exits_two(self, tmp_path, capsys, stages):
+        path = _write_config(tmp_path / "cfg.json", stages=stages, refine={"n_steps": 0})
+        rc = cli_main(["pipeline", "--config", path, "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "n_steps" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_single_variable_data_exits_two(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

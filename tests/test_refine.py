@@ -160,23 +160,6 @@ class TestRefineTrace:
         assert trace.final_dag == seed_dag
         assert trace.final_score.total == trace.seed_score.total
 
-    def test_dedup_collects_unique_graphs_in_first_seen_order(self):
-        data, _ = _linear_instance(7)
-        config = RefineConfig(n_steps=120, collect_k=120, dedup_collected=True)
-        trace = refine(ScoreEngine(data), empty_dag(data.d), config, make_rng(1))
-        assert len(set(trace.collected)) == len(trace.collected)
-        undeduped = refine(
-            ScoreEngine(data),
-            empty_dag(data.d),
-            RefineConfig(n_steps=120, collect_k=120),
-            make_rng(1),
-        ).collected
-        seen = []
-        for g in undeduped:
-            if g not in seen:
-                seen.append(g)
-        assert trace.collected == seen
-
     def test_default_temperature_rule(self):
         data, _, trace = self._run(seed=8)
         expect = max(0.01 * abs(trace.seed_score.total), 1e-6)
