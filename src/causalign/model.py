@@ -11,9 +11,14 @@ only the graphs and the score, so it needs no synthesized data.
 
 from __future__ import annotations
 
+import collections
+import copy
 import json
 import math
+import multiprocessing
+import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -26,7 +31,7 @@ from .errors import (
 )
 from .graph import Dag
 from .scm import Dataset
-from .sim import FittedScm, sample_from_fitted
+from .sim import FittedScm, sample_from_fitted, skip_sample
 from .scoring import ScoreEngine
 
 __all__ = [
@@ -319,10 +324,21 @@ def generate_training_set(graphs: list[Dag], engine: ScoreEngine, rng: np.random
     warning; if every graph is skipped the cap error propagates.
 
     Every graph is fitted before any is sampled, so which graphs are kept
-    is known first: sink.start(count, provenance) receives the number
-    kept and the provenance, then sink.add(dataset, graph) receives each
-    sampled dataset as soon as it is drawn, and nothing here keeps it.
-    Returns the sink, by default a new TrainingSet holding every pair.
+    is known first. One serial pass then records rng's state before each
+    dataset (skip_sample advances it past one dataset's draws), and
+    dataset k is drawn from state k: on every core this process may use,
+    in forked worker processes (see _synthesis_workers), or here when
+    there is one. Either way the datasets are the bytes a serial loop on
+    rng draws, and rng ends in the state that loop leaves it in.
+
+    sink.start(count, provenance) receives the number kept and the
+    provenance, then, in graph order, sink.add(dataset, graph) receives
+    each dataset as soon as it arrives, and nothing here keeps it. A sink
+    whose `takes_features` is true also gets featurize_all's rows of each
+    dataset, computed where the dataset was drawn, through
+    sink.add_features(feats, graph); one whose `takes_data` is false gets
+    no datasets, so none is sent back from a worker. Returns the sink, by
+    default a new TrainingSet holding every pair.
     """
     if not graphs:
         raise ConfigError("graphs list is empty")
@@ -345,9 +361,116 @@ def generate_training_set(graphs: list[Dag], engine: ScoreEngine, rng: np.random
         raise DegreeCapError("every graph exceeded the in-degree cap")
     sink = sink if sink is not None else TrainingSet(instances=[])
     sink.start(len(fitted), {"source_indices": kept, "skipped_indices": skipped, "n": dataset.n})
+    states = []
     for scm in fitted:
-        sink.add(sample_from_fitted(scm, dataset.n, rng), scm.dag)
+        states.append(rng.bit_generator.state)
+        skip_sample(scm, dataset.n, rng)
+    draw = _Draw(
+        fitted,
+        dataset.n,
+        states,
+        rng,
+        keep_data=getattr(sink, "takes_data", True),
+        featurize=getattr(sink, "takes_features", False),
+    )
+
+    def deliver(k: int, result: tuple[Dataset | None, np.ndarray | None]) -> None:
+        drawn, feats = result
+        if drawn is not None:
+            sink.add(drawn, fitted[k].dag)
+        if feats is not None:
+            sink.add_features(feats, fitted[k].dag)
+
+    _draw_in_order(draw, len(fitted), _synthesis_workers(), deliver)
     return sink
+
+
+class _Draw:
+    """Dataset k of a training set, drawn from its recorded generator
+    state, and (if asked) its pair features, in whichever process calls
+    it: (dataset or None, feats or None)."""
+
+    def __init__(self, fitted: list[FittedScm], n: int, states: list[dict], rng, keep_data: bool, featurize: bool):
+        self.fitted = fitted
+        self.n = n
+        self.states = states
+        self.rng = copy.deepcopy(rng)  # its state is set per dataset
+        self.keep_data = keep_data
+        self.featurize = featurize
+
+    def __call__(self, k: int) -> tuple[Dataset | None, np.ndarray | None]:
+        self.rng.bit_generator.state = self.states[k]
+        dataset = sample_from_fitted(self.fitted[k], self.n, self.rng)
+        feats = featurize_all(dataset)[1] if self.featurize else None
+        return (dataset if self.keep_data else None), feats
+
+
+# tasks in flight per forked worker: enough to keep it busy while this
+# process draws its own share and handles results, and the bound on the
+# results waiting here
+_IN_FLIGHT_PER_WORKER = 2
+
+
+def _synthesis_workers() -> int:
+    """Processes that draw a training set, this one included: one per
+    core this process may run on; 1 inside a pool worker, so a suite's
+    workers never nest pools, and where fork or the affinity mask is
+    unavailable."""
+    if (
+        multiprocessing.parent_process() is not None
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or not hasattr(os, "sched_getaffinity")
+    ):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+_pool_draw: _Draw | None = None  # set in each forked worker by its initializer
+
+
+def _install_draw(draw: _Draw) -> None:
+    global _pool_draw
+    _pool_draw = draw
+
+
+def _pool_call(k: int):
+    return _pool_draw(k)
+
+
+def _draw_in_order(draw: _Draw, count: int, workers: int, deliver) -> None:
+    """deliver(k, draw(k)) for k = 0, ..., count - 1, in order, with the
+    draws spread over `workers` processes: this one draws every
+    workers-th dataset from the first when it reaches it, and workers - 1
+    forked workers draw the rest, each with at most _IN_FLIGHT_PER_WORKER
+    tasks submitted ahead. With one worker this process draws them all
+    and no pool is made. A result is dropped once delivered.
+
+    Fork passes `draw` to the workers without pickling it (a Dag cannot
+    be pickled), and they are forked before the pool starts any thread.
+    On the way out, for a failure too, tasks not yet started are
+    cancelled and every worker is joined. A worker's exception, or
+    BrokenProcessPool when a worker dies, is raised here when its result
+    is reached."""
+    workers = min(workers, count)
+    forked = (k for k in range(count) if k % workers)
+    window = (workers - 1) * _IN_FLIGHT_PER_WORKER
+    pending: collections.deque = collections.deque()
+    pool = None
+    if workers > 1:
+        pool = ProcessPoolExecutor(
+            workers - 1,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_install_draw,
+            initargs=(draw,),
+        )
+    try:
+        for k in range(count):
+            while len(pending) < window and (ahead := next(forked, None)) is not None:
+                pending.append(pool.submit(_pool_call, ahead))
+            deliver(k, draw(k) if k % workers == 0 else pending.popleft().result())
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 class TrainingFeatures:
@@ -364,12 +487,16 @@ class TrainingFeatures:
         self.filled = 0
 
     def add(self, dataset: Dataset, graph: Dag) -> None:
-        pairs, feats = featurize_all(dataset)
+        self.add_features(featurize_all(dataset)[1], graph)
+
+    def add_features(self, feats: np.ndarray, graph: Dag) -> None:
+        """Check and store one dataset's featurize_all rows, labelled
+        from its graph."""
         if not np.isfinite(feats).all():
             raise InputQualityError("non-finite pair features in training set")
-        block = slice(self.filled, self.filled + len(pairs))
+        block = slice(self.filled, self.filled + feats.shape[0])
         self.feats[block] = feats
-        self.labels[block] = graph.adjacency[_pair_index(pairs)]
+        self.labels[block] = graph.adjacency[_pair_index(pair_order(graph.d))]
         self.filled = block.stop
 
 

@@ -310,7 +310,11 @@ def run_pipeline(
 
     The stages run with one BLAS thread: their matrices are small, so a
     second thread burns CPU without shortening the run. The caller's
-    thread count is restored on return, errors included.
+    thread count is restored on return, errors included. A `full` run
+    draws and featurizes its training set on every core this process may
+    use, in forked workers that inherit the one BLAS thread; inside a
+    pool worker (a `run_benchmark` run with threads > 1) it stays in its
+    own process. The outputs are byte-identical either way.
     """
     with _one_blas_thread():
         return _run_stages(config, dataset, truth)
@@ -509,10 +513,14 @@ class _Run:
 
 
 class _TrainsetStream:
-    """generate_training_set's sink in a full run: each sampled dataset is
-    appended to trainset/ when the run has a directory, then featurized
-    under the train stage into its rows of the training features, and
-    dropped, so the run holds the features and one dataset at a time."""
+    """generate_training_set's sink in a full run. It takes each dataset's
+    pair features, computed where the dataset was drawn, and checks and
+    stores them under the train stage in their rows of the training
+    features; with a run directory it also takes each dataset and appends
+    it to trainset/. Nothing is kept but the features, so the run holds
+    them and the datasets in flight."""
+
+    takes_features = True
 
     def __init__(self, run: _Run, dataset: Dataset):
         self.run = run
@@ -520,6 +528,7 @@ class _TrainsetStream:
         self.writer = None
         if run.record.out_dir:
             self.writer = TrainingSetWriter(os.path.join(run.record.out_dir, "trainset"), dataset.n, dataset.d)
+        self.takes_data = self.writer is not None
         self.count = 0
         self.features: TrainingFeatures | None = None
 
@@ -531,10 +540,11 @@ class _TrainsetStream:
         self.features = TrainingFeatures(count * self.pairs)
 
     def add(self, dataset: Dataset, graph: Dag) -> None:
-        if self.writer is not None:
-            self.writer.add(dataset, graph)
+        self.writer.add(dataset, graph)
+
+    def add_features(self, feats: np.ndarray, graph: Dag) -> None:
         with self.run.stage("train"):
-            self.features.add(dataset, graph)
+            self.features.add_features(feats, graph)
 
 
 def _write_json(obj, path: str) -> None:

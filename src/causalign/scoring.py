@@ -100,9 +100,9 @@ class ScoreEngine:
 
     def _compute(self, node: int, parents: tuple[int, ...]):
         x = self._values[:, node]
-        pm = self._values[:, parents] if parents else np.zeros((self.dataset.n, 0))
+        # the expanded columns replace the parent matrix, so none is gathered
         fitted = fit_node(
-            node, parents, x, pm, self.config.regressor, [self._column(p) for p in parents]
+            node, parents, x, None, self.config.regressor, [self._column(p) for p in parents]
         )
         term = self._term_from_fit(fitted)
         return fitted, term

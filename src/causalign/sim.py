@@ -32,6 +32,7 @@ __all__ = [
     "fit_node",
     "predict_node",
     "sample_from_fitted",
+    "skip_sample",
     "SIGMA_FLOOR",
 ]
 
@@ -161,7 +162,7 @@ def fit_node(
     node: int,
     parents: tuple[int, ...],
     x: np.ndarray,
-    parent_matrix: np.ndarray,
+    parent_matrix: np.ndarray | None,
     config: RegressorConfig,
     expanded: list[tuple[ParentTransform, np.ndarray]] | None = None,
 ) -> FittedNode:
@@ -172,7 +173,8 @@ def fit_node(
     SIGMA_FLOOR so downstream likelihoods stay finite. expanded, when
     given, holds expand_column of each column of parent_matrix, in parent
     order, so a caller that fits many parent sets on one dataset expands
-    each column once; the fit is bit-identical to expanding here.
+    each column once; the fit is bit-identical to expanding here, and
+    parent_matrix is not read (it may be None).
     """
     if config.max_in_degree is not None and len(parents) > config.max_in_degree:
         raise DegreeCapError(
@@ -237,7 +239,9 @@ def sample_from_fitted(fitted: FittedScm, n: int, rng: np.random.Generator) -> D
     Node noise bootstraps the stored centered residuals, preserving their
     shape. Nodes are visited in deterministic topological order and noise
     for node j is drawn when that node is reached, so identical seeds give
-    identical datasets.
+    identical datasets. What the draws take from rng depends only on the
+    residual counts and n, never on data values, so skip_sample can
+    advance a generator past one dataset without computing it.
 
     A node's column is final once the node is sampled, so each (parent
     column, transform) is expanded once per sampled dataset and every
@@ -265,6 +269,23 @@ def sample_from_fitted(fitted: FittedScm, n: int, rng: np.random.Generator) -> D
             mean = fn.intercept + np.concatenate(blocks, axis=1) @ fn.weights
         else:
             mean = np.full(n, fn.intercept)
-        eps = rng.choice(fn.residual_samples, size=n, replace=True)
-        values[:, j] = mean + eps
+        values[:, j] = mean + fn.residual_samples[_bootstrap_indices(fn, n, rng)]
     return Dataset(values)
+
+
+def _bootstrap_indices(fn: FittedNode, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws with replacement from fn's residual indices; the same draws,
+    and the same generator state after them, as
+    rng.choice(fn.residual_samples, size=n)."""
+    return rng.integers(0, fn.residual_samples.shape[0], size=n)
+
+
+def skip_sample(fitted: FittedScm, n: int, rng: np.random.Generator) -> None:
+    """Advance rng past exactly the draws of sample_from_fitted(fitted, n,
+    rng) without computing the dataset: the same index draws, node by node
+    in the same order, with no basis expansion and no means."""
+    if n < 1:
+        raise StructuralInputError("n must be >= 1")
+    by_node = {fn.node: fn for fn in fitted.nodes}
+    for j in topological_order(fitted.dag):
+        _bootstrap_indices(by_node[j], n, rng)

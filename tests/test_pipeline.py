@@ -1,13 +1,16 @@
 """End-to-end pipeline, benchmark/ablation drivers, and CLI contract."""
 
 import dataclasses
+import gc
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import warnings
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,15 @@ from causalign import model, pipeline, scoring
 from causalign.cli import main as cli_main
 from causalign.errors import ConfigError, DataFormatError, StageError
 from causalign.graph import Dag, random_er
-from causalign.io import load_dataset, load_graph, load_matrix, load_training_set, save_dataset, save_graph
+from causalign.io import (
+    TrainingSetWriter,
+    load_dataset,
+    load_graph,
+    load_matrix,
+    load_training_set,
+    save_dataset,
+    save_graph,
+)
 from causalign.pipeline import (
     BENCHMARK_METHODS,
     BENCHMARK_METRICS,
@@ -48,6 +59,12 @@ def _small_config(out_dir=None, seed=0, **overrides):
     )
     base.update(overrides)
     return PipelineConfig(**base)
+
+
+def _pin_synthesis_workers(monkeypatch, count):
+    """Draw training sets with `count` processes whatever the machine has:
+    1 keeps every draw in this process, where tests can count calls."""
+    monkeypatch.setattr(model, "_synthesis_workers", lambda: count)
 
 
 def _blas_threads():
@@ -623,6 +640,7 @@ class TestRunPipelineSmall:
         assert not (out / "predictor.json").exists()
 
     def test_knn_only_synthesizes_no_training_set(self, tmp_path, monkeypatch):
+        _pin_synthesis_workers(monkeypatch, 1)
         calls = {"generate_training_set": 0, "sample_from_fitted": 0}
 
         def counted(owner, name):
@@ -650,6 +668,7 @@ class TestRunPipelineSmall:
     def test_full_run_holds_one_sampled_dataset_at_a_time(self, tmp_path, monkeypatch):
         # each dataset is written and featurized as it is drawn, then
         # dropped: when the next one is drawn, every earlier one is dead
+        _pin_synthesis_workers(monkeypatch, 1)
         real = model.sample_from_fitted
         drawn = []
         alive_at_draw = []
@@ -839,7 +858,9 @@ class TestStageFailures:
 
 
 def _fail_sampling_call(monkeypatch, which):
-    """Make model.sample_from_fitted raise on its `which`-th call only."""
+    """Make model.sample_from_fitted raise on its `which`-th call only,
+    with every draw made in this process."""
+    _pin_synthesis_workers(monkeypatch, 1)
     real = model.sample_from_fitted
     calls = []
 
@@ -850,6 +871,115 @@ def _fail_sampling_call(monkeypatch, which):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(model, "sample_from_fitted", failing)
+
+
+def _break_forked_sampling(monkeypatch, how):
+    """Make model.sample_from_fitted fail in forked workers only: raise
+    ("raises") or end the worker at once ("dies")."""
+    parent = os.getpid()
+    real = model.sample_from_fitted
+
+    def sample(*args, **kwargs):
+        if os.getpid() != parent:
+            if how == "dies":
+                os._exit(1)
+            raise RuntimeError("boom in a worker")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "sample_from_fitted", sample)
+
+
+def _live_datasets():
+    return sum(type(obj) is Dataset for obj in gc.get_objects())
+
+
+class TestPooledSynthesis:
+    """A full run draws and featurizes its training set in forked workers
+    as well as in this process; these tests force two processes."""
+
+    def test_parallel_synthesis_equals_serial(self, tmp_path, monkeypatch):
+        names = ("prediction.csv", "trace.jsonl", "predictor.json", "trainset/datasets.npy", "trainset/graphs.npy")
+        written = {}
+        for count in (1, 2):
+            _pin_synthesis_workers(monkeypatch, count)
+            out = tmp_path / f"workers{count}"
+            config = _small_config(str(out), seed=12, refine=RefineConfig(n_steps=60, collect_k=15))
+            assert run_pipeline(config).training_set_size == 15
+            written[count] = {name: (out / name).read_bytes() for name in names}
+        assert written[1] == written[2]
+
+    def test_parallel_run_holds_at_most_the_in_flight_window(self, tmp_path, monkeypatch):
+        # with one forked worker, this process holds the run's dataset, the
+        # dataset it is writing and at most the window of results waiting
+        _pin_synthesis_workers(monkeypatch, 2)
+        window = model._IN_FLIGHT_PER_WORKER
+        held, workers_seen = [], []
+        baseline = _live_datasets()
+        real_add = TrainingSetWriter.add
+
+        def add(writer, dataset, graph):
+            held.append(_live_datasets() - baseline)
+            workers_seen.append(len(multiprocessing.active_children()))
+            real_add(writer, dataset, graph)
+
+        monkeypatch.setattr(TrainingSetWriter, "add", add)
+        config = _small_config(str(tmp_path / "r"), seed=10, refine=RefineConfig(n_steps=60, collect_k=20))
+        assert run_pipeline(config).training_set_size == 20
+        assert len(held) == 20
+        assert max(held) <= 2 + window < 20
+        assert max(workers_seen) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("how", ["raises", "dies"])
+    def test_worker_failure_fails_generate_training_set(self, tmp_path, monkeypatch, how):
+        _pin_synthesis_workers(monkeypatch, 2)
+        _break_forked_sampling(monkeypatch, how)
+        out = tmp_path / "r"
+        with pytest.raises(StageError) as err:
+            run_pipeline(_small_config(str(out)))
+        assert err.value.stage == "generate_training_set"
+        cause = err.value.cause
+        if how == "dies":
+            assert isinstance(cause, BrokenProcessPool)
+        else:
+            assert isinstance(cause, RuntimeError) and "boom in a worker" in str(cause)
+        persisted = json.loads((out / "run_record.json").read_text())
+        assert (persisted["status"], persisted["failed_stage"]) == ("error", "generate_training_set")
+        assert not (out / "trainset" / "datasets.npy").exists()
+        assert not (out / "trainset" / "graphs.npy").exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("how", ["raises", "dies"])
+    def test_worker_failure_exits_three_from_cli(self, tmp_path, capsys, monkeypatch, how):
+        _pin_synthesis_workers(monkeypatch, 2)
+        _break_forked_sampling(monkeypatch, how)
+        cfg_path = _write_config(tmp_path / "cfg.json")
+        rc = cli_main(["pipeline", "--config", cfg_path, "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert "stage 'generate_training_set' failed" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "trainset" / "datasets.npy").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_non_finite_features_from_a_worker_fail_in_train(self, tmp_path, monkeypatch):
+        _pin_synthesis_workers(monkeypatch, 2)
+        parent = os.getpid()
+        real = model.featurize_all
+
+        def poisoned_in_workers(dataset):
+            pairs, feats = real(dataset)
+            if os.getpid() != parent:
+                feats[0, 0] = np.inf
+            return pairs, feats
+
+        monkeypatch.setattr(model, "featurize_all", poisoned_in_workers)
+        out = tmp_path / "r"
+        with pytest.raises(StageError) as err:
+            run_pipeline(_small_config(str(out)))
+        assert err.value.stage == "train"
+        assert "non-finite pair features" in str(err.value.cause)
+        persisted = json.loads((out / "run_record.json").read_text())
+        assert (persisted["status"], persisted["failed_stage"]) == ("error", "train")
+        assert multiprocessing.active_children() == []
 
 
 def _fail_second_refine(monkeypatch):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from causalign.errors import ConfigError, DegreeCapError
+from causalign.errors import ConfigError, DegreeCapError, StructuralInputError
 from causalign.graph import Dag, random_er
 from causalign.scm import Dataset, forward_sample, sample_scm
 from causalign.sim import (
@@ -17,6 +17,7 @@ from causalign.sim import (
     fit_node,
     predict_node,
     sample_from_fitted,
+    skip_sample,
 )
 
 from conftest import chain_dag, dag_from_edges, empty_dag, make_rng
@@ -222,6 +223,37 @@ class TestSampleAgainstPerNodeOracle:
         fitted = FittedScm(dag=dag, config=config, nodes=nodes)
         got = sample_from_fitted(fitted, 200, make_rng(31)).values
         assert got.tobytes() == sample_per_node(fitted, 200, make_rng(31)).tobytes()
+
+
+class TestSkipSample:
+    """skip_sample takes from a generator exactly what sample_from_fitted
+    takes (and what bootstrapping with rng.choice takes), so a training
+    set's datasets can be drawn from recorded states in any process."""
+
+    @pytest.mark.parametrize(
+        "graph, n",
+        [("root_only", 150), ("dense", 150), ("dense", 77), ("dense", 301)],
+        ids=["root_only", "dense", "fewer_rows_than_residuals", "more_rows_than_residuals"],
+    )
+    def test_state_after_skip_equals_state_after_sampling(self, graph, n):
+        d = 5
+        dag = empty_dag(d) if graph == "root_only" else Dag(np.triu(np.ones((d, d), dtype=np.int8), 1))
+        values = make_rng(40).normal(size=(150, d))
+        fitted = fit_sim(dag, Dataset(values), RegressorConfig(max_in_degree=None))
+        assert all(fn.residual_samples.shape[0] == 150 for fn in fitted.nodes)
+        sampled, skipped, bootstrapped = make_rng(41), make_rng(41), make_rng(41)
+        start = skipped.bit_generator.state
+        sample_from_fitted(fitted, n, sampled)
+        skip_sample(fitted, n, skipped)
+        sample_per_node(fitted, n, bootstrapped)  # rng.choice per node
+        assert skipped.bit_generator.state != start
+        assert sampled.bit_generator.state == skipped.bit_generator.state
+        assert bootstrapped.bit_generator.state == skipped.bit_generator.state
+
+    def test_rejects_empty_sample(self):
+        fitted = fit_sim(empty_dag(2), _two_col_linear(1, n=20), LINEAR)
+        with pytest.raises(StructuralInputError):
+            skip_sample(fitted, 0, make_rng(0))
 
 
 class TestPredictNode:
