@@ -63,6 +63,18 @@ INPUT_ERRORS = (
 _SETTING_CHOICES = [s.value for s in ShiftSetting]
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as numpy's SeedSequence
+    takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}: expected an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _load_pipeline_config(args) -> PipelineConfig:
     cfg = PipelineConfig.from_json_file(args.config) if args.config else PipelineConfig()
     updates = {}
@@ -244,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--expected-edges", type=float, default=GeneratorConfig.expected_edges)
     p.add_argument("--attach-m", type=int, default=GeneratorConfig.attach_m)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -252,16 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--data", default=None)
     p.add_argument("--truth", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pipeline, stages="refine_only")
 
     p = sub.add_parser("make-trainset", help="fit mechanisms to graphs and resample data")
     p.add_argument("--data", required=True)
     p.add_argument("--graphs", required=True, help="directory of adjacency CSVs")
-    p.add_argument("--basis", default=RegressorConfig.basis.value, help="linear | fourier | spline")
+    p.add_argument("--basis", default=RegressorConfig.basis.value, choices=[b.value for b in Basis])
     p.add_argument("--basis-size", type=int, default=RegressorConfig.basis_size)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="directory for datasets.npy, graphs.npy and provenance.json")
     p.set_defaults(func=cmd_make_trainset)
 
@@ -272,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
     # a fixed seed (TrainConfig's None would draw one) keeps the command deterministic
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -291,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="full run: seed, refine, synthesize, train, predict")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--stages", default=None, choices=STAGES)
     p.set_defaults(func=cmd_pipeline)

@@ -479,7 +479,8 @@ class TrainingFeatures:
     added, each laid out as featurize_all's rows.
 
     Filled as the datasets are drawn, a training set costs its feature
-    rows, O(K·d²) floats, rather than its datasets' O(K·n·d)."""
+    rows, O(K·d²) floats, rather than its datasets' O(K·n·d). The rows
+    are stored as given: train checks that they are finite."""
 
     def __init__(self, rows: int):
         self.feats = np.empty((rows, len(PAIR_FEATURE_NAMES)))
@@ -490,10 +491,8 @@ class TrainingFeatures:
         self.add_features(featurize_all(dataset)[1], graph)
 
     def add_features(self, feats: np.ndarray, graph: Dag) -> None:
-        """Check and store one dataset's featurize_all rows, labelled
-        from its graph."""
-        if not np.isfinite(feats).all():
-            raise InputQualityError("non-finite pair features in training set")
+        """Store one dataset's featurize_all rows, labelled from its
+        graph."""
         block = slice(self.filled, self.filled + feats.shape[0])
         self.feats[block] = feats
         self.labels[block] = graph.adjacency[_pair_index(pair_order(graph.d))]
@@ -519,6 +518,8 @@ class TrainConfig:
             raise ConfigError("momentum must be in [0, 1)")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"train seed must be >= 0, got {self.seed}")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -674,6 +675,7 @@ class EdgePredictor:
 
 def train(training_set: TrainingSet | TrainingFeatures, config: TrainConfig | None = None) -> EdgePredictor:
     """Featurize every instance (a TrainingFeatures holds them already),
+    check that every feature is finite (InputQualityError otherwise),
     freeze normalization statistics, and run mini-batch gradient descent
     with momentum on mean BCE, seeded from config.seed; the momentum step
     updates theta in place. The feature matrix is normalized in place."""
@@ -687,6 +689,8 @@ def train(training_set: TrainingSet | TrainingFeatures, config: TrainConfig | No
     fn, labels = features.feats, features.labels
     if not 0 < features.filled == len(labels):
         raise StructuralInputError(f"training features fill {features.filled} of {len(labels)} rows")
+    if not np.isfinite(fn).all():
+        raise InputQualityError("non-finite pair features in training set")
 
     mean = fn.mean(axis=0)
     std = fn.std(axis=0)

@@ -20,6 +20,7 @@ import enum
 import functools
 import glob
 import json
+import math
 import os
 import time
 import typing
@@ -128,8 +129,9 @@ def _decode(cls, obj, where: str, json_names: dict | None = None, **given):
 def _coerce(tp, value, where: str):
     """`value` as declared type `tp`: `X | None` keeps None, dataclasses
     decode as sections, tuples convert item by item, an int takes only an
-    integral number and a float any number (neither a JSON boolean), and
-    anything else (strings, enums) converts by calling the type."""
+    integral number and a float any finite number (neither a JSON
+    boolean; json reads NaN and Infinity), and anything else (strings,
+    enums) converts by calling the type."""
     args = typing.get_args(tp)
     if type(None) in args:
         if value is None:
@@ -145,8 +147,10 @@ def _coerce(tp, value, where: str):
         or (isinstance(value, float) and not value.is_integer())
     ):
         raise TypeError(f"expected an integer, got {value!r}")
-    if tp is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise TypeError(f"expected a number, got {value!r}")
+    if tp is float and (
+        isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
+    ):
+        raise TypeError(f"expected a finite number, got {value!r}")
     return tp(value)
 
 
@@ -201,6 +205,8 @@ class PipelineConfig:
             raise ConfigError(f"stages must be one of {STAGES}, got {self.stages!r}")
         if not (0.0 <= self.threshold <= 1.0):
             raise ConfigError("threshold must be in [0, 1]")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     # -- (de)serialization ----------------------------------------------------
 
@@ -449,44 +455,25 @@ class _Run:
             paths={},
         )
         self.threshold = config.threshold
-        # per open stage, innermost last: seconds spent in stages nested in it
-        self._nested: list[float] = []
         if config.out_dir:
             os.makedirs(config.out_dir, exist_ok=True)
         self.save("config", "config.json", _write_json, self.record.config)
 
     @contextlib.contextmanager
     def stage(self, name: str):
-        """Time the stage `name`. Its time excludes the stages nested in
-        it, and a stage entered again adds to its time, so no second is
-        counted twice; timings keep the order stages were first entered
-        in. A failure drops the failing stage and every stage entered
-        since, so timings list the stages that finished before it; the
-        innermost failing stage is the one the record names."""
-        timings = self.record.timings
-        timings.setdefault(name, 0.0)
-        self._nested.append(0.0)
+        """Time the stage `name` and record its time when it finishes, so
+        timings list the finished stages in the order they ran. A failing
+        stage records no time: it marks the record, persists it and
+        re-raises as StageError."""
         t0 = time.perf_counter()
         try:
             yield
         except Exception as exc:
-            names = list(timings)
-            if name in names:
-                for dropped in names[names.index(name) :]:
-                    del timings[dropped]
-            if isinstance(exc, StageError):
-                self.persist()
-                raise
             self.record.status = "error"
             self.record.failed_stage = name
             self.persist()
             raise StageError(name, exc) from exc
-        finally:
-            elapsed = time.perf_counter() - t0
-            nested = self._nested.pop()
-            if self._nested:
-                self._nested[-1] += elapsed
-        timings[name] += elapsed - nested
+        self.record.timings[name] = time.perf_counter() - t0
 
     def save(self, key: str, filename: str, writer, obj) -> None:
         """writer(obj, path) for the file `filename` of the run directory,
@@ -514,11 +501,11 @@ class _Run:
 
 class _TrainsetStream:
     """generate_training_set's sink in a full run. It takes each dataset's
-    pair features, computed where the dataset was drawn, and checks and
-    stores them under the train stage in their rows of the training
-    features; with a run directory it also takes each dataset and appends
-    it to trainset/. Nothing is kept but the features, so the run holds
-    them and the datasets in flight."""
+    pair features, computed where the dataset was drawn, and stores them
+    in their rows of the training features, which train checks; with a
+    run directory it also takes each dataset and appends it to trainset/.
+    Nothing is kept but the features, so the run holds them and the
+    datasets in flight."""
 
     takes_features = True
 
@@ -543,8 +530,7 @@ class _TrainsetStream:
         self.writer.add(dataset, graph)
 
     def add_features(self, feats: np.ndarray, graph: Dag) -> None:
-        with self.run.stage("train"):
-            self.features.add_features(feats, graph)
+        self.features.add_features(feats, graph)
 
 
 def _write_json(obj, path: str) -> None:

@@ -118,10 +118,7 @@ def acceptance_probability(s_curr: float, s_cand: float, temperature: float = 1.
         return 1.0
     if temperature <= 0:
         raise ConfigError("temperature must be > 0")
-    try:
-        return math.exp(delta / temperature)
-    except OverflowError:  # pragma: no cover - delta<0 can only underflow
-        return 0.0
+    return math.exp(delta / temperature)
 
 
 def _moved_parents(move: EdgeMove, parents: list[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...]]]:

@@ -12,6 +12,7 @@ from causalign import scoring
 from causalign.errors import (
     ConfigError,
     DegreeCapError,
+    InputQualityError,
     StructuralInputError,
 )
 from causalign.graph import Dag
@@ -443,6 +444,18 @@ class TestTrain:
         for data, g in ts.instances[:2]:
             features.add(data, g)
         with pytest.raises(StructuralInputError, match="fill 40 of 60 rows"):
+            train(features, TrainConfig(epochs=1, seed=0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, value):
+        _, ts = _training_set(37, n=60, d=5, k=3)
+        features = TrainingFeatures(3 * 20)
+        for k, (data, g) in enumerate(ts.instances):
+            feats = featurize_all(data)[1]
+            if k == 1:
+                feats[4, 2] = value
+            features.add_features(feats, g)
+        with pytest.raises(InputQualityError, match="non-finite pair features in training set"):
             train(features, TrainConfig(epochs=1, seed=0))
 
     def test_normalization_statistics_frozen_from_training_features(self):

@@ -310,6 +310,12 @@ class TestPipelineConfig:
             ({"train": {"momentum": False}}, "config.train.momentum"),
             ({"score": {"sparsity_weight": "0.1"}}, "config.score.sparsity_weight"),
             ({"generator": {"weight_range": [1.0, "2"]}}, "config.generator.weight_range"),
+            # json reads the NaN and Infinity literals as floats
+            ({"refine": {"temperature": float("nan")}}, "config.refine.temperature"),
+            ({"score": {"sparsity_weight": float("nan")}}, "config.score.sparsity_weight"),
+            ({"train": {"learning_rate": float("inf")}}, "config.train.learning_rate"),
+            ({"generator": {"expected_edges": float("inf")}}, "config.generator.expected_edges"),
+            ({"generator": {"weight_range": [1.0, float("-inf")]}}, "config.generator.weight_range"),
         ],
     )
     def test_float_fields_reject_non_numbers(self, obj, key):
@@ -801,20 +807,16 @@ class TestStageFailures:
         finished = MODE_STAGES[mode][: MODE_STAGES[mode].index(failing)]
         assert sorted(json.loads((out / "timings.json").read_text())) == sorted(finished)
 
-    def test_nested_stage_time_is_its_own_and_reentry_adds(self, monkeypatch):
+    def test_stages_record_their_own_time_in_order(self, monkeypatch):
         clock = [0.0]
         monkeypatch.setattr(pipeline.time, "perf_counter", lambda: clock[0])
         run = pipeline._Run(_small_config())
-        with run.stage("outer"):
-            clock[0] += 1.0
-            with run.stage("inner"):
-                clock[0] += 2.0
+        clock[0] += 1.0  # between stages: counted by neither
+        with run.stage("second"):
+            clock[0] += 2.0
+        with run.stage("first"):
             clock[0] += 4.0
-            with run.stage("inner"):
-                clock[0] += 8.0
-        with run.stage("inner"):
-            clock[0] += 16.0
-        assert list(run.record.timings.items()) == [("outer", 5.0), ("inner", 26.0)]
+        assert list(run.record.timings.items()) == [("second", 2.0), ("first", 4.0)]
 
     def test_non_finite_training_features_fail_in_train(self, tmp_path, monkeypatch):
         real = model.featurize_all
@@ -832,11 +834,10 @@ class TestStageFailures:
         assert "non-finite pair features" in str(err.value.cause)
         persisted = json.loads((out / "run_record.json").read_text())
         assert (persisted["status"], persisted["failed_stage"]) == ("error", "train")
-        assert list(json.loads((out / "timings.json").read_text())) == ["init_seed", "load_data", "refine"]
+        finished = ["generate_training_set", "init_seed", "load_data", "refine"]
+        assert list(json.loads((out / "timings.json").read_text())) == finished
 
     def test_sampling_error_fails_in_generate_training_set(self, tmp_path, monkeypatch):
-        # the first dataset was drawn and featurized under the train stage
-        # before the second draw fails; timings drop that partial train time
         _fail_sampling_call(monkeypatch, 2)
         out = tmp_path / "r"
         with pytest.raises(StageError) as err:
@@ -1493,6 +1494,29 @@ class TestCli:
         assert rc == 2
         assert "count must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["generate", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+            (["pipeline", "--seed", "-1"], {}, "seed must be >= 0, got -1"),
+            (["train", "--trainset", "ts", "--seed", "-3"], None, "seed must be >= 0, got -3"),
+            (["make-trainset", "--data", "d.csv", "--graphs", "g", "--seed", "-2"], None, "seed must be >= 0, got -2"),
+            (["make-trainset", "--data", "d.csv", "--graphs", "g", "--basis", "foo"], None, "invalid choice: 'foo'"),
+            (["pipeline"], {"seed": -1}, "seed must be >= 0, got -1"),
+            (["pipeline"], {"train": {"seed": -5}}, "train seed must be >= 0, got -5"),
+        ],
+    )
+    def test_bad_seed_or_basis_exits_two(self, tmp_path, capsys, argv, config, message):
+        if config is not None:
+            argv = [*argv, "--config", _write_config(tmp_path / "cfg.json", **config)]
+        try:
+            rc = cli_main([*argv, "--out", str(tmp_path / "out")])
+        except SystemExit as exc:  # argparse rejects a flag before any command runs
+            rc = exc.code
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_generate_single_variable_exits_two(self, tmp_path, capsys):
         rc = cli_main(["generate", "--d", "1", "--out", str(tmp_path / "g")])
