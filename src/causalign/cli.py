@@ -163,7 +163,6 @@ def cmd_make_trainset(args) -> int:
 
 
 def cmd_train(args) -> int:
-    training_set = load_training_set(args.trainset)
     cfg = TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -171,7 +170,7 @@ def cmd_train(args) -> int:
         momentum=args.momentum,
         seed=args.seed,
     )
-    predictor = train(training_set, cfg)
+    predictor = train(load_training_set(args.trainset), cfg)
     with open(args.out, "w") as fh:
         fh.write(predictor.to_json())
     last = predictor.epoch_losses[-1] if predictor.epoch_losses else float("nan")

@@ -12,6 +12,7 @@ only the graphs and the score, so it needs no synthesized data.
 from __future__ import annotations
 
 import collections
+import contextlib
 import copy
 import json
 import math
@@ -19,6 +20,7 @@ import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -327,9 +329,11 @@ def generate_training_set(graphs: list[Dag], engine: ScoreEngine, rng: np.random
     is known first. One serial pass then records rng's state before each
     dataset (skip_sample advances it past one dataset's draws), and
     dataset k is drawn from state k: on every core this process may use,
-    in forked worker processes (see _synthesis_workers), or here when
-    there is one. Either way the datasets are the bytes a serial loop on
-    rng draws, and rng ends in the state that loop leaves it in.
+    here and in forked worker processes (see _synthesis_workers and
+    ordered_map), or only here when there is one. Either way the datasets
+    are the bytes a serial loop on rng draws, and rng ends in the state
+    that loop leaves it in. The first draw that fails raises its error
+    here, BrokenProcessPool when a worker died.
 
     sink.start(count, provenance) receives the number kept and the
     provenance, then, in graph order, sink.add(dataset, graph) receives
@@ -374,14 +378,16 @@ def generate_training_set(graphs: list[Dag], engine: ScoreEngine, rng: np.random
         featurize=getattr(sink, "takes_features", False),
     )
 
-    def deliver(k: int, result: tuple[Dataset | None, np.ndarray | None]) -> None:
+    def deliver(k: int, result) -> None:
+        if isinstance(result, Exception):
+            raise result
         drawn, feats = result
         if drawn is not None:
             sink.add(drawn, fitted[k].dag)
         if feats is not None:
             sink.add_features(feats, fitted[k].dag)
 
-    _draw_in_order(draw, len(fitted), _synthesis_workers(), deliver)
+    ordered_map(draw, len(fitted), _synthesis_workers(), deliver, caller_works=True)
     return sink
 
 
@@ -405,72 +411,117 @@ class _Draw:
         return (dataset if self.keep_data else None), feats
 
 
-# tasks in flight per forked worker: enough to keep it busy while this
-# process draws its own share and handles results, and the bound on the
-# results waiting here
+# tasks in flight per forked worker when this process works too: enough to
+# keep a worker busy while this process runs its own share and handles
+# results, and the bound on the (dataset-sized) results waiting here
 _IN_FLIGHT_PER_WORKER = 2
 
 
 def _synthesis_workers() -> int:
     """Processes that draw a training set, this one included: one per
     core this process may run on; 1 inside a pool worker, so a suite's
-    workers never nest pools, and where fork or the affinity mask is
+    workers never nest pools, and where the affinity mask is
     unavailable."""
-    if (
-        multiprocessing.parent_process() is not None
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or not hasattr(os, "sched_getaffinity")
-    ):
+    if multiprocessing.parent_process() is not None or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
 
-_pool_draw: _Draw | None = None  # set in each forked worker by its initializer
+_pool_fn = None  # set in each forked worker by its initializer
 
 
-def _install_draw(draw: _Draw) -> None:
-    global _pool_draw
-    _pool_draw = draw
+def _install_fn(fn) -> None:
+    global _pool_fn
+    _pool_fn = fn
 
 
 def _pool_call(k: int):
-    return _pool_draw(k)
+    return _pool_fn(k)
 
 
-def _draw_in_order(draw: _Draw, count: int, workers: int, deliver) -> None:
-    """deliver(k, draw(k)) for k = 0, ..., count - 1, in order, with the
-    draws spread over `workers` processes: this one draws every
-    workers-th dataset from the first when it reaches it, and workers - 1
-    forked workers draw the rest, each with at most _IN_FLIGHT_PER_WORKER
-    tasks submitted ahead. With one worker this process draws them all
-    and no pool is made. A result is dropped once delivered.
+def _fork_pool(fn, workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_install_fn, initargs=(fn,)
+    )
 
-    Fork passes `draw` to the workers without pickling it (a Dag cannot
-    be pickled), and they are forked before the pool starts any thread.
-    On the way out, for a failure too, tasks not yet started are
-    cancelled and every worker is joined. A worker's exception, or
-    BrokenProcessPool when a worker dies, is raised here when its result
-    is reached."""
-    workers = min(workers, count)
-    forked = (k for k in range(count) if k % workers)
-    window = (workers - 1) * _IN_FLIGHT_PER_WORKER
-    pending: collections.deque = collections.deque()
-    pool = None
-    if workers > 1:
-        pool = ProcessPoolExecutor(
-            workers - 1,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_install_draw,
-            initargs=(draw,),
-        )
+
+def _outcome(call, *args):
+    """call(*args), or the exception it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return exc
+
+
+def ordered_map(fn, count: int, workers: int, deliver, caller_works: bool = False) -> None:
+    """deliver(k, fn(k)) for k = 0, ..., count - 1, in order, with the
+    exception fn(k) raises delivered in place of its result. A result is
+    dropped once delivered.
+
+    The calls run in p = min(workers, count) processes. With caller_works
+    this process is one of them and calls fn(k) itself for k = 0, p, 2p,
+    ...; each forked worker then has at most _IN_FLIGHT_PER_WORKER tasks
+    submitted ahead, which bounds the results waiting here. Otherwise
+    this process only waits, all p are forked workers and every task is
+    submitted at once, so no worker idles behind a slow task at the head.
+    With one process, or without fork, this process makes every call and
+    no pool is made.
+
+    Fork hands fn to the workers through the pool's initializer unpickled
+    (a Dag cannot be pickled), before the pool starts any thread. When a
+    worker dies, the pool is replaced and each task the break failed is
+    rerun alone in a one-worker pool, up to p - caller_works of them side
+    by side: one that kills that worker too delivers BrokenProcessPool.
+    On the way out, an exception from deliver included, tasks not yet
+    started are cancelled and every worker is joined."""
+    procs = min(workers, count) if "fork" in multiprocessing.get_all_start_methods() else 1
+    if procs <= 1:
+        for k in range(count):
+            deliver(k, _outcome(fn, k))
+        return
+    forked = procs - caller_works
+    window = forked * _IN_FLIGHT_PER_WORKER if caller_works else count
+    mine = range(0, count, procs) if caller_works else range(0)
+    queue = collections.deque(k for k in range(count) if k not in mine)
+    pending: collections.deque = collections.deque()  # [k, future, rerun alone] in task order
+    pool = _fork_pool(fn, forked)
     try:
         for k in range(count):
-            while len(pending) < window and (ahead := next(forked, None)) is not None:
-                pending.append(pool.submit(_pool_call, ahead))
-            deliver(k, draw(k) if k % workers == 0 else pending.popleft().result())
+            while len(pending) < window and queue:
+                try:
+                    pending.append([queue[0], pool.submit(_pool_call, queue[0]), False])
+                except BrokenProcessPool:  # a worker died since the last result
+                    pool = _replace_broken(pool, fn, forked, pending)
+                    continue
+                queue.popleft()
+            if k in mine:
+                deliver(k, _outcome(fn, k))
+                continue
+            if _broken_by_pool(pending[0]):
+                pool = _replace_broken(pool, fn, forked, pending)
+            deliver(k, _outcome(pending.popleft()[1].result))
     finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _replace_broken(pool: ProcessPoolExecutor, fn, workers: int, pending) -> ProcessPoolExecutor:
+    """A fresh pool of `workers` in place of the broken `pool`, once every
+    pending task the break failed has been rerun alone: each in its own
+    one-worker pool, `workers` of them at a time."""
+    pool.shutdown(wait=True)  # the break has failed every unfinished task
+    broken = [entry for entry in pending if _broken_by_pool(entry)]
+    for start in range(0, len(broken), workers):
+        with contextlib.ExitStack() as solos:  # joins each solo worker on exit
+            for entry in broken[start : start + workers]:
+                solo = solos.enter_context(_fork_pool(fn, 1))
+                entry[1:] = solo.submit(_pool_call, entry[0]), True
+    return _fork_pool(fn, workers)
+
+
+def _broken_by_pool(entry: list) -> bool:
+    """Whether a pending [k, future, rerun alone] task failed because its
+    pool broke, and has not been rerun alone yet; waits for the task."""
+    return not entry[2] and isinstance(entry[1].exception(), BrokenProcessPool)
 
 
 class TrainingFeatures:
@@ -516,8 +567,8 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError("momentum must be in [0, 1)")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"train seed must be >= 0, got {self.seed}")
 

@@ -24,7 +24,6 @@ import math
 import os
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +46,7 @@ from .model import (
     TrainingFeatures,
     generate_training_set,
     knn_score_predict,
+    ordered_map,
     predict,
     train,
 )
@@ -172,8 +172,10 @@ class GeneratorConfig:
             value = getattr(self, name)
             if value < low:
                 raise ConfigError(f"generator {name} must be >= {low}, got {value}")
-        if self.expected_edges is not None and self.expected_edges < 0:
-            raise ConfigError(f"generator expected_edges must be >= 0, got {self.expected_edges}")
+        if self.expected_edges is not None and not (
+            math.isfinite(self.expected_edges) and self.expected_edges >= 0
+        ):
+            raise ConfigError(f"generator expected_edges must be finite and >= 0, got {self.expected_edges}")
         self.triple()  # validates the mechanism, noise and graph names
 
     def triple(self) -> SpecTriple:
@@ -559,10 +561,6 @@ def _save_collected(graphs: list[Dag], directory: str) -> None:
 # benchmark and ablation drivers
 
 
-def _run_one(config: PipelineConfig) -> RunRecord:
-    return run_pipeline(config)
-
-
 def _write_csv(path: str, rows: list[dict], columns: list[str]) -> None:
     import csv as _csv
 
@@ -606,31 +604,6 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(before)
 
 
-def _run_instances(
-    configs: list[PipelineConfig], threads: int
-) -> list[RunRecord | BaseException]:
-    """Run pipelines serially or in a process pool (instance-level
-    parallelism only: each run_pipeline keeps BLAS to one thread); result
-    order matches input order either way."""
-    if threads <= 1 or len(configs) <= 1:
-        out: list[RunRecord | BaseException] = []
-        for cfg in configs:
-            try:
-                out.append(run_pipeline(cfg))
-            except Exception as exc:
-                out.append(exc)
-        return out
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_run_one, cfg) for cfg in configs]
-        results: list[RunRecord | BaseException] = []
-        for fut in futures:
-            try:
-                results.append(fut.result())
-            except Exception as exc:
-                results.append(exc)
-        return results
-
-
 def _run_suite(
     config: PipelineConfig,
     setting: ShiftSetting | str,
@@ -648,7 +621,11 @@ def _run_suite(
     it writes instances/###_<name>, and its table and error rows carry the
     name in an `arm` column. Returns the finished runs in order as
     (key, record), where key holds the run's instance, seed, setting and
-    (with several arms) arm columns."""
+    (with several arms) arm columns.
+
+    With threads > 1 and more than one run, the runs go to
+    min(threads, runs) forked workers (ordered_map) while this process
+    waits; otherwise they run here. A dying worker fails only its run."""
     if config.generator is None:
         raise ConfigError("benchmark and ablate require a generator section in the config")
     if instances < 1:
@@ -674,9 +651,11 @@ def _run_suite(
                 dataclasses.replace(arm_config, seed=seed, out_dir=os.path.join(out_dir, "instances", run_dir))
             )
 
+    results: list[RunRecord | Exception] = []
+    ordered_map(lambda k: run_pipeline(configs[k]), len(configs), threads, lambda k, res: results.append(res))
     finished, errors = [], []
-    for key, res in zip(keys, _run_instances(configs, threads)):
-        if isinstance(res, BaseException):
+    for key, res in zip(keys, results):
+        if isinstance(res, Exception):
             error = {k: v for k, v in key.items() if k in ("instance", "arm")}
             error["stage"] = res.stage if isinstance(res, StageError) else None
             error["error"] = str(res)

@@ -34,10 +34,8 @@ def test_every_traced_function_resolves():
 
 
 def test_run_script_hooks_exist():
-    # bench/run.py swaps pipeline.refine to keep the trace, and the suite
-    # workload's pool runs pipeline._run_one
+    # bench/run.py swaps pipeline.refine to keep the trace
     assert callable(pipeline.refine)
-    assert callable(pipeline._run_one)
 
 
 def test_traced_engine_methods_exist():

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import warnings
 import weakref
 from concurrent.futures.process import BrokenProcessPool
@@ -43,7 +44,7 @@ from causalign.pipeline import (
 from causalign.refine import RefineConfig, SeedMode, refine
 from causalign.scm import Dataset, SpecTriple, generate_instance
 from causalign.scoring import ScoreConfig, ScoreEngine
-from causalign.model import TrainConfig
+from causalign.model import TrainConfig, generate_training_set
 from causalign.sim import Basis, RegressorConfig
 
 from conftest import make_rng
@@ -106,22 +107,31 @@ def _count_fits_inside(mp, callee):
 def counted_default_run(tmp_path_factory):
     """One full run at library defaults (d=10, n=200, 2000 steps), with the
     score engine's fit_node calls made inside and outside training-set
-    synthesis counted."""
+    synthesis counted, and the search's engine and trace kept."""
     out = str(tmp_path_factory.mktemp("default_run"))
     config = PipelineConfig(
         seed=1, out_dir=out, generator=GeneratorConfig(noise="uniform")
     )
+    search = {}
+    real_refine = pipeline.refine
+
+    def kept_search(engine, *args, **kwargs):
+        search["engine"] = engine
+        search["trace"] = real_refine(engine, *args, **kwargs)
+        return search["trace"]
+
     with pytest.MonkeyPatch.context() as mp:
         fits = _count_fits_inside(mp, "generate_training_set")
+        mp.setattr(pipeline, "refine", kept_search)
         record = run_pipeline(config)
-    return config, record, fits
+    return config, record, fits, search
 
 
 @pytest.fixture(scope="module")
 def default_run(counted_default_run):
     """The default run's config and record, shared by the smoke, golden
     and timing tests."""
-    config, record, _ = counted_default_run
+    config, record, _, _ = counted_default_run
     return config, record
 
 
@@ -461,15 +471,20 @@ class TestRunPipelineDefaults:
             assert np.array_equal(trained_on[k], collected.adjacency), k
 
     @pytest.mark.timing
-    def test_refinement_dominates_synthesis(self, default_run):
-        _, record = default_run
-        t = record.timings
-        assert t["refine"] > t["generate_training_set"]
+    def test_refinement_dominates_synthesis(self, counted_default_run, monkeypatch):
+        # the search against one serial synthesis of its collected graphs
+        # from its engine: the run's generate_training_set stage also
+        # featurizes and writes trainset/, and may use every core
+        _, record, _, search = counted_default_run
+        _pin_synthesis_workers(monkeypatch, 1)
+        t0 = time.perf_counter()
+        generate_training_set(search["trace"].collected, search["engine"], make_rng(0))
+        assert record.timings["refine"] > time.perf_counter() - t0
 
     def test_synthesis_reuses_the_search_fits(self, counted_default_run):
         # every collected (node, parents) was scored during the search, so
         # synthesis takes all its fits from the engine and fits none itself
-        _, _, fits = counted_default_run
+        _, _, fits, _ = counted_default_run
         assert fits["inside"] == 0
         assert fits["rest"] > 0
 
@@ -894,6 +909,82 @@ def _live_datasets():
     return sum(type(obj) is Dataset for obj in gc.get_objects())
 
 
+def _count_forks(monkeypatch):
+    """The pids of the processes this process forks from now on."""
+    forked = []
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forked
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("caller_works, forks", [(False, 3), (True, 2)])
+    def test_forks_no_more_workers_than_tasks(self, monkeypatch, caller_works, forks):
+        forked = _count_forks(monkeypatch)
+        delivered = []
+
+        def square_but_one(k):
+            if k == 1:
+                raise ValueError("no square for 1")
+            return k * k
+
+        model.ordered_map(square_but_one, 3, 8, lambda k, res: delivered.append((k, res)), caller_works)
+        assert len(forked) == forks
+        assert [k for k, _ in delivered] == [0, 1, 2]
+        assert (delivered[0][1], delivered[2][1]) == (0, 4)
+        assert isinstance(delivered[1][1], ValueError) and str(delivered[1][1]) == "no square for 1"
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_costs_only_its_own_task(self):
+        # this process and two workers, four tasks in flight: task 2 kills
+        # its worker while task 0's result is delivered, so once task 1 is
+        # delivered the next submit meets a broken pool; task 2 is rerun
+        # alone and dies again, the rest finish
+        delivered = []
+
+        def square_but_die_on_two(k):
+            if k == 2:
+                time.sleep(0.2)
+                os._exit(1)
+            return k * k
+
+        def deliver(k, res):
+            if k == 0:
+                time.sleep(1.0)  # ample time for the pool to see the death
+            delivered.append((k, res))
+
+        model.ordered_map(square_but_die_on_two, 12, 3, deliver, caller_works=True)
+        assert [(k, res) for k, res in delivered if k != 2] == [(k, k * k) for k in range(12) if k != 2]
+        assert isinstance(delivered[2][1], BrokenProcessPool)
+        assert multiprocessing.active_children() == []
+
+    def test_an_idle_caller_submits_every_task_at_once(self, tmp_path):
+        # task 0 waits for tasks 1-5 to finish: with two workers that
+        # happens only if the other worker was given all five up front
+        def fn(k):
+            if k > 0:
+                (tmp_path / str(k)).touch()
+                return True
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if all((tmp_path / str(j)).exists() for j in range(1, 6)):
+                    return True
+                time.sleep(0.01)
+            return False
+
+        delivered = []
+        model.ordered_map(fn, 6, 2, lambda k, res: delivered.append(res))
+        assert delivered == [True] * 6
+        assert multiprocessing.active_children() == []
+
+
 class TestPooledSynthesis:
     """A full run draws and featurizes its training set in forked workers
     as well as in this process; these tests force two processes."""
@@ -1140,6 +1231,35 @@ class TestRunBenchmark:
         assert len(on_disk) == len(summary) == len(BENCHMARK_METHODS) * len(BENCHMARK_METRICS)
         assert all(int(row["n"]) == 2 for row in on_disk)
         assert all(row["n"] == 2 for row in summary)
+
+    def test_dead_worker_loses_only_its_own_run(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        real = pipeline.run_pipeline
+
+        def dies_on_instance_one(config, *args, **kwargs):
+            if os.getpid() != parent and config.out_dir.endswith("001"):
+                os._exit(1)
+            return real(config, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_pipeline", dies_on_instance_one)
+        cfg_path = _write_config(tmp_path / "cfg.json", stages="refine_only")
+        out = tmp_path / "b"
+        argv = ["benchmark", "--config", cfg_path, "--setting", "iid", "--instances", "6", "--threads", "2"]
+        assert cli_main([*argv, "--out", str(out)]) == 3
+        errors = json.loads((out / "errors.json").read_text())
+        assert [(e["instance"], e["stage"]) for e in errors] == [(1, None)]
+        assert "terminated abruptly" in errors[0]["error"]
+        for i in (0, 2, 3, 4, 5):
+            assert (out / "instances" / f"{i:03d}" / "run_record.json").exists(), i
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("instances, threads, forks", [(1, 3, 0), (2, 4, 2)])
+    def test_forks_no_more_workers_than_runs(self, tmp_path, monkeypatch, instances, threads, forks):
+        forked = _count_forks(monkeypatch)
+        cfg = _small_config(stages="refine_only")
+        run_benchmark(cfg, "iid", instances, str(tmp_path / "b"), threads=threads)
+        assert len(forked) == forks
+        assert json.loads((tmp_path / "b" / "errors.json").read_text()) == []
 
     def test_requires_generator(self, tmp_path):
         cfg = dataclasses.replace(_small_config(), generator=None)
@@ -1478,7 +1598,7 @@ class TestCli:
         [
             ({"n": 0}, "generator n must be >= 1, got 0"),
             ({"attach_m": 0}, "generator attach_m must be >= 1, got 0"),
-            ({"expected_edges": -1}, "generator expected_edges must be >= 0, got -1"),
+            ({"expected_edges": -1}, "generator expected_edges must be finite and >= 0, got -1"),
         ],
     )
     def test_bad_generator_value_exits_two(self, tmp_path, capsys, generator, message):
@@ -1505,6 +1625,11 @@ class TestCli:
             (["make-trainset", "--data", "d.csv", "--graphs", "g", "--basis", "foo"], None, "invalid choice: 'foo'"),
             (["pipeline"], {"seed": -1}, "seed must be >= 0, got -1"),
             (["pipeline"], {"train": {"seed": -5}}, "train seed must be >= 0, got -5"),
+            # float flags follow the config's finite-number rule
+            (["generate", "--expected-edges", "nan"], None, "generator expected_edges must be finite and >= 0, got nan"),
+            (["generate", "--expected-edges", "inf"], None, "generator expected_edges must be finite and >= 0, got inf"),
+            (["train", "--trainset", "ts", "--lr", "nan"], None, "learning_rate must be finite and > 0, got nan"),
+            (["train", "--trainset", "ts", "--lr", "inf"], None, "learning_rate must be finite and > 0, got inf"),
         ],
     )
     def test_bad_seed_or_basis_exits_two(self, tmp_path, capsys, argv, config, message):
