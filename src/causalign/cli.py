@@ -46,6 +46,7 @@ from .pipeline import (
     run_pipeline,
     save_instances,
 )
+from .refine import SeedMode, load_seed_graph
 from .scm import ShiftSetting
 from .scoring import ScoreConfig, ScoreEngine
 from .sim import Basis, RegressorConfig
@@ -94,8 +95,9 @@ def _load_pipeline_config(args) -> PipelineConfig:
 
 
 def _preload(cfg: PipelineConfig):
-    """Resolve file inputs up front so a missing data source or an
-    unreadable path exits 2, not 3."""
+    """Resolve file inputs up front so a missing data source, an
+    unreadable path or a from_file seed graph init_seed would reject
+    exits 2, not 3."""
     if cfg.data_path is None and cfg.generator is None:
         raise ConfigError("no data source: give a data path or a generator section in --config")
     dataset = truth = None
@@ -103,6 +105,9 @@ def _preload(cfg: PipelineConfig):
         dataset = load_dataset(cfg.data_path)
     if cfg.truth_path:
         truth = load_graph(cfg.truth_path)
+    if cfg.refine.seed_mode == SeedMode.FROM_FILE:
+        d = dataset.d if dataset is not None else cfg.generator.d
+        load_seed_graph(cfg.refine.seed_graph_path, d, cfg.refine.score.regressor.max_in_degree)
     return dataset, truth
 
 

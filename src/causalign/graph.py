@@ -80,7 +80,7 @@ class Dag:
         entries, or encodes a cycle.
     """
 
-    __slots__ = ("adjacency",)
+    __slots__ = ("adjacency", "_parents")
 
     def __init__(self, adjacency) -> None:
         arr = _check_square_zero_diag(adjacency)
@@ -89,8 +89,7 @@ class Dag:
         arr = arr.astype(np.int8, copy=True)
         if not _kahn_is_acyclic(arr):
             raise StructuralInputError("adjacency encodes a cycle")
-        arr.flags.writeable = False
-        object.__setattr__(self, "adjacency", arr)
+        self._own(arr)
 
     @classmethod
     def _trusted(cls, adjacency: np.ndarray) -> "Dag":
@@ -98,9 +97,14 @@ class Dag:
         acyclic, skipping the validation __init__ would repeat. Takes
         ownership of the array and makes it read-only."""
         dag = object.__new__(cls)
-        adjacency.flags.writeable = False
-        object.__setattr__(dag, "adjacency", adjacency)
+        dag._own(adjacency)
         return dag
+
+    def _own(self, adjacency: np.ndarray) -> None:
+        adjacency.flags.writeable = False
+        object.__setattr__(self, "adjacency", adjacency)
+        # each node's parent tuple, derived on first request
+        object.__setattr__(self, "_parents", [None] * adjacency.shape[0])
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Dag is immutable")
@@ -117,7 +121,12 @@ class Dag:
         return bool(self.adjacency[i, j])
 
     def parents(self, j: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.adjacency[:, j]))
+        """Node j's parents in ascending order. The graph never changes,
+        so each tuple is derived once and then reused."""
+        found = self._parents[j]
+        if found is None:
+            found = self._parents[j] = tuple(np.flatnonzero(self.adjacency[:, j]).tolist())
+        return found
 
     def edges(self) -> list[tuple[int, int]]:
         src, dst = np.nonzero(self.adjacency)
@@ -264,11 +273,29 @@ def feasible_moves(dag: Dag, max_in_degree: int | None = None) -> list[EdgeMove]
     return np.concatenate((grid[0][add], grid[1][adj], grid[2][reverse])).tolist()
 
 
+def _reaches(adj: np.ndarray, src: int, dst: int) -> bool:
+    """True iff a directed path of one or more edges leads from src to
+    dst."""
+    seen = {src}
+    stack = [src]
+    while stack:
+        for child in np.flatnonzero(adj[stack.pop()]).tolist():
+            if child == dst:
+                return True
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return False
+
+
 def apply_move(dag: Dag, move: EdgeMove) -> Dag:
     """Return a new Dag with the move applied.
 
     Raises MoveInfeasibleError naming the violated condition (edge already
-    present / absent, node out of range, cycle created).
+    present / absent, node out of range, cycle created). The graph is
+    acyclic, so only the cycle the move can close is checked: a delete
+    closes none, adding i -> j closes one iff j reaches i, and reversing
+    i -> j closes one iff i still reaches j without that edge.
     """
     d = dag.d
     i, j = move.source, move.target
@@ -278,19 +305,22 @@ def apply_move(dag: Dag, move: EdgeMove) -> Dag:
     if move.kind == MoveKind.ADD:
         if adj[i, j]:
             raise MoveInfeasibleError(f"edge {i}->{j} already present")
+        closes_cycle = _reaches(adj, j, i)
         adj[i, j] = 1
     elif move.kind == MoveKind.DELETE:
         if not adj[i, j]:
             raise MoveInfeasibleError(f"edge {i}->{j} not present")
+        closes_cycle = False
         adj[i, j] = 0
     elif move.kind == MoveKind.REVERSE:
         if not adj[i, j]:
             raise MoveInfeasibleError(f"edge {i}->{j} not present")
         adj[i, j] = 0
+        closes_cycle = _reaches(adj, i, j)
         adj[j, i] = 1
     else:  # pragma: no cover
         raise MoveInfeasibleError(f"unknown move kind {move.kind!r}")
-    if not _kahn_is_acyclic(adj):
+    if closes_cycle:
         raise MoveInfeasibleError(
             f"{move.kind.value} {i}->{j} would create a cycle"
         )

@@ -144,10 +144,9 @@ def save_graph(dag: Dag, path: str) -> None:
         with open(path, "w") as fh:
             fh.write(dag.to_json())
         return
+    # the bytes csv.writer writes for the 0/1 rows, in one write
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in dag.adjacency:
-            writer.writerow([int(v) for v in row])
+        fh.write("".join(",".join(map(str, row)) + "\r\n" for row in dag.adjacency.tolist()))
 
 
 def save_matrix(matrix: np.ndarray, path: str) -> None:

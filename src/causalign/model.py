@@ -785,10 +785,11 @@ def predict(predictor: EdgePredictor, dataset: Dataset) -> np.ndarray:
     return out
 
 
-def knn_score_predict(graphs: list[Dag], engine: ScoreEngine) -> Dag:
+def knn_score_predict(graphs: list[Dag], totals: list[float]) -> Dag:
     """1-nearest-neighbor on the score: return the candidate graph whose
-    total engine score against the test dataset is highest (ties -> lowest
-    index). A run passes its collected graphs and the engine its search
-    filled, so graphs it visited cost no refit."""
-    totals = np.array([engine.score(g).total for g in graphs])
+    total score against the test dataset, totals[k] for graphs[k], is
+    highest (ties -> lowest index). A run passes its collected graphs and
+    the totals its search held for them, so selection scores nothing."""
+    if len(totals) != len(graphs):
+        raise StructuralInputError(f"{len(graphs)} graphs but {len(totals)} totals")
     return graphs[int(np.argmax(totals))]

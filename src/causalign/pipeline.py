@@ -279,6 +279,7 @@ class RunRecord:
     seed_score: dict | None = None
     best_score: dict | None = None
     collected_stats: dict | None = None
+    refine_stats: dict | None = None
     collected_count: int | None = None
     training_set_size: int | None = None
     metrics: dict | None = None
@@ -357,11 +358,16 @@ def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | No
         record.best_score = trace.best_score.to_json()
         record.collected_count = len(trace.collected)
         if trace.collected:
-            coll_scores = [engine.score(g) for g in trace.collected]
+            coll_scores = trace.collected_scores
             record.collected_stats = {
                 "mean_ad": float(np.mean([s.ad for s in coll_scores])),
                 "mean_sparsity": float(np.mean([s.sparsity for s in coll_scores])),
                 "mean_total": float(np.mean([s.total for s in coll_scores])),
+            }
+        if trace.steps:
+            record.refine_stats = {
+                "acceptance_rate": sum(step.accepted for step in trace.steps) / len(trace.steps),
+                "distinct_collected": len(set(trace.collected)),
             }
         run.save("trace", "trace.jsonl", save_trace_jsonl, trace.steps)
         run.save("best_graph", "best_graph.csv", save_graph, trace.best_dag)
@@ -371,7 +377,7 @@ def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | No
 
     if config.stages == "knn_only":
         with run.stage("knn_select"):
-            knn_dag = knn_score_predict(trace.collected, engine)
+            knn_dag = knn_score_predict(trace.collected, [s.total for s in trace.collected_scores])
             run.save("knn_graph", "knn_graph.csv", save_graph, knn_dag)
             run.save_prediction(_adj_float(knn_dag))
     elif config.stages == "full":

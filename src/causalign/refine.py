@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegreeCapError
 from .graph import Dag, EdgeMove, MoveKind, apply_move, feasible_moves, random_er
 from .scoring import ScoreConfig, ScoreEngine, ScoreValue
 
@@ -26,6 +26,7 @@ __all__ = [
     "RefineTrace",
     "acceptance_probability",
     "init_seed",
+    "load_seed_graph",
     "greedy_hill_climb",
     "refine",
 ]
@@ -101,6 +102,9 @@ class RefineTrace:
     temperature: float
     steps: list[StepRecord]
     collected: list[Dag]
+    # the score the search held for each collected graph, which equals a
+    # fresh engine's score of it bit for bit (fits are deterministic)
+    collected_scores: list[ScoreValue]
     # the highest-total graph visited, seed included; the earliest wins ties
     best_dag: Dag
     best_score: ScoreValue
@@ -160,9 +164,7 @@ def greedy_hill_climb(engine: ScoreEngine, max_rounds: int = 64, start: Dag | No
             cand_terms = list(terms)
             for node, node_parents in _moved_parents(move, parents):
                 cand_terms[node] = engine.node_term(node, node_parents)
-            total = engine.value_from_ad(
-                engine.combine_terms(cand_terms), edges + _EDGE_DELTA[move.kind]
-            ).total
+            total = engine.total_from_ad(engine.combine_terms(cand_terms), edges + _EDGE_DELTA[move.kind])
             if total > best_total:
                 best_total = total
                 best_move = move
@@ -204,11 +206,24 @@ def init_seed(
         return greedy_hill_climb(engine)
     if not seed_graph_path:
         raise ConfigError("from_file seed mode requires a path")
+    return load_seed_graph(seed_graph_path, d, engine.config.regressor.max_in_degree)
+
+
+def load_seed_graph(path: str, d: int, max_in_degree: int | None) -> Dag:
+    """The from_file seed graph at path, checked to have d nodes and no
+    node over the in-degree cap (None: no cap)."""
     from .io import load_graph  # local import keeps io optional for library use
 
-    dag = load_graph(seed_graph_path)
+    dag = load_graph(path)
     if dag.d != d:
         raise ConfigError(f"seed graph has d={dag.d} but dataset has d={d}")
+    if max_in_degree is not None:
+        degrees = dag.in_degrees()
+        node = int(np.argmax(degrees))
+        if degrees[node] > max_in_degree:
+            raise DegreeCapError(
+                f"seed graph {path}: node {node} has in-degree {degrees[node]} > cap {max_in_degree}"
+            )
     return dag
 
 
@@ -221,10 +236,11 @@ def refine(engine: ScoreEngine, seed: Dag, config: RefineConfig, rng: np.random.
     sets the move changes are refit from scratch; the rest keep their
     terms), accept with acceptance_probability, and during the last
     collect_k steps append the post-decision current graph to the
-    collected list. Repeats are kept, so a graph the chain holds longer
-    weighs more; this tail of min(collect_k, n_steps) graphs is what a
-    replay of the trace reproduces (bench/checks.py). Tracks the
-    best-scoring visited graph, ties resolved to the earliest.
+    collected list and its score to collected_scores. Repeats are kept,
+    so a graph the chain holds longer weighs more; this tail of
+    min(collect_k, n_steps) graphs is what a replay of the trace
+    reproduces (bench/checks.py). Tracks the best-scoring visited graph,
+    ties resolved to the earliest.
     """
     cap = engine.config.regressor.max_in_degree
     s_seed = engine.score(seed)
@@ -236,6 +252,7 @@ def refine(engine: ScoreEngine, seed: Dag, config: RefineConfig, rng: np.random.
     best, s_best = seed, s_seed
     steps: list[StepRecord] = []
     collected: list[Dag] = []
+    collected_scores: list[ScoreValue] = []
     collect_from = config.n_steps - config.collect_k  # collect when step > this
     for t in range(1, config.n_steps + 1):
         moves = feasible_moves(current, cap)
@@ -266,6 +283,7 @@ def refine(engine: ScoreEngine, seed: Dag, config: RefineConfig, rng: np.random.
                     best, s_best = current, s_curr
         if t > collect_from:
             collected.append(current)
+            collected_scores.append(s_curr)
 
     return RefineTrace(
         seed_dag=seed,
@@ -273,6 +291,7 @@ def refine(engine: ScoreEngine, seed: Dag, config: RefineConfig, rng: np.random.
         temperature=temperature,
         steps=steps,
         collected=collected,
+        collected_scores=collected_scores,
         best_dag=best,
         best_score=s_best,
         final_dag=current,

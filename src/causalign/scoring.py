@@ -139,11 +139,15 @@ class ScoreEngine:
         full rescore of the same graph agree exactly."""
         return math.fsum(terms) / self.dataset.d
 
+    def total_from_ad(self, ad_value: float, edge_count: int) -> float:
+        """The total score: AD minus the sparsity penalty."""
+        return ad_value - self.sparsity_weight * edge_count
+
     def value_from_ad(self, ad_value: float, edge_count: int) -> ScoreValue:
         return ScoreValue(
             ad=ad_value,
             sparsity=edge_count,
-            total=ad_value - self.sparsity_weight * edge_count,
+            total=self.total_from_ad(ad_value, edge_count),
             sparsity_weight=self.sparsity_weight,
         )
 

@@ -213,6 +213,17 @@ def greedy_full_rescore(engine, start, max_rounds, cap):
     return current
 
 
+def knn_rescore_predict(graphs, engine):
+    """The graph whose total under `engine` is highest, every graph
+    rescored; the first among equal totals."""
+    best, pick = -np.inf, None
+    for g in graphs:
+        total = engine.score(g).total
+        if pick is None or total > best:
+            best, pick = total, g
+    return pick
+
+
 def fit_sim(dag, dataset, config):
     """Every node of the DAG fitted on the dataset by its own fit_node
     call, each parent column expanded afresh, as a FittedScm."""

@@ -107,7 +107,8 @@ def test_criterion_03_knn_equals_argmax_selection():
         graphs = [random_er(4, 3.0, rng) for _ in range(6)]
         engine = ScoreEngine(ds, ScoreConfig())
         ts = generate_training_set(graphs, engine, rng)
-        chosen = knn_score_predict([g for _, g in ts.instances], engine)
+        instances = [g for _, g in ts.instances]
+        chosen = knn_score_predict(instances, [engine.score(g).total for g in instances])
         fresh = ScoreEngine(ds, ScoreConfig())
         totals = [fresh.score(g).total for _, g in ts.instances]
         expected = ts.instances[int(np.argmax(totals))][1]

@@ -14,6 +14,7 @@ from causalign.graph import (
     random_er,
     random_sf,
     topological_order,
+    _kahn_is_acyclic,
 )
 
 from conftest import chain_dag, dag_from_edges, empty_dag, make_rng
@@ -155,10 +156,10 @@ class TestFeasibleMoves:
 
 
 @st.composite
-def _dags(draw):
-    """A DAG on 1-10 nodes: a drawn node order, each forward pair an edge
-    with a drawn density, from empty to complete."""
-    d = draw(st.integers(1, 10))
+def _dags(draw, max_d=10):
+    """A DAG on 1-max_d nodes: a drawn node order, each forward pair an
+    edge with a drawn density, from empty to complete."""
+    d = draw(st.integers(1, max_d))
     density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
     order = rng.permutation(d)
@@ -194,6 +195,41 @@ class TestMoveAlgebraOracle:
             assert out == expected
             assert out.adjacency.dtype == np.int8
             assert not out.adjacency.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(_dags(max_d=6))
+    def test_apply_move_raises_exactly_when_the_edit_is_infeasible(self, g):
+        # every (kind, i, j), in range or not: the move is infeasible iff
+        # its precondition fails or a full Kahn pass rejects the edited
+        # matrix
+        d = g.d
+        for kind in MoveKind:
+            for i in range(-1, d + 1):
+                for j in range(-1, d + 1):
+                    move = EdgeMove(kind, i, j)
+                    in_range = 0 <= i < d and 0 <= j < d and i != j
+                    if not in_range or bool(g.adjacency[i, j]) == (kind == MoveKind.ADD):
+                        with pytest.raises(MoveInfeasibleError, match="invalid for d=|already present|not present"):
+                            apply_move(g, move)
+                        continue
+                    edited = edit_bruteforce(g.adjacency, kind.value, i, j)
+                    if not _kahn_is_acyclic(edited):
+                        with pytest.raises(MoveInfeasibleError, match=f"^{kind.value} {i}->{j} would create a cycle$"):
+                            apply_move(g, move)
+                        continue
+                    assert np.array_equal(apply_move(g, move).adjacency, edited)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_dags(max_d=6))
+    def test_parents_are_the_adjacency_columns(self, g):
+        built = [Dag(g.adjacency), Dag._trusted(g.adjacency.copy())]
+        built += [apply_move(g, m) for m in feasible_moves(g)]
+        for dag in built:
+            for j in range(dag.d):
+                parents = dag.parents(j)
+                assert parents == tuple(np.flatnonzero(dag.adjacency[:, j]))
+                assert all(type(p) is int for p in parents)
+                assert dag.parents(j) is parents  # derived once
 
 
 class TestApplyMove:

@@ -171,6 +171,18 @@ class TestGraphFiles:
         save_graph(dag, path)
         assert load_graph(path) == dag
 
+    @pytest.mark.parametrize("d, edges", [(1, []), (2, [(1, 0)]), (5, [(0, 1), (0, 4), (2, 4), (3, 1)]), (12, [(0, 11), (5, 3)])])
+    def test_adjacency_csv_matches_csv_writer(self, tmp_path, d, edges):
+        dag = dag_from_edges(d, edges)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        for row in dag.adjacency:
+            writer.writerow([int(v) for v in row])
+        path = tmp_path / "g.csv"
+        save_graph(dag, str(path))
+        assert path.read_bytes() == buf.getvalue().encode()
+        assert path.read_bytes().endswith(b"\r\n")
+
     def test_json_edge_list_round_trip(self, tmp_path):
         dag = dag_from_edges(3, [(0, 2), (1, 2)])
         path = str(tmp_path / "g.json")

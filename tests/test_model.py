@@ -543,7 +543,8 @@ class TestKnnScorePredict:
         ]
         engine = ScoreEngine(data)
         ts = generate_training_set(graphs, engine, make_rng(0))
-        chosen = knn_score_predict([g for _, g in ts.instances], engine)
+        instances = [g for _, g in ts.instances]
+        chosen = knn_score_predict(instances, [engine.score(g).total for g in instances])
         fresh = ScoreEngine(data)
         totals = [fresh.score(g).total for g in graphs]
         assert chosen == graphs[int(np.argmax(totals))]
@@ -553,10 +554,17 @@ class TestKnnScorePredict:
         chain = dag_from_edges(3, [(0, 1), (1, 2)])
         engine = ScoreEngine(data)
         ts = generate_training_set([empty_dag(3), chain], engine, make_rng(0))
-        assert knn_score_predict([g for _, g in ts.instances], engine) == chain
+        instances = [g for _, g in ts.instances]
+        assert knn_score_predict(instances, [engine.score(g).total for g in instances]) == chain
 
     def test_ties_go_to_the_lowest_index(self):
         data = linear_dataset(51, d=3, n=500, weight=2.0, noise=0.3)
         first = dag_from_edges(3, [(0, 1), (1, 2)])
         again = dag_from_edges(3, [(0, 1), (1, 2)])
-        assert knn_score_predict([empty_dag(3), first, again], ScoreEngine(data)) is first
+        engine = ScoreEngine(data)
+        graphs = [empty_dag(3), first, again]
+        assert knn_score_predict(graphs, [engine.score(g).total for g in graphs]) is first
+
+    def test_rejects_totals_of_another_length(self):
+        with pytest.raises(StructuralInputError, match="2 graphs but 1 totals"):
+            knn_score_predict([empty_dag(3), empty_dag(3)], [0.0])

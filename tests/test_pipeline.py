@@ -47,7 +47,7 @@ from causalign.scoring import ScoreConfig, ScoreEngine
 from causalign.model import TrainConfig, generate_training_set
 from causalign.sim import Basis, RegressorConfig
 
-from conftest import make_rng
+from conftest import dag_from_edges, make_rng
 
 
 def _small_config(out_dir=None, seed=0, **overrides):
@@ -601,6 +601,20 @@ class TestRunPipelineSmall:
         assert (record.status, record.collected_count) == ("ok", 0)
         assert record.collected_stats is None
         assert json.loads((out / "run_record.json").read_text())["collected_stats"] is None
+
+    def test_refine_stats_summarize_the_trace(self, tmp_path):
+        out = tmp_path / "r"
+        record = run_pipeline(_small_config(str(out), seed=12, stages="knn_only", refine=RefineConfig(n_steps=60, collect_k=40)))
+        steps = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        tail = {p.read_bytes() for p in (out / "graphs").glob("collected_*.csv")}
+        expect = {"acceptance_rate": sum(s["accepted"] for s in steps) / len(steps), "distinct_collected": len(tail)}
+        assert 1 < expect["distinct_collected"] < 40  # the tail holds repeats
+        assert record.refine_stats == expect
+        assert json.loads((out / "run_record.json").read_text())["refine_stats"] == expect
+        # no step, no rate
+        empty = tmp_path / "empty"
+        run_pipeline(_small_config(str(empty), stages="refine_only", refine=RefineConfig(n_steps=0)))
+        assert json.loads((empty / "run_record.json").read_text())["refine_stats"] is None
 
     @pytest.mark.parametrize("stages, stage", [("knn_only", "knn_select"), ("full", "generate_training_set")])
     def test_zero_steps_rejected_before_any_stage(self, tmp_path, stages, stage):
@@ -1680,6 +1694,26 @@ class TestCli:
             ]
         )
         assert rc == 2
+
+    def test_missing_seed_graph_exits_two(self, tmp_path, capsys):
+        seed = tmp_path / "absent.csv"
+        refine = {"n_steps": 50, "collect_k": 10, "seed_mode": "from_file", "seed_graph": str(seed)}
+        cfg_path = _write_config(tmp_path / "cfg.json", refine=refine)
+        rc = cli_main(["pipeline", "--config", cfg_path, "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(seed) in err and "No such file or directory" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_seed_graph_over_the_in_degree_cap_exits_two(self, tmp_path, capsys):
+        seed = tmp_path / "seed.csv"
+        save_graph(dag_from_edges(4, [(0, 3), (1, 3), (2, 3)]), str(seed))
+        refine = {"n_steps": 50, "collect_k": 10, "seed_mode": "from_file", "seed_graph": str(seed)}
+        cfg_path = _write_config(tmp_path / "cfg.json", refine=refine, regressor={"max_in_degree": 2})
+        rc = cli_main(["pipeline", "--config", cfg_path, "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert f"seed graph {seed}: node 3 has in-degree 3 > cap 2" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_cyclic_truth_exits_two(self, tmp_path, capsys):
         pred = tmp_path / "pred.csv"

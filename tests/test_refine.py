@@ -2,15 +2,17 @@
 seed initialization, and the greedy ascent."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalign.errors import ConfigError, StructuralInputError
+from causalign.errors import ConfigError, DegreeCapError, StructuralInputError
 from causalign.graph import Dag, MoveKind, apply_move, feasible_moves, random_er
 from causalign.io import save_graph
+from causalign.model import knn_score_predict
 from causalign.refine import (
     RefineConfig,
     SeedMode,
@@ -25,7 +27,7 @@ from causalign.scoring import ScoreConfig, ScoreEngine
 from causalign.sim import RegressorConfig
 
 from conftest import dag_from_edges, empty_dag, linear_dataset, make_rng, noise_dataset
-from oracles import greedy_full_rescore
+from oracles import greedy_full_rescore, knn_rescore_predict
 
 
 def _linear_instance(seed, d=5, n=120, expected_edges=5.0):
@@ -208,6 +210,32 @@ class TestRefineTrace:
         for g in trace.collected:
             assert int(g.in_degrees().max()) <= 2
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        d=st.integers(2, 5),
+        n_steps=st.integers(1, 60),
+        collect_k=st.integers(1, 60),
+        seed_mode=st.sampled_from([SeedMode.RANDOM_DAG, SeedMode.GREEDY]),
+        cap=st.sampled_from([None, 1, 6]),
+    )
+    def test_collected_scores_equal_a_fresh_rescore(self, seed, d, n_steps, collect_k, seed_mode, cap):
+        data, _ = _linear_instance(seed, d=d, n=80, expected_edges=float(d))
+        config = RefineConfig(
+            n_steps=n_steps,
+            collect_k=collect_k,
+            score=ScoreConfig(regressor=RegressorConfig(max_in_degree=cap)),
+        )
+        engine = ScoreEngine(data, config.score)
+        seed_dag = init_seed(engine, seed_mode, make_rng(seed))
+        trace = refine(engine, seed_dag, config, make_rng(seed + 1))
+        fresh = ScoreEngine(data, config.score)
+        assert len(trace.collected_scores) == len(trace.collected) == min(collect_k, n_steps)
+        for g, stored in zip(trace.collected, trace.collected_scores):
+            assert stored == fresh.score(g)  # every field, bit for bit
+        totals = [s.total for s in trace.collected_scores]
+        assert knn_score_predict(trace.collected, totals) is knn_rescore_predict(trace.collected, fresh)
+
 
 class TestAcceptanceFrequency:
     def test_empirical_rates_match_alpha(self):
@@ -277,6 +305,14 @@ class TestInitSeed:
         save_graph(dag_from_edges(3, [(0, 1)]), path)
         with pytest.raises(ConfigError):
             init_seed(ScoreEngine(data), SeedMode.FROM_FILE, make_rng(0), seed_graph_path=path)
+
+    def test_from_file_rejects_a_seed_over_the_cap(self, tmp_path):
+        data, _ = _linear_instance(33)  # d=5
+        path = str(tmp_path / "seed.csv")
+        save_graph(dag_from_edges(5, [(0, 4), (1, 4), (2, 4)]), path)
+        engine = ScoreEngine(data, ScoreConfig(regressor=RegressorConfig(max_in_degree=2)))
+        with pytest.raises(DegreeCapError, match=re.escape(f"seed graph {path}: node 4 has in-degree 3 > cap 2")):
+            init_seed(engine, SeedMode.FROM_FILE, make_rng(0), seed_graph_path=path)
 
     def test_from_file_requires_path(self):
         data, _ = _linear_instance(33)
