@@ -78,17 +78,10 @@ def _seed(text: str) -> int:
 
 def _load_pipeline_config(args) -> PipelineConfig:
     cfg = PipelineConfig.from_json_file(args.config) if args.config else PipelineConfig()
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        updates["out_dir"] = args.out
-    if getattr(args, "stages", None) is not None:
-        updates["stages"] = args.stages
-    if getattr(args, "data", None) is not None:
-        updates["data_path"] = args.data
-    if getattr(args, "truth", None) is not None:
-        updates["truth_path"] = args.truth
+    flags = (
+        ("seed", "seed"), ("out", "out_dir"), ("stages", "stages"), ("data", "data_path"), ("truth", "truth_path"),
+    )
+    updates = {field: getattr(args, flag) for flag, field in flags if getattr(args, flag, None) is not None}
     if updates:
         cfg = dataclasses.replace(cfg, **updates)
     return cfg

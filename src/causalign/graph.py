@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import heapq
 import json
 from dataclasses import dataclass
 
@@ -87,7 +88,7 @@ class Dag:
         if arr.size and not np.isin(arr, (0, 1)).all():
             raise StructuralInputError("adjacency entries must be 0 or 1")
         arr = arr.astype(np.int8, copy=True)
-        if not _kahn_is_acyclic(arr):
+        if len(_kahn_order(arr)) < arr.shape[0]:
             raise StructuralInputError("adjacency encodes a cycle")
         self._own(arr)
 
@@ -160,24 +161,28 @@ class Dag:
         return Dag(adj)
 
 
-def _kahn_is_acyclic(adj: np.ndarray) -> bool:
-    # Kahn peeling on plain lists: the per-node loop stays in Python, so
-    # index the edges once instead of once per peeled node.
+def _kahn_order(adj: np.ndarray) -> list[int]:
+    """Kahn's algorithm with the lowest-index ready node taken first, so
+    the order is a deterministic function of the graph. Any nonzero entry
+    counts as an edge; the order is shorter than d iff the graph has a
+    cycle."""
+    # plain lists: the per-node loop stays in Python, so index the edges
+    # once instead of once per peeled node
     edges = adj != 0
     indeg = edges.sum(axis=0).tolist()
     children: list[list[int]] = [[] for _ in indeg]
     for src, dst in zip(*(idx.tolist() for idx in np.nonzero(edges))):
         children[src].append(dst)
-    ready = [i for i, k in enumerate(indeg) if k == 0]
-    seen = 0
+    ready = [i for i, k in enumerate(indeg) if k == 0]  # ascending: a heap
+    order: list[int] = []
     while ready:
-        node = ready.pop()
-        seen += 1
+        node = heapq.heappop(ready)
+        order.append(node)
         for child in children[node]:
             indeg[child] -= 1
             if indeg[child] == 0:
-                ready.append(child)
-    return seen == len(indeg)
+                heapq.heappush(ready, child)
+    return order
 
 
 def is_acyclic(adjacency) -> bool:
@@ -186,8 +191,8 @@ def is_acyclic(adjacency) -> bool:
     Raises StructuralInputError for non-square input or a nonzero diagonal;
     any nonzero entry counts as an edge.
     """
-    arr = _check_square_zero_diag(adjacency)
-    return _kahn_is_acyclic(np.asarray(arr))
+    arr = np.asarray(_check_square_zero_diag(adjacency))
+    return len(_kahn_order(arr)) == arr.shape[0]
 
 
 def topological_order(dag: Dag) -> list[int]:
@@ -196,23 +201,8 @@ def topological_order(dag: Dag) -> list[int]:
     The tie-break makes the order a deterministic function of the graph,
     which downstream sampling relies on.
     """
-    d = dag.d
-    indeg = dag.adjacency.sum(axis=0).astype(np.int64)
-    ready = sorted(i for i in range(d) if indeg[i] == 0)
-    order: list[int] = []
-    adj = dag.adjacency
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        changed = False
-        for child in np.flatnonzero(adj[node]):
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                ready.append(int(child))
-                changed = True
-        if changed:
-            ready.sort()
-    if len(order) != d:
+    order = _kahn_order(dag.adjacency)
+    if len(order) != dag.d:
         # unreachable for a validated Dag; defensive
         raise StructuralInputError("graph contains a cycle")
     return order

@@ -525,21 +525,34 @@ def _broken_by_pool(entry: list) -> bool:
 
 
 class TrainingFeatures:
-    """The pair features and edge labels of a training set, written into
-    preallocated rows: one block per dataset, in the order they are
-    added, each laid out as featurize_all's rows.
+    """A full run's training-set sink on d nodes: start sizes the pair
+    feature and edge label rows from the number of kept graphs, and
+    add_features stores each dataset's featurize_all rows, computed where
+    it was drawn, as the next block. With an io.TrainingSetWriter, start
+    and add pass the provenance and each dataset on to it; without one,
+    takes_data is false, so no dataset comes back from a worker. A
+    training set so costs its feature rows, O(K·d²) floats, rather than
+    its datasets' O(K·n·d). The rows are stored as given: train checks
+    that they are finite."""
 
-    Filled as the datasets are drawn, a training set costs its feature
-    rows, O(K·d²) floats, rather than its datasets' O(K·n·d). The rows
-    are stored as given: train checks that they are finite."""
+    takes_features = True
 
-    def __init__(self, rows: int):
-        self.feats = np.empty((rows, len(PAIR_FEATURE_NAMES)))
-        self.labels = np.empty(rows)
-        self.filled = 0
+    def __init__(self, d: int, writer=None):
+        self.pairs = d * (d - 1)
+        self.writer = writer
+        self.takes_data = writer is not None
+        self.count = self.filled = 0
+        self.feats = self.labels = None
+
+    def start(self, count: int, provenance: dict) -> None:
+        if self.writer is not None:
+            self.writer.start(count, provenance)
+        self.count = count
+        self.feats = np.empty((count * self.pairs, len(PAIR_FEATURE_NAMES)))
+        self.labels = np.empty(count * self.pairs)
 
     def add(self, dataset: Dataset, graph: Dag) -> None:
-        self.add_features(featurize_all(dataset)[1], graph)
+        self.writer.add(dataset, graph)
 
     def add_features(self, feats: np.ndarray, graph: Dag) -> None:
         """Store one dataset's featurize_all rows, labelled from its
@@ -725,18 +738,23 @@ class EdgePredictor:
 
 
 def train(training_set: TrainingSet | TrainingFeatures, config: TrainConfig | None = None) -> EdgePredictor:
-    """Featurize every instance (a TrainingFeatures holds them already),
-    check that every feature is finite (InputQualityError otherwise),
-    freeze normalization statistics, and run mini-batch gradient descent
-    with momentum on mean BCE, seeded from config.seed; the momentum step
-    updates theta in place. The feature matrix is normalized in place."""
+    """Featurize every instance of a TrainingSet on one d (a
+    TrainingFeatures holds them already), check that every feature is
+    finite (InputQualityError otherwise), freeze normalization
+    statistics, and run mini-batch gradient descent with momentum on mean
+    BCE, seeded from config.seed; the momentum step updates theta in
+    place. The feature matrix is normalized in place."""
     config = config if config is not None else TrainConfig()
     rng = np.random.default_rng(config.seed)
     features = training_set
     if isinstance(training_set, TrainingSet):
-        features = TrainingFeatures(sum(data.d * (data.d - 1) for data, _ in training_set.instances))
+        sizes = {data.d for data, _ in training_set.instances}
+        if len(sizes) != 1:
+            raise StructuralInputError(f"a training set needs instances on one d, got d in {sorted(sizes)}")
+        features = TrainingFeatures(sizes.pop())
+        features.start(len(training_set.instances), training_set.provenance)
         for data, g in training_set.instances:
-            features.add(data, g)
+            features.add_features(featurize_all(data)[1], g)
     fn, labels = features.feats, features.labels
     if not 0 < features.filled == len(labels):
         raise StructuralInputError(f"training features fill {features.filled} of {len(labels)} rows")

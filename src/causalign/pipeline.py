@@ -382,14 +382,22 @@ def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | No
             run.save_prediction(_adj_float(knn_dag))
     elif config.stages == "full":
         with run.stage("generate_training_set"):
-            stream = generate_training_set(trace.collected, engine, streams["trainset"], _TrainsetStream(run, dataset))
-            record.training_set_size = stream.count
+            writer = None
+            if config.out_dir:
+                writer = TrainingSetWriter(os.path.join(config.out_dir, "trainset"), dataset.n, dataset.d)
+            features = TrainingFeatures(dataset.d, writer)
+            try:
+                generate_training_set(trace.collected, engine, streams["trainset"], features)
+            finally:
+                if writer is not None and writer.count:  # started: its directory exists
+                    record.paths["trainset"] = writer.out_dir
+            record.training_set_size = features.count
         with run.stage("train"):
             train_cfg = config.train
             if train_cfg.seed is None:
                 derived = int(streams["train"].integers(0, 2**63 - 1))
                 train_cfg = dataclasses.replace(train_cfg, seed=derived)
-            predictor = train(stream.features, train_cfg)
+            predictor = train(features, train_cfg)
             run.save("predictor", "predictor.json", _write_text, predictor.to_json())
         with run.stage("predict"):
             run.save_prediction(predict(predictor, dataset))
@@ -505,40 +513,6 @@ class _Run:
         if self.record.out_dir:
             _write_json(self.record.timings, os.path.join(self.record.out_dir, "timings.json"))
             _write_json(self.record.to_json(), os.path.join(self.record.out_dir, "run_record.json"))
-
-
-class _TrainsetStream:
-    """generate_training_set's sink in a full run. It takes each dataset's
-    pair features, computed where the dataset was drawn, and stores them
-    in their rows of the training features, which train checks; with a
-    run directory it also takes each dataset and appends it to trainset/.
-    Nothing is kept but the features, so the run holds them and the
-    datasets in flight."""
-
-    takes_features = True
-
-    def __init__(self, run: _Run, dataset: Dataset):
-        self.run = run
-        self.pairs = dataset.d * (dataset.d - 1)
-        self.writer = None
-        if run.record.out_dir:
-            self.writer = TrainingSetWriter(os.path.join(run.record.out_dir, "trainset"), dataset.n, dataset.d)
-        self.takes_data = self.writer is not None
-        self.count = 0
-        self.features: TrainingFeatures | None = None
-
-    def start(self, count: int, provenance: dict) -> None:
-        if self.writer is not None:
-            self.writer.start(count, provenance)
-            self.run.record.paths["trainset"] = self.writer.out_dir
-        self.count = count
-        self.features = TrainingFeatures(count * self.pairs)
-
-    def add(self, dataset: Dataset, graph: Dag) -> None:
-        self.writer.add(dataset, graph)
-
-    def add_features(self, feats: np.ndarray, graph: Dag) -> None:
-        self.features.add_features(feats, graph)
 
 
 def _write_json(obj, path: str) -> None:
@@ -703,13 +677,12 @@ def run_benchmark(
         rows,
         ["instance", "seed", "setting", "method", "metric", "value"],
     )
-    setting_label = ShiftSetting(setting).value
     summary: list[dict] = []
     for method in BENCHMARK_METHODS:
         reports = [MetricReport(**rec.metrics[method]) for _, rec in finished if method in (rec.metrics or {})]
-        if reports:
+        if reports:  # so a run finished, and its key holds the validated setting
             for metric, stats in aggregate(reports).items():
-                summary.append({"setting": setting_label, "method": method, "metric": metric, **stats})
+                summary.append({"setting": finished[0][0]["setting"], "method": method, "metric": metric, **stats})
     _write_csv(
         os.path.join(out_dir, "summary.csv"),
         summary,

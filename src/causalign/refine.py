@@ -127,7 +127,9 @@ def acceptance_probability(s_curr: float, s_cand: float, temperature: float = 1.
 
 def _moved_parents(move: EdgeMove, parents: list[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...]]]:
     """(node, new sorted parent tuple) for each node whose parents the move
-    changes: the target, plus the source for a reversal."""
+    changes: the target, plus the source for a reversal. The search and
+    the greedy seed score a candidate from these alone, so neither builds
+    the graph of a move it does not take."""
     i, j = move.source, move.target
     if move.kind == MoveKind.ADD:
         return [(j, tuple(sorted(parents[j] + (i,))))]
@@ -232,13 +234,14 @@ def refine(engine: ScoreEngine, seed: Dag, config: RefineConfig, rng: np.random.
     full trace.
 
     Per step: draw one uniformly random feasible move within the engine's
-    in-degree cap, rescore the candidate incrementally (nodes whose parent
-    sets the move changes are refit from scratch; the rest keep their
-    terms), accept with acceptance_probability, and during the last
-    collect_k steps append the post-decision current graph to the
-    collected list and its score to collected_scores. Repeats are kept,
-    so a graph the chain holds longer weighs more; this tail of
-    min(collect_k, n_steps) graphs is what a replay of the trace
+    in-degree cap, rescore the candidate incrementally (the nodes whose
+    parent sets the move changes, as _moved_parents gives them, are refit
+    from scratch; the rest keep their terms), accept with
+    acceptance_probability, build the moved graph only if accepted, and
+    during the last collect_k steps append the post-decision current
+    graph to the collected list and its score to collected_scores.
+    Repeats are kept, so a graph the chain holds longer weighs more; this
+    tail of min(collect_k, n_steps) graphs is what a replay of the trace
     reproduces (bench/checks.py). Tracks the best-scoring visited graph,
     ties resolved to the earliest.
     """
@@ -247,8 +250,10 @@ def refine(engine: ScoreEngine, seed: Dag, config: RefineConfig, rng: np.random.
     temperature = config.resolve_temperature(s_seed.total)
 
     current, s_curr = seed, s_seed
-    # per-node AD terms of the current graph, carried across steps
-    terms = [engine.node_term(j, seed.parents(j)) for j in range(seed.d)]
+    # per-node parent tuples and AD terms of the current graph, carried
+    # across steps
+    parents = [seed.parents(j) for j in range(seed.d)]
+    terms = [engine.node_term(j, parents[j]) for j in range(seed.d)]
     best, s_best = seed, s_seed
     steps: list[StepRecord] = []
     collected: list[Dag] = []
@@ -260,17 +265,12 @@ def refine(engine: ScoreEngine, seed: Dag, config: RefineConfig, rng: np.random.
             steps.append(StepRecord(t, None, s_curr.total, s_curr.total, 0.0, False))
         else:
             move = moves[int(rng.integers(len(moves)))]
-            cand = apply_move(current, move)
-            changed = (
-                (move.source, move.target)
-                if move.kind == MoveKind.REVERSE
-                else (move.target,)
-            )
+            moved = _moved_parents(move, parents)
             new_terms = list(terms)
-            for node in changed:
-                new_terms[node] = engine.refit_term(node, cand.parents(node))
+            for node, node_parents in moved:
+                new_terms[node] = engine.refit_term(node, node_parents)
             s_cand = engine.value_from_ad(
-                engine.combine_terms(new_terms), cand.edge_count
+                engine.combine_terms(new_terms), s_curr.sparsity + _EDGE_DELTA[move.kind]
             )
             alpha = acceptance_probability(s_curr.total, s_cand.total, temperature)
             accepted = bool(rng.random() < alpha)
@@ -278,7 +278,9 @@ def refine(engine: ScoreEngine, seed: Dag, config: RefineConfig, rng: np.random.
                 StepRecord(t, move, s_curr.total, s_cand.total, alpha, accepted)
             )
             if accepted:
-                current, s_curr, terms = cand, s_cand, new_terms
+                current, s_curr, terms = apply_move(current, move), s_cand, new_terms
+                for node, node_parents in moved:
+                    parents[node] = node_parents
                 if s_curr.total > s_best.total:
                     best, s_best = current, s_curr
         if t > collect_from:

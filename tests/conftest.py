@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -34,6 +35,21 @@ def dag_from_edges(d, edges):
     adj = np.zeros((d, d), dtype=np.int8)
     for i, j in edges:
         adj[i, j] = 1
+    return Dag(adj)
+
+
+@st.composite
+def dags(draw, max_d=10):
+    """A DAG on 1-max_d nodes: a drawn node order, each forward pair an
+    edge with a drawn density, from empty to complete."""
+    d = draw(st.integers(1, max_d))
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(d)
+    adj = np.zeros((d, d), dtype=np.int8)
+    for a in range(d):
+        for b in range(a + 1, d):
+            adj[order[a], order[b]] = rng.random() < density
     return Dag(adj)
 
 

@@ -41,6 +41,20 @@ def is_acyclic_bruteforce(adj):
     return True
 
 
+def topological_order_bruteforce(adj):
+    """The lexicographically first ordering of the nodes that puts every
+    edge's source before its target, which is the order of Kahn's
+    algorithm taking the lowest-index ready node first: the permutations
+    are tried in lexicographic order. None when there is none (a
+    cycle)."""
+    edges = list(zip(*np.nonzero(adj)))
+    for perm in itertools.permutations(range(adj.shape[0])):
+        pos = {node: k for k, node in enumerate(perm)}
+        if all(pos[i] < pos[j] for i, j in edges):
+            return list(perm)
+    return None
+
+
 def all_dags(d):
     """All DAG adjacency matrices on d labeled nodes (25 for d = 3)."""
     return [a for a in all_binary_matrices(d) if is_acyclic_bruteforce(a)]

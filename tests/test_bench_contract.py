@@ -2,33 +2,38 @@
 
 Removing one breaks only the traced benchmark run (`bench/run.py --trace
 1`), which no other test starts, so these tests import the tracer as it is
-and check that everything it and the run script patch still resolves.
+and check that everything it and the run script patch still resolves. The
+last test runs the in-memory path of the large-n workload through the
+benchmark's own output checks.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from causalign import pipeline
 from causalign.graph import Dag
-from causalign.scm import Dataset
+from causalign.refine import RefineConfig
+from causalign.scm import Dataset, forward_sample, sample_scm
 from causalign.scoring import ScoreConfig, ScoreEngine
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _tracing_module():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module's names there
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_function_resolves():
-    for layer in _tracing_module().FUNCTIONS:
+    for layer in _bench_module("tracing").FUNCTIONS:
         module, attr = layer.split(".")
         assert callable(getattr(importlib.import_module(f"causalign.{module}"), attr, None)), layer
 
@@ -61,3 +66,20 @@ def test_check_rescore_and_config_reads_resolve():
     data = Dataset(np.random.default_rng(1).normal(size=(20, 3)))
     dag = Dag(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=np.int8))
     assert isinstance(ScoreEngine(data, score_config).score(dag).total, float)
+
+
+def test_in_memory_run_passes_the_output_checks():
+    # the large-n workload runs without a directory: bench/run.py keeps the
+    # RefineTrace through _capture_refine and checks the run from memory,
+    # replaying the trace to its final and best graphs
+    rng = np.random.default_rng(3)
+    scm = sample_scm("er", "rff", "gaussian", 4, rng)
+    dataset = forward_sample(scm, 80, rng)
+    config = pipeline.PipelineConfig(seed=3, refine=RefineConfig(n_steps=60, collect_k=10))
+    checks = _bench_module("checks")
+    captured, original = {}, pipeline.refine
+    with _bench_module("run")._capture_refine(pipeline, captured):
+        record = pipeline.run_pipeline(config, dataset=dataset, truth=scm.dag)
+    assert pipeline.refine is original
+    art = checks.from_memory(record, captured["trace"], dataset, scm.dag)
+    assert checks.check_run(art, config.refine.score) == []

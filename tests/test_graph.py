@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from causalign.errors import MoveInfeasibleError, StructuralInputError
 from causalign.graph import (
@@ -14,16 +15,16 @@ from causalign.graph import (
     random_er,
     random_sf,
     topological_order,
-    _kahn_is_acyclic,
 )
 
-from conftest import chain_dag, dag_from_edges, empty_dag, make_rng
+from conftest import chain_dag, dag_from_edges, dags, empty_dag, make_rng
 from oracles import (
     all_binary_matrices,
     edit_bruteforce,
     feasible_moves_bruteforce,
     feasible_moves_capped_bruteforce,
     is_acyclic_bruteforce,
+    topological_order_bruteforce,
 )
 
 
@@ -116,6 +117,25 @@ class TestTopologicalOrder:
         g = random_er(8, 10.0, make_rng(3))
         assert topological_order(g) == topological_order(g)
 
+    @settings(max_examples=150, deadline=None)
+    @given(dags(max_d=6))
+    def test_is_the_lexicographically_first_order(self, g):
+        assert topological_order(g) == topological_order_bruteforce(g.adjacency)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda d: hnp.arrays(np.int8, (d, d), elements=st.integers(0, 1))))
+    def test_one_kahn_pass_decides_acyclicity(self, adj):
+        # is_acyclic and Dag validation share the pass topological_order
+        # runs; on any matrix, cyclic or not, both agree with the oracle
+        np.fill_diagonal(adj, 0)
+        acyclic = topological_order_bruteforce(adj) is not None
+        assert is_acyclic(adj) == acyclic
+        if acyclic:
+            assert topological_order(Dag(adj)) == topological_order_bruteforce(adj)
+        else:
+            with pytest.raises(StructuralInputError, match="encodes a cycle"):
+                Dag(adj)
+
 
 class TestFeasibleMoves:
     def test_two_node_empty(self):
@@ -155,39 +175,24 @@ class TestFeasibleMoves:
                 assert is_acyclic(apply_move(g, m).adjacency)
 
 
-@st.composite
-def _dags(draw, max_d=10):
-    """A DAG on 1-max_d nodes: a drawn node order, each forward pair an
-    edge with a drawn density, from empty to complete."""
-    d = draw(st.integers(1, max_d))
-    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
-    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
-    order = rng.permutation(d)
-    adj = np.zeros((d, d), dtype=np.int8)
-    for a in range(d):
-        for b in range(a + 1, d):
-            adj[order[a], order[b]] = rng.random() < density
-    return Dag(adj)
-
-
 class TestMoveAlgebraOracle:
     """feasible_moves, its capped form and apply_move against brute force,
     in the exact list order the search draws from."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_dags())
+    @given(dags())
     def test_feasible_moves_in_canonical_order(self, g):
         got = [(m.kind.value, m.source, m.target) for m in feasible_moves(g)]
         assert got == feasible_moves_bruteforce(g)
 
     @settings(max_examples=150, deadline=None)
-    @given(_dags(), st.sampled_from([None, 0, 1, 2, 6]))
+    @given(dags(), st.sampled_from([None, 0, 1, 2, 6]))
     def test_capped_equals_filter_oracle(self, g, cap):
         got = [(m.kind.value, m.source, m.target) for m in feasible_moves(g, cap)]
         assert got == feasible_moves_capped_bruteforce(g, cap)
 
     @settings(max_examples=60, deadline=None)
-    @given(_dags())
+    @given(dags())
     def test_apply_move_returns_read_only_validated_dag(self, g):
         for m in feasible_moves(g):
             out = apply_move(g, m)
@@ -197,11 +202,10 @@ class TestMoveAlgebraOracle:
             assert not out.adjacency.flags.writeable
 
     @settings(max_examples=100, deadline=None)
-    @given(_dags(max_d=6))
+    @given(dags(max_d=6))
     def test_apply_move_raises_exactly_when_the_edit_is_infeasible(self, g):
         # every (kind, i, j), in range or not: the move is infeasible iff
-        # its precondition fails or a full Kahn pass rejects the edited
-        # matrix
+        # its precondition fails or the edited matrix has a cycle
         d = g.d
         for kind in MoveKind:
             for i in range(-1, d + 1):
@@ -213,14 +217,14 @@ class TestMoveAlgebraOracle:
                             apply_move(g, move)
                         continue
                     edited = edit_bruteforce(g.adjacency, kind.value, i, j)
-                    if not _kahn_is_acyclic(edited):
+                    if not is_acyclic_bruteforce(edited):
                         with pytest.raises(MoveInfeasibleError, match=f"^{kind.value} {i}->{j} would create a cycle$"):
                             apply_move(g, move)
                         continue
                     assert np.array_equal(apply_move(g, move).adjacency, edited)
 
     @settings(max_examples=100, deadline=None)
-    @given(_dags(max_d=6))
+    @given(dags(max_d=6))
     def test_parents_are_the_adjacency_columns(self, g):
         built = [Dag(g.adjacency), Dag._trusted(g.adjacency.copy())]
         built += [apply_move(g, m) for m in feasible_moves(g)]

@@ -440,16 +440,27 @@ class TestTrain:
 
     def test_partly_filled_features_rejected(self):
         _, ts = _training_set(36, n=60, d=5, k=3)
-        features = TrainingFeatures(3 * 20)
+        features = TrainingFeatures(5)
+        features.start(3, {})
         for data, g in ts.instances[:2]:
-            features.add(data, g)
+            features.add_features(featurize_all(data)[1], g)
         with pytest.raises(StructuralInputError, match="fill 40 of 60 rows"):
             train(features, TrainConfig(epochs=1, seed=0))
+
+    def test_training_set_on_several_d_rejected(self):
+        _, ts = _training_set(38, n=60, d=4, k=2)
+        _, other = _training_set(39, n=60, d=5, k=1)
+        mixed = TrainingSet(instances=ts.instances + other.instances)
+        with pytest.raises(StructuralInputError, match=r"one d, got d in \[4, 5\]"):
+            train(mixed, TrainConfig(epochs=1, seed=0))
+        with pytest.raises(StructuralInputError, match=r"one d, got d in \[\]"):
+            train(TrainingSet(instances=[]), TrainConfig(epochs=1, seed=0))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, value):
         _, ts = _training_set(37, n=60, d=5, k=3)
-        features = TrainingFeatures(3 * 20)
+        features = TrainingFeatures(5)
+        features.start(3, {})
         for k, (data, g) in enumerate(ts.instances):
             feats = featurize_all(data)[1]
             if k == 1:

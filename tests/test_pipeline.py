@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from causalign import model, pipeline, scoring
 from causalign.cli import main as cli_main
-from causalign.errors import ConfigError, DataFormatError, StageError
+from causalign.errors import ConfigError, DataFormatError, DegreeCapError, StageError
 from causalign.graph import Dag, random_er
 from causalign.io import (
     TrainingSetWriter,
@@ -736,14 +736,6 @@ class TestRunPipelineSmall:
             assert 0.0 <= metrics[method]["f1"] <= 1.0 and 0.0 <= metrics[method]["acc"] <= 1.0
             assert (metrics[method]["n_positive"], metrics[method]["n_negative"]) == (0, 12)
 
-    def test_knn_select_reuses_the_runs_score_engine(self, tmp_path, monkeypatch):
-        # the search has scored every training graph, so selection refits
-        # nothing
-        fits = _count_fits_inside(monkeypatch, "knn_score_predict")
-        run_pipeline(_small_config(str(tmp_path / "r"), seed=10, stages="knn_only"))
-        assert fits["inside"] == 0
-        assert fits["rest"] > 0
-
     def test_generator_names_are_case_insensitive(self, tmp_path):
         shape = dict(d=4, n=60, expected_edges=4.0)
         lower = GeneratorConfig(mechanism="linear", noise="uniform", graph_model="er", **shape)
@@ -1014,6 +1006,29 @@ class TestPooledSynthesis:
             written[count] = {name: (out / name).read_bytes() for name in names}
         assert written[1] == written[2]
 
+    def test_the_sink_takes_datasets_only_to_write_them(self, tmp_path, monkeypatch):
+        # a full run's TrainingFeatures gets each dataset only when it has
+        # a writer to pass it to; the features, and so the prediction, are
+        # the same either way
+        _pin_synthesis_workers(monkeypatch, 2)
+        handed = []
+        real_add = model.TrainingFeatures.add
+
+        def add(features, dataset, graph):
+            handed.append(dataset)
+            real_add(features, dataset, graph)
+
+        monkeypatch.setattr(model.TrainingFeatures, "add", add)
+        records = {}
+        for name, out_dir in (("memory", None), ("directory", str(tmp_path / "r"))):
+            handed.clear()
+            config = _small_config(out_dir, seed=13, refine=RefineConfig(n_steps=60, collect_k=15))
+            records[name] = run_pipeline(config)
+            assert len(handed) == (0 if out_dir is None else 15), name
+        assert records["memory"].prediction.tobytes() == records["directory"].prediction.tobytes()
+        assert records["memory"].training_set_size == records["directory"].training_set_size == 15
+        assert "trainset" not in records["memory"].paths
+
     def test_parallel_run_holds_at_most_the_in_flight_window(self, tmp_path, monkeypatch):
         # with one forked worker, this process holds the run's dataset, the
         # dataset it is writing and at most the window of results waiting
@@ -1051,9 +1066,31 @@ class TestPooledSynthesis:
             assert isinstance(cause, RuntimeError) and "boom in a worker" in str(cause)
         persisted = json.loads((out / "run_record.json").read_text())
         assert (persisted["status"], persisted["failed_stage"]) == ("error", "generate_training_set")
+        assert persisted["paths"]["trainset"] == str(out / "trainset")  # the writer had started
         assert not (out / "trainset" / "datasets.npy").exists()
         assert not (out / "trainset" / "graphs.npy").exists()
         assert multiprocessing.active_children() == []
+
+    def test_every_graph_skipped_names_no_trainset(self, tmp_path, monkeypatch):
+        # the writer never starts, so the record names no trainset/ directory
+        real = pipeline.generate_training_set
+
+        def every_graph_over_the_cap(graphs, engine, rng, sink):
+            def node_fit(node, parents):
+                raise DegreeCapError(f"node {node} over the cap")
+
+            engine.node_fit = node_fit
+            return real(graphs, engine, rng, sink)
+
+        monkeypatch.setattr(pipeline, "generate_training_set", every_graph_over_the_cap)
+        out = tmp_path / "r"
+        with pytest.warns(RuntimeWarning, match="skipping graph"), pytest.raises(StageError) as err:
+            run_pipeline(_small_config(str(out)))
+        assert isinstance(err.value.cause, DegreeCapError)
+        persisted = json.loads((out / "run_record.json").read_text())
+        assert persisted["failed_stage"] == "generate_training_set"
+        assert "trainset" not in persisted["paths"]
+        assert not (out / "trainset").exists()
 
     @pytest.mark.parametrize("how", ["raises", "dies"])
     def test_worker_failure_exits_three_from_cli(self, tmp_path, capsys, monkeypatch, how):

@@ -17,6 +17,7 @@ from causalign.refine import (
     RefineConfig,
     SeedMode,
     StepRecord,
+    _moved_parents,
     acceptance_probability,
     greedy_hill_climb,
     init_seed,
@@ -26,7 +27,7 @@ from causalign.scm import Dataset, sample_scm
 from causalign.scoring import ScoreConfig, ScoreEngine
 from causalign.sim import RegressorConfig
 
-from conftest import dag_from_edges, empty_dag, linear_dataset, make_rng, noise_dataset
+from conftest import dag_from_edges, dags, empty_dag, linear_dataset, make_rng, noise_dataset
 from oracles import greedy_full_rescore, knn_rescore_predict
 
 
@@ -90,6 +91,43 @@ class TestFeasibleMovesCapped:
                 assert int(nxt.in_degrees().max()) <= max(
                     2, int(dag.in_degrees().max())
                 )
+
+
+class TestMovedParents:
+    """_moved_parents is the one place a move's new parent sets are
+    derived: greedy_hill_climb and refine score a candidate from it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dags(max_d=6), st.sampled_from([None, 1, 2]))
+    def test_names_exactly_the_changed_nodes_and_their_parents(self, g, cap):
+        parents = [g.parents(j) for j in range(g.d)]
+        for move in feasible_moves(g, cap):
+            moved = apply_move(g, move)
+            changed = {j for j in range(g.d) if moved.parents(j) != parents[j]}
+            got = _moved_parents(move, parents)
+            assert sorted(node for node, _ in got) == sorted(changed)
+            assert all(node_parents == moved.parents(node) for node, node_parents in got)
+
+    def test_refine_refits_what_it_names(self, monkeypatch):
+        data, _ = _linear_instance(4)
+        config = RefineConfig(n_steps=120, collect_k=10)
+        engine = ScoreEngine(data, config.score)
+        seed_dag = init_seed(engine, SeedMode.RANDOM_DAG, make_rng(5))
+        refits = []
+        real = engine.refit_term
+
+        def refit_term(node, parents):
+            refits.append((node, parents))
+            return real(node, parents)
+
+        monkeypatch.setattr(engine, "refit_term", refit_term)
+        trace = refine(engine, seed_dag, config, make_rng(6))
+        expected, current = [], seed_dag
+        for rec in trace.steps:
+            expected += _moved_parents(rec.move, [current.parents(j) for j in range(current.d)])
+            if rec.accepted:
+                current = apply_move(current, rec.move)
+        assert refits == expected
 
 
 class TestRefineTrace:
