@@ -144,9 +144,15 @@ def save_graph(dag: Dag, path: str) -> None:
         with open(path, "w") as fh:
             fh.write(dag.to_json())
         return
-    # the bytes csv.writer writes for the 0/1 rows, in one write
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(",".join(map(str, row)) + "\r\n" for row in dag.adjacency.tolist()))
+    # the bytes csv.writer writes for the 0/1 rows: each row's digits
+    # between commas, then CRLF, laid out in one byte buffer
+    d = dag.d
+    buf = np.empty((d, 2 * d + 1), dtype=np.uint8)
+    buf[:, 0 : 2 * d : 2] = dag.adjacency + ord("0")
+    buf[:, 1 : 2 * d - 1 : 2] = ord(",")
+    buf[:, -2:] = (ord("\r"), ord("\n"))
+    with open(path, "wb") as fh:
+        fh.write(buf.tobytes())
 
 
 def save_matrix(matrix: np.ndarray, path: str) -> None:

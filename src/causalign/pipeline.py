@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, StageError
-from .graph import Dag
+from .graph import Dag, MoveKind
 from .io import (
     save_dataset,
     save_graph,
@@ -365,9 +365,18 @@ def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | No
                 "mean_total": float(np.mean([s.total for s in coll_scores])),
             }
         if trace.steps:
+            by_kind = {kind.value: {"proposed": 0, "accepted": 0} for kind in MoveKind}
+            for step in trace.steps:
+                if step.move is not None:
+                    counts = by_kind[step.move.kind.value]
+                    counts["proposed"] += 1
+                    counts["accepted"] += step.accepted
             record.refine_stats = {
                 "acceptance_rate": sum(step.accepted for step in trace.steps) / len(trace.steps),
                 "distinct_collected": len(set(trace.collected)),
+                "moves_by_kind": by_kind,
+                "temperature": trace.temperature,
+                "sparsity_weight": engine.sparsity_weight,
             }
         run.save("trace", "trace.jsonl", save_trace_jsonl, trace.steps)
         run.save("best_graph", "best_graph.csv", save_graph, trace.best_dag)

@@ -151,27 +151,47 @@ def greedy_hill_climb(engine: ScoreEngine, max_rounds: int = 64, start: Dag | No
     max_rounds is hit. A candidate's total swaps the changed nodes' terms
     into the current graph's and sums them as engine.score would, so it
     equals the candidate's full rescore exactly; only the chosen move
-    builds a Dag.
+    builds a Dag. A move's (node, new parents, term) triples are kept
+    across rounds until a taken move changes the parents of a node the
+    move reads, so a round asks the engine only about moves that are new
+    or that the last taken move made stale; the engine still sees every
+    key a full rescore would.
     """
     cap = engine.config.regressor.max_in_degree
     d = engine.dataset.d
     current = start if start is not None else Dag(np.zeros((d, d), dtype=np.int8))
     best_total = engine.score(current).total
+    parents = [current.parents(j) for j in range(d)]
+    terms = [engine.node_term(j, parents[j]) for j in range(d)]
+    edges = current.edge_count
+    moved: dict[EdgeMove, list[tuple[int, tuple[int, ...], float]]] = {}
+    readers: list[list[EdgeMove]] = [[] for _ in range(d)]  # per node, the kept moves that read it
     for _ in range(max_rounds):
-        parents = [current.parents(j) for j in range(current.d)]
-        terms = [engine.node_term(j, parents[j]) for j in range(current.d)]
-        edges = current.edge_count
         best_move = None
         for move in feasible_moves(current, cap):
+            triples = moved.get(move)
+            if triples is None:
+                triples = moved[move] = [
+                    (node, node_parents, engine.node_term(node, node_parents))
+                    for node, node_parents in _moved_parents(move, parents)
+                ]
+                for node, _, _ in triples:
+                    readers[node].append(move)
             cand_terms = list(terms)
-            for node, node_parents in _moved_parents(move, parents):
-                cand_terms[node] = engine.node_term(node, node_parents)
+            for node, _, term in triples:
+                cand_terms[node] = term
             total = engine.total_from_ad(engine.combine_terms(cand_terms), edges + _EDGE_DELTA[move.kind])
             if total > best_total:
                 best_total = total
                 best_move = move
         if best_move is None:
             break
+        for node, node_parents, term in moved[best_move]:
+            parents[node], terms[node] = node_parents, term
+            for stale in readers[node]:
+                moved.pop(stale, None)
+            readers[node] = []
+        edges += _EDGE_DELTA[best_move.kind]
         current = apply_move(current, best_move)
     return current
 

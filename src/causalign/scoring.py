@@ -128,7 +128,7 @@ class ScoreEngine:
         """Mean Gaussian log-density of the node's residuals under the
         fitted sigma."""
         s2 = fitted.residual_sigma**2
-        msr = float((fitted.residual_samples**2).mean())
+        msr = fitted.residual_ss / fitted.residual_samples.shape[0]
         return -0.5 * (_LOG_2PI + math.log(s2)) - msr / (2.0 * s2)
 
     # -- whole-graph scores --------------------------------------------------

@@ -90,6 +90,7 @@ class FittedNode:
     residual_sigma: float
     residual_samples: np.ndarray  # centered
     transforms: tuple[ParentTransform, ...]
+    residual_ss: float  # sum of the squared centered residuals
 
 
 @dataclass
@@ -170,11 +171,12 @@ def fit_node(
 
     The intercept is unpenalized. Residuals are centered before storage;
     residual_sigma is the sample std of the residuals floored at
-    SIGMA_FLOOR so downstream likelihoods stay finite. expanded, when
-    given, holds expand_column of each column of parent_matrix, in parent
-    order, so a caller that fits many parent sets on one dataset expands
-    each column once; the fit is bit-identical to expanding here, and
-    parent_matrix is not read (it may be None).
+    SIGMA_FLOOR so downstream likelihoods stay finite, and residual_ss is
+    the sum of the squared centered residuals it was taken from.
+    expanded, when given, holds expand_column of each column of
+    parent_matrix, in parent order, so a caller that fits many parent sets
+    on one dataset expands each column once; the fit is bit-identical to
+    expanding here, and parent_matrix is not read (it may be None).
     """
     if config.max_in_degree is not None and len(parents) > config.max_in_degree:
         raise DegreeCapError(
@@ -190,12 +192,16 @@ def fit_node(
         if expanded is None:
             expanded = [expand_column(parent_matrix[:, idx], config) for idx in range(len(parents))]
         transforms = tuple(tr for tr, _ in expanded)
-        full = np.concatenate([np.ones((n, 1)), *(block for _, block in expanded)], axis=1)
-        k = full.shape[1]
+        # [1 | blocks], filled in place
+        k = 1 + sum(block.shape[1] for _, block in expanded)
+        full = np.empty((n, k))
+        full[:, 0] = 1.0
+        col = 1
+        for _, block in expanded:
+            full[:, col : col + block.shape[1]] = block
+            col += block.shape[1]
         gram = full.T @ full
-        penalty = np.full(k, _RIDGE)
-        penalty[0] = 0.0  # intercept unpenalized
-        gram[np.diag_indices(k)] += penalty
+        gram.flat[k + 1 :: k + 1] += _RIDGE  # the diagonal but the unpenalized intercept
         rhs = full.T @ x
         try:
             coef = np.linalg.solve(gram, rhs)
@@ -206,17 +212,20 @@ def fit_node(
         intercept = float(coef[0])
         weights = coef[1:]
         resid = x - full @ coef
-    sigma = float(resid.std(ddof=1)) if n > 1 else 0.0
-    sigma = max(sigma, SIGMA_FLOOR)
+    # one pass: the residuals are centred once, and their sum of squares
+    # gives sigma here and the mean squared residual of the score term
     resid = resid - resid.mean()
+    ss = float(np.square(resid).sum())
+    sigma = math.sqrt(ss / (n - 1)) if n > 1 else 0.0
     return FittedNode(
         node=node,
         parents=parents,
         intercept=intercept,
         weights=weights,
-        residual_sigma=sigma,
+        residual_sigma=max(sigma, SIGMA_FLOOR),
         residual_samples=resid,
         transforms=transforms,
+        residual_ss=ss,
     )
 
 

@@ -5,8 +5,8 @@ force enumeration, explicit threshold sweeps, finite differences, one
 node or one pair at a time) so a bug in the package and a bug in the
 oracle are unlikely to coincide. Besides the Dag container, an oracle
 only calls package functions that have tests of their own (the score
-engine, fit_node, predict_node, topological_order, featurize_all and
-EdgePredictor.initialize).
+engine, fit_node, expand_column, predict_node, topological_order,
+featurize_all and EdgePredictor.initialize).
 """
 
 import itertools
@@ -14,9 +14,10 @@ import math
 
 import numpy as np
 
+from causalign.errors import DegreeCapError, NumericalError
 from causalign.graph import Dag, topological_order
 from causalign.model import EdgePredictor, featurize_all
-from causalign.sim import FittedScm, fit_node, predict_node
+from causalign.sim import _RIDGE, SIGMA_FLOOR, FittedScm, expand_column, fit_node, predict_node
 
 
 def all_binary_matrices(d):
@@ -248,6 +249,46 @@ def fit_sim(dag, dataset, config):
         pm = values[:, parents] if parents else np.zeros((dataset.n, 0))
         nodes.append(fit_node(j, parents, values[:, j], pm, config))
     return FittedScm(dag=dag, config=config, nodes=nodes)
+
+
+def fit_node_reference(node, parents, x, parent_matrix, config):
+    """fit_node's arithmetic as first written: the design matrix by
+    concatenation, the ridge as a full penalty vector with a zero for the
+    intercept, sigma from resid.std(ddof=1), and the score term from a
+    second pass over the centred residuals. Returns (intercept, weights,
+    residual_sigma, residual_samples, term)."""
+    if config.max_in_degree is not None and len(parents) > config.max_in_degree:
+        raise DegreeCapError(f"node {node} has in-degree {len(parents)} > cap {config.max_in_degree}")
+    n = x.shape[0]
+    if len(parents) == 0:
+        intercept = float(x.mean())
+        resid = x - intercept
+        weights = np.zeros(0)
+    else:
+        blocks = [expand_column(parent_matrix[:, idx], config)[1] for idx in range(len(parents))]
+        full = np.concatenate([np.ones((n, 1)), *blocks], axis=1)
+        k = full.shape[1]
+        gram = full.T @ full
+        penalty = np.full(k, _RIDGE)
+        penalty[0] = 0.0
+        gram[np.diag_indices(k)] += penalty
+        rhs = full.T @ x
+        try:
+            coef = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(str(exc)) from exc
+        if not np.isfinite(coef).all():
+            raise NumericalError("non-finite coefficients")
+        intercept = float(coef[0])
+        weights = coef[1:]
+        resid = x - full @ coef
+    sigma = float(resid.std(ddof=1)) if n > 1 else 0.0
+    sigma = max(sigma, SIGMA_FLOOR)
+    resid = resid - resid.mean()
+    s2 = sigma**2
+    msr = float((resid**2).mean())
+    term = -0.5 * (math.log(2.0 * math.pi) + math.log(s2)) - msr / (2.0 * s2)
+    return intercept, weights, sigma, resid, term
 
 
 def sample_per_node(fitted, n, rng):

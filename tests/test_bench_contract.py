@@ -3,8 +3,8 @@
 Removing one breaks only the traced benchmark run (`bench/run.py --trace
 1`), which no other test starts, so these tests import the tracer as it is
 and check that everything it and the run script patch still resolves. The
-last test runs the in-memory path of the large-n workload through the
-benchmark's own output checks.
+last two tests run the in-memory path of the large-n workload and a small
+suite directory through the benchmark's own output checks.
 """
 
 import importlib
@@ -83,3 +83,19 @@ def test_in_memory_run_passes_the_output_checks():
     assert pipeline.refine is original
     art = checks.from_memory(record, captured["trace"], dataset, scm.dag)
     assert checks.check_run(art, config.refine.score) == []
+
+
+def test_suite_directory_passes_the_output_checks(tmp_path):
+    # the suite workload in small: a greedy-seeded knn_only run_benchmark
+    # over two instances in a two-worker pool, its tables and every
+    # instance directory (graph CSVs included) read back by the checks
+    gen = pipeline.GeneratorConfig(mechanism="chebyshev", noise="laplace", graph_model="sf", d=5, n=60)
+    refine = RefineConfig(n_steps=30, seed_mode="greedy_hill_climb")
+    config = pipeline.PipelineConfig(seed=4, stages="knn_only", generator=gen, refine=refine)
+    checks = _bench_module("checks")
+    pipeline.run_benchmark(config, "iid", 2, str(tmp_path), threads=2)
+    problems, ok, failed = checks.check_suite_tables(str(tmp_path), 2)
+    assert (problems, ok, failed) == ([], [0, 1], [])
+    for i in ok:
+        instance = tmp_path / "instances" / f"{i:03d}"
+        assert checks.check_run(checks.load_run_dir(str(instance)), config.refine.score) == []

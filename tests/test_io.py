@@ -7,10 +7,12 @@ import json
 import math
 import os
 import pickle
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from causalign.errors import DataFormatError, StructuralInputError
 from causalign.io import (
@@ -33,7 +35,7 @@ from causalign.scm import Dataset, SpecTriple, make_shift_suite
 from causalign.scoring import ScoreConfig, ScoreEngine
 from causalign.sim import RegressorConfig
 
-from conftest import dag_from_edges, empty_dag, make_rng
+from conftest import dag_from_edges, dags, empty_dag, make_rng
 
 
 class TestDatasetCsv:
@@ -182,6 +184,19 @@ class TestGraphFiles:
         save_graph(dag, str(path))
         assert path.read_bytes() == buf.getvalue().encode()
         assert path.read_bytes().endswith(b"\r\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(dags(max_d=15))
+    def test_adjacency_csv_is_csv_writer_bytes_for_any_dag(self, dag):
+        with tempfile.TemporaryDirectory() as tmp:
+            want = os.path.join(tmp, "want.csv")
+            with open(want, "w", newline="") as fh:
+                csv.writer(fh).writerows(dag.adjacency.tolist())
+            got = os.path.join(tmp, "got.csv")
+            save_graph(dag, got)
+            with open(got, "rb") as fh, open(want, "rb") as ref:
+                assert fh.read() == ref.read()
+            assert load_graph(got) == dag
 
     def test_json_edge_list_round_trip(self, tmp_path):
         dag = dag_from_edges(3, [(0, 2), (1, 2)])

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -607,8 +608,28 @@ class TestRunPipelineSmall:
         record = run_pipeline(_small_config(str(out), seed=12, stages="knn_only", refine=RefineConfig(n_steps=60, collect_k=40)))
         steps = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
         tail = {p.read_bytes() for p in (out / "graphs").glob("collected_*.csv")}
-        expect = {"acceptance_rate": sum(s["accepted"] for s in steps) / len(steps), "distinct_collected": len(tail)}
+        by_kind = {kind: {"proposed": 0, "accepted": 0} for kind in ("add", "delete", "reverse")}
+        for s in steps:
+            by_kind[s["move"]["kind"]]["proposed"] += 1
+            by_kind[s["move"]["kind"]]["accepted"] += s["accepted"]
+        seed_score = json.loads((out / "run_record.json").read_text())["seed_score"]
+        temperature = RefineConfig().resolve_temperature(seed_score["total"])
+        # the temperature the recorded acceptance probabilities were drawn at
+        declined = [s for s in steps if s["s_cand"] < s["s_curr"]]
+        assert declined
+        for s in declined:
+            assert s["alpha"] == math.exp((s["s_cand"] - s["s_curr"]) / temperature)
+        expect = {
+            "acceptance_rate": sum(s["accepted"] for s in steps) / len(steps),
+            "distinct_collected": len(tail),
+            "moves_by_kind": by_kind,
+            "temperature": temperature,
+            "sparsity_weight": seed_score["lambda"],
+        }
         assert 1 < expect["distinct_collected"] < 40  # the tail holds repeats
+        assert all(counts["proposed"] > 0 for counts in by_kind.values())
+        assert sum(counts["accepted"] for counts in by_kind.values()) > 0
+        assert seed_score["lambda"] == 2.0 / (60 * 4)  # the resolved default, 2/(n*d)
         assert record.refine_stats == expect
         assert json.loads((out / "run_record.json").read_text())["refine_stats"] == expect
         # no step, no rate

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from causalign.errors import ConfigError, DegreeCapError, StructuralInputError
+from causalign.errors import ConfigError, DegreeCapError, NumericalError, StructuralInputError
 from causalign.graph import Dag, random_er
 from causalign.scm import Dataset, forward_sample, sample_scm
+from causalign.scoring import ScoreConfig, ScoreEngine
 from causalign.sim import (
     SIGMA_FLOOR,
     Basis,
@@ -21,7 +22,7 @@ from causalign.sim import (
 )
 
 from conftest import chain_dag, dag_from_edges, empty_dag, make_rng
-from oracles import fit_sim, sample_per_node
+from oracles import fit_node_reference, fit_sim, sample_per_node
 
 LINEAR = RegressorConfig(basis=Basis.LINEAR)
 
@@ -225,6 +226,52 @@ class TestSampleAgainstPerNodeOracle:
         assert got.tobytes() == sample_per_node(fitted, 200, make_rng(31)).tobytes()
 
 
+class TestFitAgainstReferenceArithmetic:
+    """fit_node fills its design matrix in place and makes one pass over
+    the residuals, and the engine reads the mean squared residual off
+    that pass; the fit and the score term must equal the first-written
+    arithmetic (oracles.fit_node_reference) bit for bit, and fail in the
+    same cases."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        basis=st.sampled_from(Basis),
+        basis_size=st.integers(1, 8),
+        n=st.sampled_from([2, 3, 7, 40, 400]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        cap=st.sampled_from([None, 0, 2, 6]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_fit_and_term_equal_the_reference(self, basis, basis_size, n, scale, cap, seed, data):
+        rng = make_rng(seed)
+        values = scale * rng.normal(size=(n, 8))
+        values[:, 1] += scale * np.sin(values[:, 0] / scale)
+        values[:, 6] = 2.5 * scale  # a constant column
+        values[:, 7] = values[:, 0]  # a duplicated column
+        regressor = RegressorConfig(basis=basis, basis_size=basis_size, max_in_degree=cap)
+        engine = ScoreEngine(Dataset(values), ScoreConfig(regressor=regressor))
+        node = data.draw(st.integers(0, 7))
+        others = [p for p in range(8) if p != node]
+        parents = tuple(data.draw(st.permutations(others))[: data.draw(st.integers(0, 6))])
+        x, pm = values[:, node], values[:, list(parents)]
+        try:
+            want = fit_node_reference(node, parents, x, pm, regressor)
+        except (NumericalError, DegreeCapError) as exc:
+            with pytest.raises(type(exc)):
+                fit_node(node, parents, x, pm, regressor)
+            with pytest.raises(type(exc)):
+                engine.node_term(node, parents)
+            return
+        intercept, weights, sigma, resid, term = want
+        for got in (fit_node(node, parents, x, pm, regressor), engine.node_fit(node, parents)):
+            assert got.intercept == intercept
+            assert weights.tobytes() == got.weights.tobytes()
+            assert got.residual_sigma == sigma
+            assert resid.tobytes() == got.residual_samples.tobytes()
+        assert engine.node_term(node, parents) == term
+
+
 class TestSkipSample:
     """skip_sample takes from a generator exactly what sample_from_fitted
     takes (and what bootstrapping with rng.choice takes), so a training
@@ -265,6 +312,7 @@ class TestPredictNode:
             intercept=0.5,
             residual_sigma=1.0,
             residual_samples=np.zeros(3),
+            residual_ss=0.0,
             transforms=(ParentTransform(loc=0.0, scale=1.0),),
         )
         pm = np.array([[0.0], [1.0], [2.0]])
@@ -279,6 +327,7 @@ class TestPredictNode:
             intercept=1.25,
             residual_sigma=1.0,
             residual_samples=np.zeros(3),
+            residual_ss=0.0,
             transforms=(),
         )
         pred = predict_node(node, np.zeros((4, 0)), LINEAR)
