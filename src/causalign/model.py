@@ -33,7 +33,7 @@ from .errors import (
 )
 from .graph import Dag
 from .scm import Dataset
-from .sim import FittedScm, sample_from_fitted, skip_sample
+from .sim import FittedNode, FittedScm, sample_from_fitted, skip_sample
 from .scoring import ScoreEngine
 
 __all__ = [
@@ -322,8 +322,11 @@ def generate_training_set(graphs: list[Dag], engine: ScoreEngine, rng: np.random
 
     Node fits come from the engine's (node, parent set) cache, which
     collected ensembles overlap heavily and a search has mostly filled
-    already. Graphs violating the in-degree cap are skipped with a
-    warning; if every graph is skipped the cap error propagates.
+    already. The engine is asked once per distinct (node, parent set) of
+    the graphs, so the residual vectors it re-derives exist once each and
+    only while the training set is drawn. Graphs violating the in-degree
+    cap are skipped with a warning; if every graph is skipped the cap
+    error propagates.
 
     Every graph is fitted before any is sampled, so which graphs are kept
     is known first. One serial pass then records rng's state before each
@@ -350,16 +353,20 @@ def generate_training_set(graphs: list[Dag], engine: ScoreEngine, rng: np.random
     fitted: list[FittedScm] = []
     kept: list[int] = []
     skipped: list[int] = []
+    fits: dict[tuple[int, tuple[int, ...]], FittedNode] = {}  # one node_fit per distinct key
     for idx, g in enumerate(graphs):
         if g.d != dataset.d:
             raise StructuralInputError(f"graph {idx} has d={g.d}, dataset d={dataset.d}")
+        keys = [(node, g.parents(node)) for node in range(g.d)]
         try:
-            nodes = [engine.node_fit(node, g.parents(node)) for node in range(g.d)]
+            for key in keys:
+                if key not in fits:
+                    fits[key] = engine.node_fit(*key)
         except DegreeCapError as exc:
             warnings.warn(f"skipping graph {idx}: {exc}", RuntimeWarning, stacklevel=2)
             skipped.append(idx)
             continue
-        fitted.append(FittedScm(dag=g, config=engine.config.regressor, nodes=nodes))
+        fitted.append(FittedScm(dag=g, config=engine.config.regressor, nodes=[fits[key] for key in keys]))
         kept.append(idx)
     if not fitted:
         raise DegreeCapError("every graph exceeded the in-degree cap")

@@ -377,6 +377,7 @@ def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | No
                 "moves_by_kind": by_kind,
                 "temperature": trace.temperature,
                 "sparsity_weight": engine.sparsity_weight,
+                "cache_entries": engine.cache_size(),
             }
         run.save("trace", "trace.jsonl", save_trace_jsonl, trace.steps)
         run.save("best_graph", "best_graph.csv", save_graph, trace.best_dag)

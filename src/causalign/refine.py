@@ -1,10 +1,10 @@
 """Stochastic refinement of DAGs under the alignment-minus-sparsity score.
 
 Each step proposes one uniformly random feasible edge move (the feasible
-set is recomputed every step), scores the candidate through the shared
-cached engine, and accepts with the Metropolis rule. Graphs
-visited during the last collect_k steps are collected as the ensemble
-handed to training-set synthesis.
+set is enumerated again only after an accepted move), scores the
+candidate through the shared cached engine, and accepts with the
+Metropolis rule. Graphs visited during the last collect_k steps are
+collected as the ensemble handed to training-set synthesis.
 """
 
 from __future__ import annotations
@@ -254,9 +254,11 @@ def refine(engine: ScoreEngine, seed: Dag, config: RefineConfig, rng: np.random.
     full trace.
 
     Per step: draw one uniformly random feasible move within the engine's
-    in-degree cap, rescore the candidate incrementally (the nodes whose
-    parent sets the move changes, as _moved_parents gives them, are refit
-    from scratch; the rest keep their terms), accept with
+    in-degree cap (the moves of the current graph, enumerated once per
+    graph the chain holds: a rejected step keeps the list), rescore the
+    candidate incrementally (the nodes whose parent sets the move
+    changes, as _moved_parents gives them, are refit from scratch; the
+    rest keep their terms), accept with
     acceptance_probability, build the moved graph only if accepted, and
     during the last collect_k steps append the post-decision current
     graph to the collected list and its score to collected_scores.
@@ -279,8 +281,10 @@ def refine(engine: ScoreEngine, seed: Dag, config: RefineConfig, rng: np.random.
     collected: list[Dag] = []
     collected_scores: list[ScoreValue] = []
     collect_from = config.n_steps - config.collect_k  # collect when step > this
+    moves = None  # the current graph's feasible moves, once enumerated
     for t in range(1, config.n_steps + 1):
-        moves = feasible_moves(current, cap)
+        if moves is None:
+            moves = feasible_moves(current, cap)
         if not moves:
             steps.append(StepRecord(t, None, s_curr.total, s_curr.total, 0.0, False))
         else:
@@ -299,6 +303,7 @@ def refine(engine: ScoreEngine, seed: Dag, config: RefineConfig, rng: np.random.
             )
             if accepted:
                 current, s_curr, terms = apply_move(current, move), s_cand, new_terms
+                moves = None
                 for node, node_parents in moved:
                     parents[node] = node_parents
                 if s_curr.total > s_best.total:

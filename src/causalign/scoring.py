@@ -14,6 +14,7 @@ last-writer-wins of identical values (fits are deterministic).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, StructuralInputError
 from .graph import Dag
 from .scm import Dataset
-from .sim import FittedNode, ParentTransform, RegressorConfig, expand_column, fit_node
+from .sim import FittedNode, ParentTransform, RegressorConfig, expand_column, fit_node, rederive_residuals
 
 __all__ = [
     "ScoreConfig",
@@ -69,13 +70,19 @@ class ScoreValue:
 class ScoreEngine:
     """Scores DAGs against one dataset under one configuration, caching
     per-(node, parents) fits and AD terms so successive scores of
-    neighboring graphs cost only the changed nodes."""
+    neighboring graphs cost only the changed nodes.
+
+    A cached fit keeps its coefficients, sigma, residual sum of squares
+    and transforms but not its n residuals, so an entry costs O(k), not
+    O(n); node_fit re-derives the residuals when a caller needs them.
+    """
 
     def __init__(self, dataset: Dataset, config: ScoreConfig | None = None):
         self.dataset = dataset
         self.config = config if config is not None else ScoreConfig()
         self.sparsity_weight = self.config.resolve_lambda(dataset.n, dataset.d)
         self._values = dataset.values
+        # (node, parents) -> (the fit with residual_samples None, its AD term)
         self._cache: dict[tuple[int, tuple[int, ...]], tuple[FittedNode, float]] = {}
         # per column: its parent transform and basis expansion, which
         # depend on the column alone
@@ -84,27 +91,31 @@ class ScoreEngine:
     # -- per-node machinery -------------------------------------------------
 
     def node_fit(self, node: int, parents: tuple[int, ...]) -> FittedNode:
-        return self._entry(node, parents)[0]
+        """The node's fit on parents with its residuals, as a new
+        FittedNode on every call: on a cache miss the fit just made, on a
+        hit the cached fit with its residuals re-derived from the
+        coefficients and the cached column expansions (fit_node's
+        arithmetic, so the same bits, without solving again)."""
+        hit = self._cache.get((node, parents))
+        if hit is None:
+            return self._fit(node, parents)[0]
+        fitted = hit[0]
+        resid = rederive_residuals(fitted, self._values[:, node], [self._column(p) for p in parents])
+        return dataclasses.replace(fitted, residual_samples=resid)
 
     def node_term(self, node: int, parents: tuple[int, ...]) -> float:
-        return self._entry(node, parents)[1]
+        hit = self._cache.get((node, parents))
+        return hit[1] if hit is not None else self._fit(node, parents)[1]
 
-    def _entry(self, node: int, parents: tuple[int, ...]):
-        key = (node, parents)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        entry = self._compute(node, parents)
-        self._cache[key] = entry
-        return entry
-
-    def _compute(self, node: int, parents: tuple[int, ...]):
-        x = self._values[:, node]
+    def _fit(self, node: int, parents: tuple[int, ...]) -> tuple[FittedNode, float]:
+        """Fit the node on parents from scratch and cache the fit, less its
+        residual vector, with its term; returns the whole fit and the term."""
         # the expanded columns replace the parent matrix, so none is gathered
         fitted = fit_node(
-            node, parents, x, None, self.config.regressor, [self._column(p) for p in parents]
+            node, parents, self._values[:, node], None, self.config.regressor, [self._column(p) for p in parents]
         )
         term = self._term_from_fit(fitted)
+        self._cache[(node, parents)] = (dataclasses.replace(fitted, residual_samples=None), term)
         return fitted, term
 
     def _column(self, p: int) -> tuple[ParentTransform, np.ndarray]:
@@ -119,9 +130,7 @@ class ScoreEngine:
         each step pays the full refit cost the complexity model assumes;
         the stored fits are still reusable afterwards (e.g. by
         training-set synthesis)."""
-        entry = self._compute(node, parents)
-        self._cache[(node, parents)] = entry
-        return entry[1]
+        return self._fit(node, parents)[1]
 
     @staticmethod
     def _term_from_fit(fitted: FittedNode) -> float:

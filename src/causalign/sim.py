@@ -88,7 +88,7 @@ class FittedNode:
     intercept: float
     weights: np.ndarray  # (p * basis features,) — raw-scale coefs for linear basis
     residual_sigma: float
-    residual_samples: np.ndarray  # centered
+    residual_samples: np.ndarray | None  # centered; None in a ScoreEngine's cached fits
     transforms: tuple[ParentTransform, ...]
     residual_ss: float  # sum of the squared centered residuals
 
@@ -182,51 +182,72 @@ def fit_node(
         raise DegreeCapError(
             f"node {node} has in-degree {len(parents)} > cap {config.max_in_degree}"
         )
+    if expanded is None:
+        expanded = [expand_column(parent_matrix[:, idx], config) for idx in range(len(parents))]
+    coef, resid, ss = _residuals(node, x, expanded)
     n = x.shape[0]
-    if len(parents) == 0:
-        intercept = float(x.mean())
-        resid = x - intercept
-        weights = np.zeros(0)
-        transforms: tuple[ParentTransform, ...] = ()
+    sigma = math.sqrt(ss / (n - 1)) if n > 1 else 0.0
+    return FittedNode(
+        node=node,
+        parents=parents,
+        intercept=float(coef[0]),
+        weights=coef[1:],
+        residual_sigma=max(sigma, SIGMA_FLOOR),
+        residual_samples=resid,
+        transforms=tuple(tr for tr, _ in expanded),
+        residual_ss=ss,
+    )
+
+
+def rederive_residuals(
+    fitted: FittedNode, x: np.ndarray, expanded: list[tuple[ParentTransform, np.ndarray]]
+) -> np.ndarray:
+    """The centred residuals fit_node stored for fitted, bit for bit,
+    rebuilt from its intercept and weights: x is the node's column it was
+    fitted on, expanded its parents' expand_column blocks in parent
+    order."""
+    return _residuals(fitted.node, x, expanded, np.concatenate(([fitted.intercept], fitted.weights)))[1]
+
+
+def _residuals(
+    node: int,
+    x: np.ndarray,
+    expanded: list[tuple[ParentTransform, np.ndarray]],
+    coef: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(coef, centred residuals, their sum of squares) of x on the design
+    [1 | expanded blocks]. coef = [intercept, *weights] is solved here when
+    None (without blocks, the intercept is x's mean); given, the residuals
+    are computed with the arithmetic that solved it, so fit_node and
+    rederive_residuals agree bit for bit."""
+    if not expanded:
+        if coef is None:
+            coef = np.array([x.mean()])
+        resid = x - coef[0]
     else:
-        if expanded is None:
-            expanded = [expand_column(parent_matrix[:, idx], config) for idx in range(len(parents))]
-        transforms = tuple(tr for tr, _ in expanded)
         # [1 | blocks], filled in place
         k = 1 + sum(block.shape[1] for _, block in expanded)
-        full = np.empty((n, k))
+        full = np.empty((x.shape[0], k))
         full[:, 0] = 1.0
         col = 1
         for _, block in expanded:
             full[:, col : col + block.shape[1]] = block
             col += block.shape[1]
-        gram = full.T @ full
-        gram.flat[k + 1 :: k + 1] += _RIDGE  # the diagonal but the unpenalized intercept
-        rhs = full.T @ x
-        try:
-            coef = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular system fitting node {node}: {exc}") from exc
-        if not np.isfinite(coef).all():
-            raise NumericalError(f"non-finite coefficients fitting node {node}")
-        intercept = float(coef[0])
-        weights = coef[1:]
+        if coef is None:
+            gram = full.T @ full
+            gram.flat[k + 1 :: k + 1] += _RIDGE  # the diagonal but the unpenalized intercept
+            rhs = full.T @ x
+            try:
+                coef = np.linalg.solve(gram, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"singular system fitting node {node}: {exc}") from exc
+            if not np.isfinite(coef).all():
+                raise NumericalError(f"non-finite coefficients fitting node {node}")
         resid = x - full @ coef
     # one pass: the residuals are centred once, and their sum of squares
-    # gives sigma here and the mean squared residual of the score term
+    # gives sigma and the mean squared residual of the score term
     resid = resid - resid.mean()
-    ss = float(np.square(resid).sum())
-    sigma = math.sqrt(ss / (n - 1)) if n > 1 else 0.0
-    return FittedNode(
-        node=node,
-        parents=parents,
-        intercept=intercept,
-        weights=weights,
-        residual_sigma=max(sigma, SIGMA_FLOOR),
-        residual_samples=resid,
-        transforms=transforms,
-        residual_ss=ss,
-    )
+    return coef, resid, float(np.square(resid).sum())
 
 
 def predict_node(fitted: FittedNode, parent_matrix: np.ndarray, config: RegressorConfig) -> np.ndarray:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from causalign import model, pipeline, scoring
 from causalign.cli import main as cli_main
 from causalign.errors import ConfigError, DataFormatError, DegreeCapError, StageError
-from causalign.graph import Dag, random_er
+from causalign.graph import Dag, EdgeMove, apply_move, random_er
 from causalign.io import (
     TrainingSetWriter,
     load_dataset,
@@ -619,12 +619,21 @@ class TestRunPipelineSmall:
         assert declined
         for s in declined:
             assert s["alpha"] == math.exp((s["s_cand"] - s["s_curr"]) / temperature)
+        # the engine caches each distinct (node, parents) of the seed graph
+        # and of every proposed candidate
+        current = load_graph(str(out / "seed_graph.csv"))
+        keys = {(j, current.parents(j)) for j in range(current.d)}
+        for s in steps:
+            cand = apply_move(current, EdgeMove.from_json(s["move"]))
+            keys |= {(j, cand.parents(j)) for j in range(cand.d)}
+            current = cand if s["accepted"] else current
         expect = {
             "acceptance_rate": sum(s["accepted"] for s in steps) / len(steps),
             "distinct_collected": len(tail),
             "moves_by_kind": by_kind,
             "temperature": temperature,
             "sparsity_weight": seed_score["lambda"],
+            "cache_entries": len(keys),
         }
         assert 1 < expect["distinct_collected"] < 40  # the tail holds repeats
         assert all(counts["proposed"] > 0 for counts in by_kind.values())

@@ -1,6 +1,7 @@
 """Tests for stochastic refinement: acceptance rules, trace integrity,
 seed initialization, and the greedy ascent."""
 
+import importlib
 import math
 import re
 
@@ -159,6 +160,28 @@ class TestRefineTrace:
         assert current == trace.final_dag
         assert trace.final_score.total == fresh.score(current).total
         assert trace.collected == post_decision[-config.collect_k:]
+
+    def test_moves_are_enumerated_once_per_held_graph(self, monkeypatch):
+        # a rejected step keeps the move list: feasible_moves runs for the
+        # seed and after each accepted move but the last step's
+        module = importlib.import_module("causalign.refine")  # causalign.refine is the function
+        enumerated = []
+
+        def counted(dag, cap):
+            enumerated.append(dag)
+            return feasible_moves(dag, cap)
+
+        monkeypatch.setattr(module, "feasible_moves", counted)
+        _, _, trace = self._run(seed=8)
+        rejected = sum(not rec.accepted for rec in trace.steps[:-1])
+        assert rejected > 0
+        assert len(enumerated) == sum(rec.accepted for rec in trace.steps[:-1]) + 1
+        held, current = [trace.seed_dag], trace.seed_dag
+        for rec in trace.steps[:-1]:
+            if rec.accepted:
+                current = apply_move(current, rec.move)
+                held.append(current)
+        assert enumerated == held
 
     def test_recorded_alpha_matches_formula(self):
         _, _, trace = self._run(seed=2)

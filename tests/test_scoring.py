@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalign.errors import NumericalError, StructuralInputError
+from causalign.errors import DegreeCapError, NumericalError, StructuralInputError
 from causalign.graph import Dag, random_er
+from causalign.refine import RefineConfig, refine
 from causalign.scm import Dataset, forward_sample, sample_scm
 from causalign.sim import Basis, RegressorConfig, fit_node
 from causalign.scoring import (
@@ -16,7 +18,7 @@ from causalign.scoring import (
 )
 
 from conftest import dag_from_edges, empty_dag, linear_dataset, make_rng
-from oracles import all_dags
+from oracles import all_dags, fit_node_reference
 
 LINEAR_CFG = ScoreConfig(regressor=RegressorConfig(basis=Basis.LINEAR))
 
@@ -167,7 +169,14 @@ class TestScoreEngine:
         engine = ScoreEngine(data, LINEAR_CFG)
         fit = engine.node_fit(1, (0,))
         assert fit.node == 1 and tuple(fit.parents) == (0,)
-        assert engine.node_fit(1, (0,)) is fit  # cached object
+        again = engine.node_fit(1, (0,))  # a hit: a new object, the same bits
+        assert again is not fit
+        for f in dataclasses.fields(fit):
+            got, want = getattr(again, f.name), getattr(fit, f.name)
+            if isinstance(want, np.ndarray):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), f.name
+            else:
+                assert got == want, f.name
 
     def test_dimension_mismatch_raises(self):
         data = linear_dataset(20, d=3, n=100)
@@ -215,3 +224,69 @@ class TestExpansionCacheOracle:
             assert got.transforms == want.transforms
             assert engine.node_term(node, parents) == ScoreEngine._term_from_fit(want)
         assert len(engine._columns) <= d
+
+
+class TestRederivedFit:
+    """The engine caches fits without their residual vectors and node_fit
+    re-derives them from the coefficients; whatever the cache holds, the
+    fit it returns is the reference fit bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        basis=st.sampled_from(Basis),
+        basis_size=st.integers(1, 8),
+        n=st.sampled_from([2, 3, 7, 40, 400]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_miss_hit_and_refit_equal_the_reference(self, basis, basis_size, n, scale, seed, data):
+        rng = make_rng(seed)
+        values = scale * rng.normal(size=(n, 8))
+        values[:, 1] += scale * np.sin(values[:, 0] / scale)
+        values[:, 6] = 2.5 * scale  # a constant column
+        values[:, 7] = values[:, 0]  # a duplicated column
+        regressor = RegressorConfig(basis=basis, basis_size=basis_size)
+        engine = ScoreEngine(Dataset(values), ScoreConfig(regressor=regressor))
+        node = data.draw(st.integers(0, 7))
+        others = [p for p in range(8) if p != node]
+        parents = tuple(data.draw(st.permutations(others))[: data.draw(st.integers(0, 6))])
+        try:
+            intercept, weights, sigma, resid, term = fit_node_reference(
+                node, parents, values[:, node], values[:, list(parents)], regressor
+            )
+        except (NumericalError, DegreeCapError) as exc:
+            with pytest.raises(type(exc)):
+                engine.node_fit(node, parents)
+            return
+
+        def check(got):
+            assert (got.node, got.parents) == (node, parents)
+            assert got.intercept == intercept
+            assert weights.tobytes() == got.weights.tobytes()
+            assert got.residual_sigma == sigma
+            assert resid.tobytes() == got.residual_samples.tobytes()
+            assert engine.node_term(node, parents) == term
+
+        check(engine.node_fit(node, parents))  # a miss
+        check(engine.node_fit(node, parents))  # a hit
+        assert engine.refit_term(node, parents) == term
+        check(engine.node_fit(node, parents))  # the entry refit_term stored
+        assert engine.cache_size() == 1
+
+    def test_no_cached_entry_holds_a_per_row_array(self):
+        n = 400
+        data = linear_dataset(21, d=5, n=n)
+        engine = ScoreEngine(data, ScoreConfig(regressor=RegressorConfig(basis=Basis.SPLINE)))
+        seed = random_er(5, 5.0, make_rng(22))
+        refine(engine, seed, RefineConfig(n_steps=60, collect_k=10), make_rng(23))
+        assert engine.cache_size() > 5
+        for fit, _ in engine._cache.values():
+            assert fit.residual_samples is None
+            for f in dataclasses.fields(fit):
+                value = getattr(fit, f.name)
+                if isinstance(value, np.ndarray):
+                    for array in (value, value.base):
+                        assert array is None or array.size < n, f.name
+            # the fit node_fit hands out still has its n residuals
+            assert engine.node_fit(fit.node, fit.parents).residual_samples.shape == (n,)
