@@ -46,7 +46,6 @@ from .pipeline import (
     run_pipeline,
     save_instances,
 )
-from .refine import SeedMode, load_seed_graph
 from .scm import ShiftSetting
 from .scoring import ScoreConfig, ScoreEngine
 from .sim import Basis, RegressorConfig
@@ -87,23 +86,6 @@ def _load_pipeline_config(args) -> PipelineConfig:
     return cfg
 
 
-def _preload(cfg: PipelineConfig):
-    """Resolve file inputs up front so a missing data source, an
-    unreadable path or a from_file seed graph init_seed would reject
-    exits 2, not 3."""
-    if cfg.data_path is None and cfg.generator is None:
-        raise ConfigError("no data source: give a data path or a generator section in --config")
-    dataset = truth = None
-    if cfg.data_path:
-        dataset = load_dataset(cfg.data_path)
-    if cfg.truth_path:
-        truth = load_graph(cfg.truth_path)
-    if cfg.refine.seed_mode == SeedMode.FROM_FILE:
-        d = dataset.d if dataset is not None else cfg.generator.d
-        load_seed_graph(cfg.refine.seed_graph_path, d, cfg.refine.score.regressor.max_in_degree)
-    return dataset, truth
-
-
 def _fmt(value) -> str:
     """A metric to 4 decimals; undefined (None) prints as n/a."""
     return "n/a" if value is None else f"{value:.4f}"
@@ -139,9 +121,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    cfg = _load_pipeline_config(args)
-    dataset, truth = _preload(cfg)
-    record = run_pipeline(cfg, dataset=dataset, truth=truth)
+    record = run_pipeline(_load_pipeline_config(args))
     _print_run_summary(record)
     return 0
 

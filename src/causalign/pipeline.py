@@ -50,7 +50,7 @@ from .model import (
     predict,
     train,
 )
-from .refine import RefineConfig, init_seed, refine
+from .refine import RefineConfig, SeedMode, init_seed, load_seed_graph, refine
 from .scm import CausalInstance, Dataset, ShiftSetting, SpecTriple, generate_instance
 from .scoring import ScoreConfig, ScoreEngine
 from .sim import RegressorConfig
@@ -176,6 +176,12 @@ class GeneratorConfig:
             math.isfinite(self.expected_edges) and self.expected_edges >= 0
         ):
             raise ConfigError(f"generator expected_edges must be finite and >= 0, got {self.expected_edges}")
+        for name in ("weight_range", "noise_scale_range"):
+            bounds = getattr(self, name)
+            if bounds is not None and not bounds[0] <= bounds[1]:
+                raise ConfigError(f"generator {name} must be [low, high] with low <= high, got {list(bounds)}")
+        if self.noise_scale_range is not None and not self.noise_scale_range[0] >= 0:
+            raise ConfigError(f"generator noise_scale_range low must be >= 0, got {self.noise_scale_range[0]}")
         self.triple()  # validates the mechanism, noise and graph names
 
     def triple(self) -> SpecTriple:
@@ -306,16 +312,18 @@ def run_pipeline(
     dataset: Dataset | None = None,
     truth: Dag | None = None,
 ) -> RunRecord:
-    """Execute the configured stages and persist the run directory.
+    """Check the run's inputs, execute the configured stages and persist
+    the run directory.
 
     Data resolution order: explicit `dataset` argument, then
-    config.data_path, then config.generator (which also supplies the
-    ground truth). Any stage failure persists the partial record and
-    re-raises as StageError with the stage name. Structure learning needs
-    at least two variables: a passed-in dataset with fewer is a
-    ConfigError raised before any stage runs, and one read from
-    config.data_path fails the load_data stage. So is a `full` or
-    `knn_only` run with refine.n_steps=0, which collects no graphs.
+    config.data_path, then config.generator, whose instance the load_data
+    stage draws and which also supplies the ground truth. An explicit
+    `truth` argument overrides config.truth_path and the generated graph.
+    Every outside input is read and checked before any stage, and before
+    the run directory exists (see _read_inputs): a bad one raises its own
+    error class (ConfigError, DataFormatError, StructuralInputError or
+    DegreeCapError), not StageError. Any stage failure persists the
+    partial record and re-raises as StageError with the stage name.
 
     The stages run with one BLAS thread: their matrices are small, so a
     second thread burns CPU without shortening the run. The caller's
@@ -325,31 +333,66 @@ def run_pipeline(
     pool worker (a `run_benchmark` run with threads > 1) it stays in its
     own process. The outputs are byte-identical either way.
     """
+    dataset, truth, seed_dag = _read_inputs(config, dataset, truth)
     with _one_blas_thread():
-        return _run_stages(config, dataset, truth)
+        return _run_stages(config, dataset, truth, seed_dag)
 
 
-def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | None) -> RunRecord:
-    _require_collected_graphs(config)
-    if dataset is not None:
-        _require_two_variables(dataset)
+def _read_inputs(
+    config: PipelineConfig, dataset: Dataset | None = None, truth: Dag | None = None
+) -> tuple[Dataset | None, Dag | None, Dag | None]:
+    """Read and check every outside input of a run, so that a bad one
+    fails before any stage: a `full` or `knn_only` run needs a search of
+    at least one step, since it reads the collected graphs; the data come
+    from `dataset`, config.data_path or config.generator and have at least
+    two variables; config.truth_path is the truth of config.data_path's
+    file (a generated instance carries its own); a from_file seed graph
+    has the data's d and respects the in-degree cap.
+
+    Returns (dataset, truth, seed graph): the dataset is None when the
+    load_data stage draws it from config.generator, the truth None when
+    there is none yet, and the seed graph None unless refine.seed_mode is
+    from_file."""
+    stage = {"knn_only": "knn_select", "full": "generate_training_set"}.get(config.stages)
+    if stage is not None and config.refine.n_steps == 0:
+        raise ConfigError(f"refine.n_steps=0 collects no graphs, and stages={config.stages!r} needs them in {stage}")
+    if config.truth_path and not config.data_path:
+        raise ConfigError("data.truth needs data.path: a generated instance carries its own truth")
+    if dataset is None and config.data_path:
+        dataset = load_dataset(config.data_path)
+    if dataset is None and config.generator is None:
+        raise ConfigError("no data source: pass a dataset, or give data.path or a generator section")
+    if dataset is not None and dataset.d < 2:
+        raise ConfigError(f"need at least 2 variables, got d={dataset.d}")
+    if truth is None and config.truth_path:
+        truth = load_graph(config.truth_path)
+    seed_dag = None
+    if config.refine.seed_mode == SeedMode.FROM_FILE:
+        d = config.generator.d if dataset is None else dataset.d
+        seed_dag = load_seed_graph(config.refine.seed_graph_path, d, config.refine.score.regressor.max_in_degree)
+    return dataset, truth, seed_dag
+
+
+def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | None, seed_dag: Dag | None) -> RunRecord:
     run = _Run(config)
     record = run.record
     streams = _derive_streams(config.seed)
 
     with run.stage("load_data"):
-        dataset, truth = _load_data(run, config, dataset, truth, streams["generate"])
+        if dataset is None:
+            g = config.generator
+            seed = int(streams["generate"].integers(0, 2**63 - 1))
+            instance = generate_instance(g.triple(), g.d, g.n, seed, **g.scm_kwargs())
+            run.save("data", "data.csv", save_dataset, instance.data)
+            dataset = instance.data
+            truth = instance.scm.dag if truth is None else truth
         if truth is not None:
             run.save("truth_graph", "truth_graph.csv", save_graph, truth)
 
     with run.stage("init_seed"):
         engine = ScoreEngine(dataset, config.refine.score)
-        seed_dag = init_seed(
-            engine,
-            config.refine.seed_mode,
-            streams["init_seed"],
-            seed_graph_path=config.refine.seed_graph_path,
-        )
+        if seed_dag is None:
+            seed_dag = init_seed(engine, config.refine.seed_mode, streams["init_seed"])
         run.save("seed_graph", "seed_graph.csv", save_graph, seed_dag)
 
     with run.stage("refine"):
@@ -424,46 +467,6 @@ def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | No
 
     run.persist()
     return record
-
-
-def _load_data(
-    run: _Run,
-    config: PipelineConfig,
-    dataset: Dataset | None,
-    truth: Dag | None,
-    rng: np.random.Generator,
-) -> tuple[Dataset, Dag | None]:
-    """The run's data and ground truth (None when there is none): the
-    passed-in dataset, else config.data_path, each with config.truth_path
-    unless a truth was passed; else one instance drawn from
-    config.generator, whose graph is the truth and whose data the run
-    saves as data.csv."""
-    if dataset is None and config.data_path:
-        dataset = load_dataset(config.data_path)
-        _require_two_variables(dataset)
-    if dataset is not None:
-        if truth is None and config.truth_path:
-            truth = load_graph(config.truth_path)
-        return dataset, truth
-    g = config.generator
-    if g is None:
-        raise ConfigError("no data source: pass a dataset, data path, or generator")
-    instance = generate_instance(g.triple(), g.d, g.n, int(rng.integers(0, 2**63 - 1)), **g.scm_kwargs())
-    run.save("data", "data.csv", save_dataset, instance.data)
-    return instance.data, instance.scm.dag if truth is None else truth
-
-
-def _require_two_variables(dataset: Dataset) -> None:
-    if dataset.d < 2:
-        raise ConfigError(f"need at least 2 variables, got d={dataset.d}")
-
-
-def _require_collected_graphs(config: PipelineConfig) -> None:
-    """knn_only and full read the collected graphs, which a search of
-    zero steps does not produce."""
-    stage = {"knn_only": "knn_select", "full": "generate_training_set"}.get(config.stages)
-    if stage is not None and config.refine.n_steps == 0:
-        raise ConfigError(f"refine.n_steps=0 collects no graphs, and stages={config.stages!r} needs them in {stage}")
 
 
 class _Run:
@@ -542,9 +545,12 @@ def _write_int_rows(matrix: np.ndarray, path: str) -> None:
 
 
 def _save_collected(graphs: list[Dag], directory: str) -> None:
+    """collected_<k>.csv for each graph, k zero-padded to one width (at
+    least 3 digits) so the names sort in run order."""
     os.makedirs(directory, exist_ok=True)
+    width = max(3, len(str(len(graphs) - 1)))
     for k, g in enumerate(graphs):
-        save_graph(g, os.path.join(directory, f"collected_{k:03d}.csv"))
+        save_graph(g, os.path.join(directory, f"collected_{k:0{width}d}.csv"))
 
 
 # ----------------------------------------------------------------------
@@ -615,13 +621,16 @@ def _run_suite(
 
     With threads > 1 and more than one run, the runs go to
     min(threads, runs) forked workers (ordered_map) while this process
-    waits; otherwise they run here. A dying worker fails only its run."""
+    waits; otherwise they run here. A dying worker fails only its run.
+    Every arm's inputs are checked (_read_inputs) before any run starts."""
     if config.generator is None:
         raise ConfigError("benchmark and ablate require a generator section in the config")
+    if config.data_path or config.truth_path:
+        raise ConfigError("benchmark and ablate generate every instance: remove data.path and data.truth from the config")
     if instances < 1:
         raise ConfigError("instances must be >= 1")
     for _, arm_config in arms:
-        _require_collected_graphs(arm_config)
+        _read_inputs(arm_config)
     try:
         setting_label = ShiftSetting(setting).value
     except ValueError as exc:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from causalign import model, pipeline, scoring
 from causalign.cli import main as cli_main
-from causalign.errors import ConfigError, DataFormatError, DegreeCapError, StageError
+from causalign.errors import ConfigError, DataFormatError, DegreeCapError, StageError, StructuralInputError
 from causalign.graph import Dag, EdgeMove, apply_move, random_er
 from causalign.io import (
     TrainingSetWriter,
@@ -207,7 +207,7 @@ _refines = st.builds(
     seed_graph_path=st.text(min_size=1, max_size=12),
     score=_scores,
 )
-_ranges = st.none() | st.tuples(_floats, _floats)
+_ranges = st.none() | st.tuples(_floats, _floats).map(lambda pair: tuple(sorted(pair)))  # low <= high
 _generators = st.builds(
     GeneratorConfig,
     mechanism=st.sampled_from(["linear", "rff", "chebyshev"]),
@@ -361,7 +361,16 @@ class TestPipelineConfig:
             RegressorConfig(max_in_degree=lowest - 1)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"d": 1}, {"mechanism": "cubic"}, {"noise": "pink"}, {"graph_model": "grid"}]
+        "kwargs",
+        [
+            {"d": 1},
+            {"mechanism": "cubic"},
+            {"noise": "pink"},
+            {"graph_model": "grid"},
+            {"weight_range": (2.0, 0.5)},
+            {"noise_scale_range": (1.0, 0.5)},
+            {"noise_scale_range": (-0.5, 1.0)},
+        ],
     )
     def test_generator_validates_on_construction(self, kwargs):
         with pytest.raises(ConfigError):
@@ -664,22 +673,38 @@ class TestRunPipelineSmall:
         )
         assert run_pipeline(config).status == "ok"
 
-    def test_no_data_source_fails_load_stage(self, tmp_path):
+    def test_no_data_source_rejected_before_any_stage(self, tmp_path):
         config = PipelineConfig(seed=0, out_dir=str(tmp_path / "r"))
-        with pytest.raises(StageError) as err:
+        with pytest.raises(ConfigError, match="no data source"):
             run_pipeline(config)
-        assert err.value.stage == "load_data"
-        persisted = json.load(open(tmp_path / "r" / "run_record.json"))
-        assert persisted["status"] == "error"
-        assert persisted["failed_stage"] == "load_data"
+        assert not (tmp_path / "r").exists()
 
-    def test_missing_data_path_fails_load_stage(self, tmp_path):
+    def test_missing_data_file_rejected_before_any_stage(self, tmp_path):
         config = dataclasses.replace(
-            _small_config(str(tmp_path / "r")), generator=None, data_path="/nope.csv"
+            _small_config(str(tmp_path / "r")), generator=None, data_path=str(tmp_path / "nope.csv")
         )
-        with pytest.raises(StageError) as err:
+        with pytest.raises(DataFormatError, match="nope.csv"):
             run_pipeline(config)
-        assert err.value.stage == "load_data"
+        assert not (tmp_path / "r").exists()
+
+    def test_truth_file_without_data_file_rejected(self, tmp_path):
+        # a generated instance carries its own truth; a passed-in truth
+        # still overrides it
+        truth = tmp_path / "truth.csv"
+        save_graph(dag_from_edges(4, [(0, 1)]), str(truth))
+        config = _small_config(str(tmp_path / "r"), stages="refine_only", truth_path=str(truth))
+        with pytest.raises(ConfigError, match="data.truth"):
+            run_pipeline(config)
+        assert not (tmp_path / "r").exists()
+        passed = dag_from_edges(4, [(2, 3)])
+        record = run_pipeline(dataclasses.replace(config, truth_path=None), truth=passed)
+        assert load_graph(os.path.join(record.out_dir, "truth_graph.csv")) == passed
+
+    @pytest.mark.parametrize("count, width", [(1000, 3), (1002, 4)])
+    def test_collected_graph_names_sort_in_run_order(self, tmp_path, count, width):
+        graphs = [Dag(np.zeros((2, 2), dtype=np.int8))] * count
+        pipeline._save_collected(graphs, str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == [f"collected_{k:0{width}d}.csv" for k in range(count)]
 
     def test_refine_only_routing(self, tmp_path):
         config = _small_config(str(tmp_path / "r"), seed=9, stages="refine_only")
@@ -783,6 +808,8 @@ class TestRunPipelineSmall:
 
         def refine_noting_threads(*args, **kwargs):
             during.append(_blas_threads())
+            if len(during) > 1:
+                raise RuntimeError("boom")
             return refine(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "refine", refine_noting_threads)
@@ -792,13 +819,12 @@ class TestRunPipelineSmall:
         try:
             run_pipeline(_small_config(str(tmp_path / "ok"), stages="refine_only"))
             assert _blas_threads() == callers
-            missing = RefineConfig(seed_mode="from_file", seed_graph_path=str(tmp_path / "none.csv"))
             with pytest.raises(StageError):
-                run_pipeline(_small_config(str(tmp_path / "err"), refine=missing))
+                run_pipeline(_small_config(str(tmp_path / "err"), stages="refine_only"))
             assert _blas_threads() == callers
         finally:
             lib.scipy_openblas_set_num_threads64_(before)
-        assert during == [1]
+        assert during == [1, 1]
 
     def test_prediction_matrix_round_trips_from_disk(self, tmp_path):
         config = _small_config(str(tmp_path / "r"), seed=11)
@@ -815,7 +841,7 @@ MODE_STAGES = {
     "refine_only": ("load_data", "init_seed", "refine", "evaluate"),
 }
 STAGE_CALLEES = {
-    "load_data": "load_dataset",
+    "load_data": "save_graph",  # its first call writes truth_graph.csv
     "init_seed": "init_seed",
     "refine": "refine",
     "generate_training_set": "generate_training_set",
@@ -829,7 +855,7 @@ STAGE_CALLEES = {
 @pytest.fixture(scope="module")
 def instance_files(tmp_path_factory):
     """A small instance's data.csv and truth_graph.csv, so a run reads its
-    data through pipeline.load_dataset and has a truth to evaluate."""
+    data from a file and has a truth to write and evaluate."""
     out = tmp_path_factory.mktemp("instance")
     run_pipeline(_small_config(str(out), stages="refine_only"))
     return out / "data.csv", out / "truth_graph.csv"
@@ -1347,6 +1373,16 @@ class TestRunBenchmark:
         with pytest.raises(ConfigError):
             run_benchmark(cfg, "iid", 1, str(tmp_path / "x"))
 
+    def test_rejects_file_inputs_before_any_run(self, tmp_path):
+        # every instance is generated; a data file would stand in for all
+        # of them with no truth, and leave the tables empty
+        data = tmp_path / "data.csv"
+        save_dataset(Dataset(make_rng(0).normal(size=(60, 4))), str(data))
+        cfg = _small_config(stages="refine_only", data_path=str(data))
+        with pytest.raises(ConfigError, match="data.path and data.truth"):
+            run_benchmark(cfg, "iid", 3, str(tmp_path / "x"))
+        assert not (tmp_path / "x").exists()
+
     def test_rejects_zero_instances(self, tmp_path):
         with pytest.raises(ConfigError):
             run_benchmark(_small_config(), "iid", 0, str(tmp_path / "x"))
@@ -1426,6 +1462,88 @@ def _write_config(path, **overrides):
     obj.update(overrides)
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def _bad_input(tmp_path, case):
+    """Config overrides (config.json layout) holding one bad outside
+    input, with the files they name written under tmp_path, and the error
+    class run_pipeline raises for it."""
+    files = {
+        "data.csv": "x0,x1,x2,x3\n" + "\n".join(f"{i},{i % 3},{i % 5},{i % 7}" for i in range(20)) + "\n",
+        "malformed.csv": "x0,x1\n1.0,oops\n",
+        "one_column.csv": "x0\n1.0\n2.0\n",
+        "cyclic.csv": "0,1,0,0\n1,0,0,0\n0,0,0,0\n0,0,0,0\n",
+        "three_nodes.csv": "0,1,0\n0,0,1\n0,0,0\n",
+        "fan_in.csv": "0,0,0,1\n0,0,0,1\n0,0,0,1\n0,0,0,0\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    data = str(tmp_path / "data.csv")
+
+    def seed(name):
+        return {"n_steps": 50, "collect_k": 10, "seed_mode": "from_file", "seed_graph": str(tmp_path / name)}
+
+    return {
+        "no data source": ({"generator": None}, ConfigError),
+        "missing data file": ({"data": {"path": str(tmp_path / "absent.csv")}}, DataFormatError),
+        "malformed data file": ({"data": {"path": str(tmp_path / "malformed.csv")}}, DataFormatError),
+        "one variable": ({"data": {"path": str(tmp_path / "one_column.csv")}}, ConfigError),
+        "missing truth": ({"data": {"path": data, "truth": str(tmp_path / "absent.csv")}}, DataFormatError),
+        "cyclic truth": ({"data": {"path": data, "truth": str(tmp_path / "cyclic.csv")}}, StructuralInputError),
+        "truth without data": ({"data": {"truth": str(tmp_path / "three_nodes.csv")}}, ConfigError),
+        "missing seed graph": ({"refine": seed("absent.csv")}, DataFormatError),
+        "seed graph of another d": ({"refine": seed("three_nodes.csv")}, ConfigError),
+        "seed graph over the cap": ({"refine": seed("fan_in.csv"), "regressor": {"max_in_degree": 2}}, DegreeCapError),
+        "zero steps": ({"refine": {"n_steps": 0}}, ConfigError),
+    }[case]
+
+
+BAD_INPUTS = (
+    "no data source",
+    "missing data file",
+    "malformed data file",
+    "one variable",
+    "missing truth",
+    "cyclic truth",
+    "truth without data",
+    "missing seed graph",
+    "seed graph of another d",
+    "seed graph over the cap",
+    "zero steps",
+)
+
+
+class TestInputGate:
+    """Every outside input is read and checked before any stage runs and
+    before any directory is made, whichever entry point starts the run."""
+
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_run_pipeline_raises_before_the_run_directory_exists(self, tmp_path, case):
+        overrides, error = _bad_input(tmp_path, case)
+        config = PipelineConfig.from_json_file(_write_config(tmp_path / "cfg.json", **overrides))
+        out = tmp_path / "r"
+        with pytest.raises(error):
+            run_pipeline(dataclasses.replace(config, out_dir=str(out)))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, case",
+        [
+            (command, case)
+            for command in ("pipeline", "refine", "benchmark", "ablate")
+            for case in BAD_INPUTS
+            # refine_only reads no collected graphs, so zero steps is a valid refine run
+            if (command, case) != ("refine", "zero steps")
+        ],
+    )
+    def test_cli_exits_two_before_any_run(self, tmp_path, capsys, command, case):
+        overrides, _ = _bad_input(tmp_path, case)
+        cfg_path = _write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "r"
+        suite = ["--setting", "iid", "--instances", "2"] if command in ("benchmark", "ablate") else []
+        assert cli_main([command, "--config", cfg_path, *suite, "--out", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCli:
@@ -1602,10 +1720,12 @@ class TestCli:
         assert (out / "ablation.csv").exists()
 
     @pytest.mark.parametrize("command, runs", [("benchmark", 2), ("ablate", 4)])
-    def test_failed_runs_exit_three_after_writing_the_tables(self, tmp_path, capsys, command, runs):
-        # a from_file seed whose graph is missing fails every run in init_seed
-        refine = {"n_steps": 50, "collect_k": 10, "seed_mode": "from_file", "seed_graph": str(tmp_path / "absent.csv")}
-        cfg_path = _write_config(tmp_path / "cfg.json", refine=refine)
+    def test_failed_runs_exit_three_after_writing_the_tables(self, tmp_path, capsys, monkeypatch, command, runs):
+        def explode(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pipeline, "init_seed", explode)  # fails every run in init_seed
+        cfg_path = _write_config(tmp_path / "cfg.json")
         out = tmp_path / "suite"
         rc = cli_main([command, "--config", cfg_path, "--setting", "iid", "--instances", "2", "--out", str(out)])
         assert rc == 3
@@ -1643,6 +1763,17 @@ class TestCli:
         assert rc == 2
         assert "no data source" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["benchmark", "ablate"])
+    def test_suite_with_a_data_file_exits_two(self, tmp_path, capsys, command):
+        data = tmp_path / "data.csv"
+        save_dataset(Dataset(make_rng(0).normal(size=(60, 4))), str(data))
+        cfg_path = _write_config(tmp_path / "cfg.json", data={"path": str(data)})
+        out = tmp_path / "suite"
+        rc = cli_main([command, "--config", cfg_path, "--setting", "iid", "--instances", "3", "--out", str(out)])
+        assert rc == 2
+        assert "data.path" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
