@@ -33,7 +33,7 @@ from .errors import (
 )
 from .graph import Dag
 from .scm import Dataset
-from .sim import FittedNode, FittedScm, sample_from_fitted, skip_sample
+from .sim import FittedNode, FittedScm, check_in_degree, sample_from_fitted, skip_sample
 from .scoring import ScoreEngine
 
 __all__ = [
@@ -320,23 +320,18 @@ def generate_training_set(graphs: list[Dag], engine: ScoreEngine, rng: np.random
     forward-sample one aligned dataset of the same size per graph,
     bootstrapping each node's fitted residuals as its noise.
 
-    Node fits come from the engine's (node, parent set) cache, which
-    collected ensembles overlap heavily and a search has mostly filled
-    already. The engine is asked once per distinct (node, parent set) of
-    the graphs, so the residual vectors it re-derives exist once each and
-    only while the training set is drawn. Graphs violating the in-degree
-    cap are skipped with a warning; if every graph is skipped the cap
-    error propagates.
-
-    Every graph is fitted before any is sampled, so which graphs are kept
-    is known first. One serial pass then records rng's state before each
-    dataset (skip_sample advances it past one dataset's draws), and
-    dataset k is drawn from state k: on every core this process may use,
-    here and in forked worker processes (see _synthesis_workers and
-    ordered_map), or only here when there is one. Either way the datasets
-    are the bytes a serial loop on rng draws, and rng ends in the state
-    that loop leaves it in. The first draw that fails raises its error
-    here, BrokenProcessPool when a worker died.
+    Graphs violating the in-degree cap, read from their in-degrees, are
+    skipped with a warning; if every graph is skipped the cap error
+    propagates. One serial pass then records rng's state before each kept
+    graph's dataset (skip_sample advances it past one dataset's draws,
+    which depend on the graph's d and the data's n alone), and _Draw draws
+    dataset k from state k with node fits from the engine's cache, in the
+    process that draws it: on every core this process may use, here and
+    in forked worker processes that inherit the engine (see
+    _synthesis_workers and ordered_map), or only here when there is one.
+    Either way the datasets are the bytes a serial loop on rng draws, and
+    rng ends in the state that loop leaves it in. The first draw that
+    fails raises its error here, BrokenProcessPool when a worker died.
 
     sink.start(count, provenance) receives the number kept and the
     provenance, then, in graph order, sink.add(dataset, graph) receives
@@ -350,35 +345,31 @@ def generate_training_set(graphs: list[Dag], engine: ScoreEngine, rng: np.random
     if not graphs:
         raise ConfigError("graphs list is empty")
     dataset = engine.dataset
-    fitted: list[FittedScm] = []
-    kept: list[int] = []
-    skipped: list[int] = []
-    fits: dict[tuple[int, tuple[int, ...]], FittedNode] = {}  # one node_fit per distinct key
+    kept: list[Dag] = []
+    provenance: dict = {"source_indices": [], "skipped_indices": [], "n": dataset.n}
     for idx, g in enumerate(graphs):
         if g.d != dataset.d:
             raise StructuralInputError(f"graph {idx} has d={g.d}, dataset d={dataset.d}")
-        keys = [(node, g.parents(node)) for node in range(g.d)]
         try:
-            for key in keys:
-                if key not in fits:
-                    fits[key] = engine.node_fit(*key)
+            for node, degree in enumerate(g.in_degrees().tolist()):
+                check_in_degree(node, degree, engine.config.regressor)
         except DegreeCapError as exc:
             warnings.warn(f"skipping graph {idx}: {exc}", RuntimeWarning, stacklevel=2)
-            skipped.append(idx)
+            provenance["skipped_indices"].append(idx)
             continue
-        fitted.append(FittedScm(dag=g, config=engine.config.regressor, nodes=[fits[key] for key in keys]))
-        kept.append(idx)
-    if not fitted:
+        provenance["source_indices"].append(idx)
+        kept.append(g)
+    if not kept:
         raise DegreeCapError("every graph exceeded the in-degree cap")
     sink = sink if sink is not None else TrainingSet(instances=[])
-    sink.start(len(fitted), {"source_indices": kept, "skipped_indices": skipped, "n": dataset.n})
+    sink.start(len(kept), provenance)
     states = []
-    for scm in fitted:
+    for g in kept:
         states.append(rng.bit_generator.state)
-        skip_sample(scm, dataset.n, rng)
+        skip_sample(g, dataset.n, dataset.n, rng)
     draw = _Draw(
-        fitted,
-        dataset.n,
+        kept,
+        engine,
         states,
         rng,
         keep_data=getattr(sink, "takes_data", True),
@@ -390,30 +381,41 @@ def generate_training_set(graphs: list[Dag], engine: ScoreEngine, rng: np.random
             raise result
         drawn, feats = result
         if drawn is not None:
-            sink.add(drawn, fitted[k].dag)
+            sink.add(drawn, kept[k])
         if feats is not None:
-            sink.add_features(feats, fitted[k].dag)
+            sink.add_features(feats, kept[k])
 
-    ordered_map(draw, len(fitted), _synthesis_workers(), deliver, caller_works=True)
+    ordered_map(draw, len(kept), _synthesis_workers(), deliver, caller_works=True)
     return sink
 
 
 class _Draw:
     """Dataset k of a training set, drawn from its recorded generator
     state, and (if asked) its pair features, in whichever process calls
-    it: (dataset or None, feats or None)."""
+    it: (dataset or None, feats or None).
 
-    def __init__(self, fitted: list[FittedScm], n: int, states: list[dict], rng, keep_data: bool, featurize: bool):
-        self.fitted = fitted
-        self.n = n
+    Graph k's node fits come from engine.node_fit, which re-derives their
+    residuals; a call keeps those of the keys graph k shares with the
+    graph this process drew last (a search's tail shares most) and drops
+    the rest first, so no process holds more than d residual vectors."""
+
+    def __init__(self, graphs: list[Dag], engine: ScoreEngine, states: list[dict], rng, keep_data, featurize):
+        self.graphs = graphs
+        self.engine = engine
         self.states = states
         self.rng = copy.deepcopy(rng)  # its state is set per dataset
         self.keep_data = keep_data
         self.featurize = featurize
+        self.fits: dict[tuple[int, tuple[int, ...]], FittedNode] = {}
 
     def __call__(self, k: int) -> tuple[Dataset | None, np.ndarray | None]:
+        g = self.graphs[k]
+        keys = [(node, g.parents(node)) for node in range(g.d)]
+        self.fits = {key: self.fits[key] for key in keys if key in self.fits}
+        self.fits.update({key: self.engine.node_fit(*key) for key in keys if key not in self.fits})
+        fitted = FittedScm(dag=g, config=self.engine.config.regressor, nodes=[self.fits[key] for key in keys])
         self.rng.bit_generator.state = self.states[k]
-        dataset = sample_from_fitted(self.fitted[k], self.n, self.rng)
+        dataset = sample_from_fitted(fitted, self.engine.dataset.n, self.rng)
         feats = featurize_all(dataset)[1] if self.featurize else None
         return (dataset if self.keep_data else None), feats
 

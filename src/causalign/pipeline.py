@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, StageError
+from .errors import ConfigError, StageError, StructuralInputError
 from .graph import Dag, MoveKind
 from .io import (
     save_dataset,
@@ -346,8 +346,8 @@ def _read_inputs(
     at least one step, since it reads the collected graphs; the data come
     from `dataset`, config.data_path or config.generator and have at least
     two variables; config.truth_path is the truth of config.data_path's
-    file (a generated instance carries its own); a from_file seed graph
-    has the data's d and respects the in-degree cap.
+    file (a generated instance carries its own); the truth and a from_file
+    seed graph have the data's d; the seed graph respects the cap.
 
     Returns (dataset, truth, seed graph): the dataset is None when the
     load_data stage draws it from config.generator, the truth None when
@@ -364,11 +364,13 @@ def _read_inputs(
         raise ConfigError("no data source: pass a dataset, or give data.path or a generator section")
     if dataset is not None and dataset.d < 2:
         raise ConfigError(f"need at least 2 variables, got d={dataset.d}")
+    d = config.generator.d if dataset is None else dataset.d
     if truth is None and config.truth_path:
         truth = load_graph(config.truth_path)
+    if truth is not None and truth.d != d:
+        raise StructuralInputError(f"truth graph has d={truth.d} but the data have d={d}")
     seed_dag = None
     if config.refine.seed_mode == SeedMode.FROM_FILE:
-        d = config.generator.d if dataset is None else dataset.d
         seed_dag = load_seed_graph(config.refine.seed_graph_path, d, config.refine.score.regressor.max_in_degree)
     return dataset, truth, seed_dag
 
@@ -445,6 +447,7 @@ def _run_stages(config: PipelineConfig, dataset: Dataset | None, truth: Dag | No
                 if writer is not None and writer.count:  # started: its directory exists
                     record.paths["trainset"] = writer.out_dir
             record.training_set_size = features.count
+            del engine  # train and predict need neither its cache nor its column expansions
         with run.stage("train"):
             train_cfg = config.train
             if train_cfg.seed is None:

@@ -196,21 +196,16 @@ def greedy_hill_climb(engine: ScoreEngine, max_rounds: int = 64, start: Dag | No
     return current
 
 
-def init_seed(
-    engine: ScoreEngine,
-    mode: SeedMode | str,
-    rng: np.random.Generator,
-    *,
-    seed_graph_path: str | None = None,
-) -> Dag:
-    """Produce the starting graph for refinement on the engine's dataset.
+def init_seed(engine: ScoreEngine, mode: SeedMode | str, rng: np.random.Generator) -> Dag:
+    """Draw the starting graph for refinement on the engine's dataset.
 
     random_dag draws an ER graph with d expected edges, then
     trims each node drawn with more parents than the engine regressor's
     max_in_degree to a uniform random subset of that many, using the same
     rng after the draw (a graph within the cap is returned as drawn);
-    greedy_hill_climb runs the deterministic ascent; from_file loads an
-    adjacency file (CSV or JSON edge list).
+    greedy_hill_climb runs the deterministic ascent. A from_file seed is
+    read, not drawn: load_seed_graph reads it, and asking for one here is
+    a ConfigError.
     """
     mode = SeedMode(mode)
     d = engine.dataset.d
@@ -226,9 +221,7 @@ def init_seed(
         return Dag(adj)
     if mode == SeedMode.GREEDY:
         return greedy_hill_climb(engine)
-    if not seed_graph_path:
-        raise ConfigError("from_file seed mode requires a path")
-    return load_seed_graph(seed_graph_path, d, engine.config.regressor.max_in_degree)
+    raise ConfigError("init_seed draws a seed graph: read a from_file seed with load_seed_graph")
 
 
 def load_seed_graph(path: str, d: int, max_in_degree: int | None) -> Dag:

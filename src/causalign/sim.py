@@ -178,10 +178,7 @@ def fit_node(
     on one dataset expands each column once; the fit is bit-identical to
     expanding here, and parent_matrix is not read (it may be None).
     """
-    if config.max_in_degree is not None and len(parents) > config.max_in_degree:
-        raise DegreeCapError(
-            f"node {node} has in-degree {len(parents)} > cap {config.max_in_degree}"
-        )
+    check_in_degree(node, len(parents), config)
     if expanded is None:
         expanded = [expand_column(parent_matrix[:, idx], config) for idx in range(len(parents))]
     coef, resid, ss = _residuals(node, x, expanded)
@@ -197,6 +194,12 @@ def fit_node(
         transforms=tuple(tr for tr, _ in expanded),
         residual_ss=ss,
     )
+
+
+def check_in_degree(node: int, in_degree: int, config: RegressorConfig) -> None:
+    """DegreeCapError when a node with in_degree parents breaks config's cap."""
+    if config.max_in_degree is not None and in_degree > config.max_in_degree:
+        raise DegreeCapError(f"node {node} has in-degree {in_degree} > cap {config.max_in_degree}")
 
 
 def rederive_residuals(
@@ -299,23 +302,22 @@ def sample_from_fitted(fitted: FittedScm, n: int, rng: np.random.Generator) -> D
             mean = fn.intercept + np.concatenate(blocks, axis=1) @ fn.weights
         else:
             mean = np.full(n, fn.intercept)
-        values[:, j] = mean + fn.residual_samples[_bootstrap_indices(fn, n, rng)]
+        values[:, j] = mean + fn.residual_samples[_bootstrap_indices(fn.residual_samples.shape[0], n, rng)]
     return Dataset(values)
 
 
-def _bootstrap_indices(fn: FittedNode, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws with replacement from fn's residual indices; the same draws,
-    and the same generator state after them, as
-    rng.choice(fn.residual_samples, size=n)."""
-    return rng.integers(0, fn.residual_samples.shape[0], size=n)
+def _bootstrap_indices(residuals: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws with replacement from the indices of `residuals` residuals;
+    the same draws, and the same generator state after them, as
+    rng.choice(residual_samples, size=n)."""
+    return rng.integers(0, residuals, size=n)
 
 
-def skip_sample(fitted: FittedScm, n: int, rng: np.random.Generator) -> None:
+def skip_sample(dag: Dag, residuals: int, n: int, rng: np.random.Generator) -> None:
     """Advance rng past exactly the draws of sample_from_fitted(fitted, n,
-    rng) without computing the dataset: the same index draws, node by node
-    in the same order, with no basis expansion and no means."""
+    rng) for a fit on dag whose nodes hold `residuals` residuals each, with
+    no fit and no dataset: d index draws of one size, so in any order."""
     if n < 1:
         raise StructuralInputError("n must be >= 1")
-    by_node = {fn.node: fn for fn in fitted.nodes}
-    for j in topological_order(fitted.dag):
-        _bootstrap_indices(by_node[j], n, rng)
+    for _ in range(dag.d):
+        _bootstrap_indices(residuals, n, rng)

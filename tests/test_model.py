@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalign import scoring
+from causalign import model, scoring
 from causalign.errors import (
     ConfigError,
     DegreeCapError,
@@ -234,6 +234,27 @@ class TestGenerateTrainingSet:
             ts = generate_training_set([empty_dag(4), star], ScoreEngine(data, cfg), make_rng(0))
         assert ts.provenance["skipped_indices"] == [1]
         assert len(ts.instances) == 1
+
+    def test_over_cap_graph_is_skipped_before_any_fit_of_its_keys(self, monkeypatch):
+        monkeypatch.setattr(model, "_synthesis_workers", lambda: 1)  # every fit in this process
+        data = _random_dataset(12)
+        star = dag_from_edges(4, [(0, 1), (0, 3), (1, 3), (2, 3)])  # node 3 has in-degree 3
+        engine = ScoreEngine(data, ScoreConfig(regressor=RegressorConfig(max_in_degree=2)))
+        asked = []
+        real = engine.node_fit
+
+        def node_fit(*key):
+            asked.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(engine, "node_fit", node_fit)
+        with pytest.warns(RuntimeWarning) as caught:
+            ts = generate_training_set([star, empty_dag(4), star], engine, make_rng(0))
+        assert [str(w.message) for w in caught] == [
+            f"skipping graph {idx}: node 3 has in-degree 3 > cap 2" for idx in (0, 2)
+        ]
+        assert ts.provenance == {"source_indices": [1], "skipped_indices": [0, 2], "n": data.n}
+        assert sorted(asked) == [(node, ()) for node in range(4)]  # the kept graph's keys only
 
     def test_all_skipped_raises(self):
         data = _random_dataset(13)

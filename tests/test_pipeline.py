@@ -1107,6 +1107,46 @@ class TestPooledSynthesis:
         assert max(workers_seen) == 1
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_caller_holds_at_most_one_graphs_residuals(self, monkeypatch, workers):
+        # each process re-derives the residuals of the graph it draws and
+        # keeps them only until it draws its next graph
+        _pin_synthesis_workers(monkeypatch, workers)
+        parent = os.getpid()
+        derived, held = [], []
+        real = ScoreEngine.node_fit
+
+        def node_fit(engine, node, parents):
+            fit = real(engine, node, parents)
+            if os.getpid() == parent:
+                derived.append(weakref.ref(fit.residual_samples))
+                held.append(sum(ref() is not None for ref in derived))
+            return fit
+
+        monkeypatch.setattr(ScoreEngine, "node_fit", node_fit)
+        config = _small_config(None, seed=10, refine=RefineConfig(n_steps=60, collect_k=20))
+        assert run_pipeline(config).training_set_size == 20
+        assert len(derived) > config.generator.d  # this process drew several graphs
+        assert max(held) <= config.generator.d
+
+    def test_train_runs_without_the_score_engine(self, monkeypatch):
+        engines, alive_in_train = [], []
+        real_init, real_train = ScoreEngine.__init__, pipeline.train
+
+        def init(engine, *args, **kwargs):
+            real_init(engine, *args, **kwargs)
+            engines.append(weakref.ref(engine))
+
+        def train(*args, **kwargs):
+            alive_in_train.append(sum(ref() is not None for ref in engines))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(ScoreEngine, "__init__", init)
+        monkeypatch.setattr(pipeline, "train", train)
+        assert run_pipeline(_small_config(None)).status == "ok"
+        assert len(engines) == 1
+        assert alive_in_train == [0]
+
     @pytest.mark.parametrize("how", ["raises", "dies"])
     def test_worker_failure_fails_generate_training_set(self, tmp_path, monkeypatch, how):
         _pin_synthesis_workers(monkeypatch, 2)
@@ -1132,11 +1172,9 @@ class TestPooledSynthesis:
         real = pipeline.generate_training_set
 
         def every_graph_over_the_cap(graphs, engine, rng, sink):
-            def node_fit(node, parents):
-                raise DegreeCapError(f"node {node} over the cap")
-
-            engine.node_fit = node_fit
-            return real(graphs, engine, rng, sink)
+            # a cap of no parents, and an edge in every graph
+            engine.config = dataclasses.replace(engine.config, regressor=RegressorConfig(max_in_degree=0))
+            return real([dag_from_edges(g.d, [(0, 1)]) for g in graphs], engine, rng, sink)
 
         monkeypatch.setattr(pipeline, "generate_training_set", every_graph_over_the_cap)
         out = tmp_path / "r"
@@ -1491,6 +1529,7 @@ def _bad_input(tmp_path, case):
         "missing truth": ({"data": {"path": data, "truth": str(tmp_path / "absent.csv")}}, DataFormatError),
         "cyclic truth": ({"data": {"path": data, "truth": str(tmp_path / "cyclic.csv")}}, StructuralInputError),
         "truth without data": ({"data": {"truth": str(tmp_path / "three_nodes.csv")}}, ConfigError),
+        "truth of another d": ({"data": {"path": data, "truth": str(tmp_path / "three_nodes.csv")}}, StructuralInputError),
         "missing seed graph": ({"refine": seed("absent.csv")}, DataFormatError),
         "seed graph of another d": ({"refine": seed("three_nodes.csv")}, ConfigError),
         "seed graph over the cap": ({"refine": seed("fan_in.csv"), "regressor": {"max_in_degree": 2}}, DegreeCapError),
@@ -1506,6 +1545,7 @@ BAD_INPUTS = (
     "missing truth",
     "cyclic truth",
     "truth without data",
+    "truth of another d",
     "missing seed graph",
     "seed graph of another d",
     "seed graph over the cap",
@@ -1524,6 +1564,15 @@ class TestInputGate:
         out = tmp_path / "r"
         with pytest.raises(error):
             run_pipeline(dataclasses.replace(config, out_dir=str(out)))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["dataset", "generator"])
+    def test_a_passed_truth_of_another_d_raises_before_the_run_directory_exists(self, tmp_path, source):
+        out = tmp_path / "r"
+        dataset = Dataset(make_rng(0).normal(size=(60, 4))) if source == "dataset" else None
+        config = _small_config(str(out), generator=None if source == "dataset" else GeneratorConfig(d=4, n=60))
+        with pytest.raises(StructuralInputError, match="truth graph has d=3 but the data have d=4"):
+            run_pipeline(config, dataset, dag_from_edges(3, [(0, 1)]))
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from causalign.refine import (
     acceptance_probability,
     greedy_hill_climb,
     init_seed,
+    load_seed_graph,
     refine,
 )
 from causalign.scm import Dataset, sample_scm
@@ -357,7 +358,7 @@ class TestInitSeed:
         dag = dag_from_edges(5, [(0, 1), (1, 2), (3, 4)])
         path = str(tmp_path / "seed.csv")
         save_graph(dag, path)
-        loaded = init_seed(ScoreEngine(data), SeedMode.FROM_FILE, make_rng(0), seed_graph_path=path)
+        loaded = load_seed_graph(path, data.d, RegressorConfig().max_in_degree)
         assert loaded == dag
 
     def test_from_file_dimension_mismatch(self, tmp_path):
@@ -365,19 +366,19 @@ class TestInitSeed:
         path = str(tmp_path / "seed.csv")
         save_graph(dag_from_edges(3, [(0, 1)]), path)
         with pytest.raises(ConfigError):
-            init_seed(ScoreEngine(data), SeedMode.FROM_FILE, make_rng(0), seed_graph_path=path)
+            load_seed_graph(path, data.d, RegressorConfig().max_in_degree)
 
     def test_from_file_rejects_a_seed_over_the_cap(self, tmp_path):
         data, _ = _linear_instance(33)  # d=5
         path = str(tmp_path / "seed.csv")
         save_graph(dag_from_edges(5, [(0, 4), (1, 4), (2, 4)]), path)
-        engine = ScoreEngine(data, ScoreConfig(regressor=RegressorConfig(max_in_degree=2)))
         with pytest.raises(DegreeCapError, match=re.escape(f"seed graph {path}: node 4 has in-degree 3 > cap 2")):
-            init_seed(engine, SeedMode.FROM_FILE, make_rng(0), seed_graph_path=path)
+            load_seed_graph(path, data.d, 2)
 
     def test_from_file_requires_path(self):
+        # init_seed draws seeds only; a from_file seed is read by load_seed_graph
         data, _ = _linear_instance(33)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="load_seed_graph"):
             init_seed(ScoreEngine(data), SeedMode.FROM_FILE, make_rng(0))
 
     def test_from_file_rejects_cyclic_adjacency(self, tmp_path):
@@ -387,7 +388,7 @@ class TestInitSeed:
         rows[0, 1] = rows[1, 0] = 1
         path.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
         with pytest.raises(StructuralInputError):
-            init_seed(ScoreEngine(data), SeedMode.FROM_FILE, make_rng(0), seed_graph_path=str(path))
+            load_seed_graph(str(path), data.d, RegressorConfig().max_in_degree)
 
     def test_greedy_mode_matches_direct_call(self):
         data, _ = _linear_instance(35)

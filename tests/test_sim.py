@@ -291,7 +291,7 @@ class TestSkipSample:
         sampled, skipped, bootstrapped = make_rng(41), make_rng(41), make_rng(41)
         start = skipped.bit_generator.state
         sample_from_fitted(fitted, n, sampled)
-        skip_sample(fitted, n, skipped)
+        skip_sample(fitted.dag, 150, n, skipped)
         sample_per_node(fitted, n, bootstrapped)  # rng.choice per node
         assert skipped.bit_generator.state != start
         assert sampled.bit_generator.state == skipped.bit_generator.state
@@ -300,7 +300,7 @@ class TestSkipSample:
     def test_rejects_empty_sample(self):
         fitted = fit_sim(empty_dag(2), _two_col_linear(1, n=20), LINEAR)
         with pytest.raises(StructuralInputError):
-            skip_sample(fitted, 0, make_rng(0))
+            skip_sample(fitted.dag, 20, 0, make_rng(0))
 
 
 class TestPredictNode:
