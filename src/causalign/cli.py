@@ -32,23 +32,21 @@ from .io import (
     load_graph,
     load_matrix,
     load_training_set,
+    save_instance_bundle,
     save_matrix,
 )
 from .metrics import evaluate
-from .model import EdgePredictor, TrainConfig, generate_training_set, predict, train
+from .model import EdgePredictor, generate_training_set, predict, train
 from .pipeline import (
     STAGES,
     GeneratorConfig,
     PipelineConfig,
-    generate_instances,
     run_ablation_sparsity,
     run_benchmark,
     run_pipeline,
-    save_instances,
 )
-from .scm import ShiftSetting
-from .scoring import ScoreConfig, ScoreEngine
-from .sim import Basis, RegressorConfig
+from .scm import ShiftSetting, generate_instance
+from .scoring import ScoreEngine
 
 INPUT_ERRORS = (
     ConfigError,
@@ -75,8 +73,13 @@ def _seed(text: str) -> int:
     return value
 
 
+def _read_config(args) -> PipelineConfig:
+    """The --config file, or the dataclass defaults without one."""
+    return PipelineConfig.from_json_file(args.config) if args.config else PipelineConfig()
+
+
 def _load_pipeline_config(args) -> PipelineConfig:
-    cfg = PipelineConfig.from_json_file(args.config) if args.config else PipelineConfig()
+    cfg = _read_config(args)
     flags = (
         ("seed", "seed"), ("out", "out_dir"), ("stages", "stages"), ("data", "data_path"), ("truth", "truth_path"),
     )
@@ -105,18 +108,16 @@ def _print_run_summary(record) -> None:
 
 
 def cmd_generate(args) -> int:
-    gen = GeneratorConfig(
-        mechanism=args.mechanism,
-        noise=args.noise,
-        graph_model=args.graph,
-        d=args.d,
-        n=args.n,
-        expected_edges=args.expected_edges,
-        attach_m=args.attach_m,
-    )
-    instances = generate_instances(gen.triple(), gen.d, gen.n, args.count, args.seed, **gen.scm_kwargs())
-    save_instances(instances, args.out)
-    print(f"wrote {len(instances)} instance bundle(s) under {args.out}")
+    """`count` instances of the config's generator section, each from
+    its own child seed of --seed, written as instance_### bundles."""
+    gen = _read_config(args).generator or GeneratorConfig()
+    if args.count < 1:
+        raise ConfigError("count must be >= 1")
+    rng = np.random.default_rng(args.seed)
+    for i in range(args.count):
+        instance = generate_instance(gen.triple(), gen.d, gen.n, int(rng.integers(0, 2**63 - 1)), **gen.scm_kwargs())
+        save_instance_bundle(instance, os.path.join(args.out, f"instance_{i:03d}"))
+    print(f"wrote {args.count} instance bundle(s) under {args.out}")
     return 0
 
 
@@ -127,13 +128,13 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_make_trainset(args) -> int:
+    score = _read_config(args).refine.score
     dataset = load_dataset(args.data)
     paths = sorted(glob.glob(os.path.join(args.graphs, "*.csv")))
     if not paths:
         raise DataFormatError(f"{args.graphs}: no graph CSV files found")
     graphs = [load_graph(p) for p in paths]
-    regressor = RegressorConfig(basis=Basis(args.basis), basis_size=args.basis_size)
-    engine = ScoreEngine(dataset, ScoreConfig(regressor=regressor))
+    engine = ScoreEngine(dataset, score)
     writer = TrainingSetWriter(args.out, dataset.n, dataset.d)
     generate_training_set(graphs, engine, np.random.default_rng(args.seed), writer)
     print(f"wrote {writer.added} training instance(s) under {args.out}")
@@ -141,13 +142,11 @@ def cmd_make_trainset(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        momentum=args.momentum,
-        seed=args.seed,
-    )
+    cfg = _read_config(args).train
+    # --seed overrides train.seed; with neither, a fixed 0 (not a drawn
+    # seed) keeps the command deterministic
+    seed = args.seed if args.seed is not None else cfg.seed
+    cfg = dataclasses.replace(cfg, seed=0 if seed is None else seed)
     predictor = train(load_training_set(args.trainset), cfg)
     with open(args.out, "w") as fh:
         fh.write(predictor.to_json())
@@ -172,9 +171,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    threshold = _read_config(args).threshold
     prediction = load_matrix(args.prediction)
     truth = load_graph(args.truth)
-    report = evaluate(prediction, truth, threshold=args.threshold)
+    report = evaluate(prediction, truth, threshold=threshold)
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True)
     print(payload)
     if args.out:
@@ -225,14 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample synthetic benchmark instances")
-    p.add_argument("--mechanism", default=GeneratorConfig.mechanism, help="linear | rff | chebyshev")
-    p.add_argument("--noise", default=GeneratorConfig.noise, help="gaussian | uniform | laplace")
-    p.add_argument("--graph", default=GeneratorConfig.graph_model, help="er | sf")
-    p.add_argument("--d", type=int, default=GeneratorConfig.d)
-    p.add_argument("--n", type=int, default=GeneratorConfig.n)
+    p.add_argument("--config", default=None, help="reads its generator section")
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--expected-edges", type=float, default=GeneratorConfig.expected_edges)
-    p.add_argument("--attach-m", type=int, default=GeneratorConfig.attach_m)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
@@ -246,22 +240,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pipeline, stages="refine_only")
 
     p = sub.add_parser("make-trainset", help="fit mechanisms to graphs and resample data")
+    p.add_argument("--config", default=None, help="reads its score and regressor sections")
     p.add_argument("--data", required=True)
     p.add_argument("--graphs", required=True, help="directory of adjacency CSVs")
-    p.add_argument("--basis", default=RegressorConfig.basis.value, choices=[b.value for b in Basis])
-    p.add_argument("--basis-size", type=int, default=RegressorConfig.basis_size)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="directory for datasets.npy, graphs.npy and provenance.json")
     p.set_defaults(func=cmd_make_trainset)
 
     p = sub.add_parser("train", help="train the edge predictor on a training set")
+    p.add_argument("--config", default=None, help="reads its train section")
     p.add_argument("--trainset", required=True, help="directory written by make-trainset")
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
-    # a fixed seed (TrainConfig's None would draw one) keeps the command deterministic
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, default=None, help="overrides train.seed (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -272,9 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score a prediction matrix against a truth graph")
+    p.add_argument("--config", default=None, help="reads its threshold")
     p.add_argument("--prediction", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--threshold", type=float, default=PipelineConfig.threshold)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 

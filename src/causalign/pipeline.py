@@ -33,7 +33,6 @@ from .graph import Dag, MoveKind
 from .io import (
     save_dataset,
     save_graph,
-    save_instance_bundle,
     save_matrix,
     save_trace_jsonl,
     TrainingSetWriter,
@@ -51,7 +50,7 @@ from .model import (
     train,
 )
 from .refine import RefineConfig, SeedMode, init_seed, load_seed_graph, refine
-from .scm import CausalInstance, Dataset, ShiftSetting, SpecTriple, generate_instance
+from .scm import Dataset, ShiftSetting, SpecTriple, generate_instance
 from .scoring import ScoreConfig, ScoreEngine
 from .sim import RegressorConfig
 
@@ -549,8 +548,11 @@ def _write_int_rows(matrix: np.ndarray, path: str) -> None:
 
 def _save_collected(graphs: list[Dag], directory: str) -> None:
     """collected_<k>.csv for each graph, k zero-padded to one width (at
-    least 3 digits) so the names sort in run order."""
+    least 3 digits) so the names sort in run order. Readers glob these
+    names, so the files an earlier run left in `directory` go first."""
     os.makedirs(directory, exist_ok=True)
+    for stale in glob.glob(os.path.join(directory, "collected_*.csv")):
+        os.remove(stale)
     width = max(3, len(str(len(graphs) - 1)))
     for k, g in enumerate(graphs):
         save_graph(g, os.path.join(directory, f"collected_{k:0{width}d}.csv"))
@@ -758,25 +760,3 @@ def run_ablation_sparsity(
         ],
     )
     return rows
-
-
-def generate_instances(
-    spec: SpecTriple,
-    d: int,
-    n: int,
-    count: int,
-    seed: int,
-    **scm_kwargs,
-) -> list[CausalInstance]:
-    """Standalone instance generation used by the CLI's generate command:
-    `count` instances, each from its own child seed of `seed`."""
-    if count < 1:
-        raise ConfigError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    return [generate_instance(spec, d, n, int(rng.integers(0, 2**63 - 1)), **scm_kwargs) for _ in range(count)]
-
-
-def save_instances(instances: list[CausalInstance], out_dir: str, prefix: str = "instance") -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    for i, inst in enumerate(instances):
-        save_instance_bundle(inst, os.path.join(out_dir, f"{prefix}_{i:03d}"))

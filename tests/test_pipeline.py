@@ -1,5 +1,6 @@
 """End-to-end pipeline, benchmark/ablation drivers, and CLI contract."""
 
+import argparse
 import dataclasses
 import gc
 import hashlib
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalign import model, pipeline, scoring
+from causalign import cli, model, pipeline, scoring
 from causalign.cli import main as cli_main
 from causalign.errors import ConfigError, DataFormatError, DegreeCapError, StageError, StructuralInputError
 from causalign.graph import Dag, EdgeMove, apply_move, random_er
@@ -705,6 +706,22 @@ class TestRunPipelineSmall:
         graphs = [Dag(np.zeros((2, 2), dtype=np.int8))] * count
         pipeline._save_collected(graphs, str(tmp_path))
         assert sorted(os.listdir(tmp_path)) == [f"collected_{k:0{width}d}.csv" for k in range(count)]
+
+    def test_a_rerun_leaves_only_its_own_collected_graphs(self, tmp_path, monkeypatch):
+        traces = []
+
+        def refine_keeping_the_trace(*args):
+            traces.append(refine(*args))
+            return traces[-1]
+
+        monkeypatch.setattr(pipeline, "refine", refine_keeping_the_trace)
+        out = str(tmp_path / "r")
+        for collect_k in (40, 10):
+            refine_cfg = RefineConfig(n_steps=60, collect_k=collect_k)
+            run_pipeline(_small_config(out, seed=collect_k, stages="refine_only", refine=refine_cfg))
+        paths = sorted((tmp_path / "r" / "graphs").glob("collected_*.csv"))
+        assert len(traces[-1].collected) == 10
+        assert [load_graph(str(p)) for p in paths] == traces[-1].collected
 
     def test_refine_only_routing(self, tmp_path):
         config = _small_config(str(tmp_path / "r"), seed=9, stages="refine_only")
@@ -1597,29 +1614,15 @@ class TestInputGate:
 
 class TestCli:
     def test_full_command_chain(self, tmp_path, capsys):
+        # one config for every command: generate reads its generator
+        # section, refine its search, make-trainset its regressor, train its
+        # train section and eval its threshold
+        generator = {"mechanism": "linear", "noise": "uniform", "d": 4, "n": 80, "expected_edges": 4.0}
+        cfg_path = _write_config(tmp_path / "cfg.json", generator=generator)
+
         # generate one bundle
         bundle_root = tmp_path / "bundles"
-        rc = cli_main(
-            [
-                "generate",
-                "--mechanism",
-                "linear",
-                "--noise",
-                "uniform",
-                "--d",
-                "4",
-                "--n",
-                "80",
-                "--count",
-                "1",
-                "--expected-edges",
-                "4.0",
-                "--seed",
-                "3",
-                "--out",
-                str(bundle_root),
-            ]
-        )
+        rc = cli_main(["generate", "--config", cfg_path, "--count", "1", "--seed", "3", "--out", str(bundle_root)])
         assert rc == 0
         bundle = bundle_root / "instance_000"
         assert (bundle / "data.csv").exists()
@@ -1627,7 +1630,6 @@ class TestCli:
         assert (bundle / "meta.json").exists()
 
         # refine on the bundle's data
-        cfg_path = _write_config(tmp_path / "cfg.json")
         run_dir = tmp_path / "run"
         rc = cli_main(
             [
@@ -1652,6 +1654,8 @@ class TestCli:
         rc = cli_main(
             [
                 "make-trainset",
+                "--config",
+                cfg_path,
                 "--data",
                 str(bundle / "data.csv"),
                 "--graphs",
@@ -1671,10 +1675,10 @@ class TestCli:
         rc = cli_main(
             [
                 "train",
+                "--config",
+                cfg_path,
                 "--trainset",
                 str(ts_dir),
-                "--epochs",
-                "3",
                 "--seed",
                 "0",
                 "--out",
@@ -1705,6 +1709,8 @@ class TestCli:
         rc = cli_main(
             [
                 "eval",
+                "--config",
+                cfg_path,
                 "--prediction",
                 str(pred_path),
                 "--truth",
@@ -1883,14 +1889,34 @@ class TestCli:
             (["pipeline", "--seed", "-1"], {}, "seed must be >= 0, got -1"),
             (["train", "--trainset", "ts", "--seed", "-3"], None, "seed must be >= 0, got -3"),
             (["make-trainset", "--data", "d.csv", "--graphs", "g", "--seed", "-2"], None, "seed must be >= 0, got -2"),
-            (["make-trainset", "--data", "d.csv", "--graphs", "g", "--basis", "foo"], None, "invalid choice: 'foo'"),
+            (
+                ["make-trainset", "--data", "d.csv", "--graphs", "g"],
+                {"regressor": {"basis": "foo"}},
+                "bad config value for config.regressor.basis: 'foo' is not a valid Basis",
+            ),
             (["pipeline"], {"seed": -1}, "seed must be >= 0, got -1"),
             (["pipeline"], {"train": {"seed": -5}}, "train seed must be >= 0, got -5"),
-            # float flags follow the config's finite-number rule
-            (["generate", "--expected-edges", "nan"], None, "generator expected_edges must be finite and >= 0, got nan"),
-            (["generate", "--expected-edges", "inf"], None, "generator expected_edges must be finite and >= 0, got inf"),
-            (["train", "--trainset", "ts", "--lr", "nan"], None, "learning_rate must be finite and > 0, got nan"),
-            (["train", "--trainset", "ts", "--lr", "inf"], None, "learning_rate must be finite and > 0, got inf"),
+            # each per-stage command reads its settings through the config decoder
+            (
+                ["generate"],
+                {"generator": {"expected_edges": math.nan}},
+                "bad config value for config.generator.expected_edges: expected a finite number, got nan",
+            ),
+            (
+                ["generate"],
+                {"generator": {"expected_edges": math.inf}},
+                "bad config value for config.generator.expected_edges: expected a finite number, got inf",
+            ),
+            (
+                ["train", "--trainset", "ts"],
+                {"train": {"learning_rate": math.nan}},
+                "bad config value for config.train.learning_rate: expected a finite number, got nan",
+            ),
+            (
+                ["train", "--trainset", "ts"],
+                {"train": {"learning_rate": math.inf}},
+                "bad config value for config.train.learning_rate: expected a finite number, got inf",
+            ),
         ],
     )
     def test_bad_seed_or_basis_exits_two(self, tmp_path, capsys, argv, config, message):
@@ -1905,7 +1931,8 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_generate_single_variable_exits_two(self, tmp_path, capsys):
-        rc = cli_main(["generate", "--d", "1", "--out", str(tmp_path / "g")])
+        cfg_path = _write_config(tmp_path / "cfg.json", generator={"d": 1})
+        rc = cli_main(["generate", "--config", cfg_path, "--out", str(tmp_path / "g")])
         assert rc == 2
         assert "generator d must be >= 2, got 1" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
@@ -2005,12 +2032,112 @@ class TestCli:
         for k, g in enumerate(graphs):
             save_graph(g, str(graphs_dir / f"g{k}.csv"))
         out = tmp_path / "ts"
+        cfg_path = _write_config(tmp_path / "cfg.json", regressor={"basis": basis, "basis_size": 4})
         args = ["--data", str(tmp_path / "data.csv"), "--graphs", str(graphs_dir), "--out", str(out)]
-        rc = cli_main(["make-trainset", *args, "--basis", basis, "--basis-size", "4", "--seed", "7"])
+        rc = cli_main(["make-trainset", "--config", cfg_path, *args, "--seed", "7"])
         assert rc == 0
         expected = {"datasets.npy": TRAINSET_DATASETS_SHA256[basis], "graphs.npy": TRAINSET_GRAPHS_SHA256}
         for name, digest in expected.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_generate_reads_the_generator_ranges_from_the_config(self, tmp_path):
+        generator = {"mechanism": "rff", "d": 4, "n": 50, "weight_range": [0.2, 0.4], "noise_scale_range": [1.5, 2.0]}
+        cfg_path = _write_config(tmp_path / "cfg.json", generator=generator)
+        out = tmp_path / "bundles"
+        assert cli_main(["generate", "--config", cfg_path, "--count", "2", "--seed", "5", "--out", str(out)]) == 0
+        rng = make_rng(5)
+        for i in range(2):
+            bundle = out / f"instance_{i:03d}"
+            meta = json.loads((bundle / "meta.json").read_text())
+            assert meta["generator"]["weight_range"] == [0.2, 0.4]
+            assert meta["generator"]["noise_scale_range"] == [1.5, 2.0]
+            expect = generate_instance(
+                SpecTriple.parse("rff", "gaussian", "er"),
+                4,
+                50,
+                int(rng.integers(0, 2**63 - 1)),
+                expected_edges=None,
+                attach_m=1,
+                weight_range=(0.2, 0.4),
+                noise_scale_range=(1.5, 2.0),
+            )
+            assert meta["seed"] == expect.seed
+            assert np.array_equal(load_dataset(str(bundle / "data.csv")).values, expect.data.values)
+            assert load_graph(str(bundle / "graph.csv")) == expect.dag
+
+    def test_make_trainset_reads_the_regressor_from_the_config(self, tmp_path):
+        instance = generate_instance(SpecTriple.parse("linear", "gaussian", "er"), 9, 60, 2)
+        data_path = str(tmp_path / "data.csv")
+        save_dataset(instance.data, data_path)
+        graphs_dir = tmp_path / "graphs"
+        graphs_dir.mkdir()
+        # node 8 has 7 parents: over the default in-degree cap of 6, under 8
+        graphs = [instance.scm.dag, dag_from_edges(9, [(k, 8) for k in range(7)])]
+        for k, g in enumerate(graphs):
+            save_graph(g, str(graphs_dir / f"g{k}.csv"))
+        cfg_path = _write_config(
+            tmp_path / "cfg.json", regressor={"basis": "spline", "basis_size": 4, "max_in_degree": 8}
+        )
+        out = tmp_path / "ts"
+        argv = ["make-trainset", "--config", cfg_path, "--data", data_path, "--graphs", str(graphs_dir)]
+        assert cli_main([*argv, "--seed", "7", "--out", str(out)]) == 0
+        engine = ScoreEngine(load_dataset(data_path), PipelineConfig.from_json_file(cfg_path).refine.score)
+        generate_training_set(graphs, engine, make_rng(7), TrainingSetWriter(str(tmp_path / "direct"), 60, 9))
+        for name in ("datasets.npy", "graphs.npy", "provenance.json"):
+            assert (out / name).read_bytes() == (tmp_path / "direct" / name).read_bytes(), name
+        assert json.loads((out / "provenance.json").read_text())["source_indices"] == [0, 1]
+
+    def test_train_seed_flag_overrides_the_config_seed(self, tmp_path):
+        ts = tmp_path / "ts"
+        data = generate_instance(SpecTriple.parse("linear", "gaussian", "er"), 3, 40, 1).data
+        graphs = [dag_from_edges(3, [(0, 1)]), dag_from_edges(3, [(1, 2)])]
+        generate_training_set(graphs, ScoreEngine(data), make_rng(0), TrainingSetWriter(str(ts), 40, 3))
+
+        def trained(name, *extra, train_section=None):
+            cfg_path = _write_config(tmp_path / f"{name}.json", train={"epochs": 2, **(train_section or {})})
+            out = tmp_path / f"{name}.out.json"
+            assert cli_main(["train", "--config", cfg_path, "--trainset", str(ts), *extra, "--out", str(out)]) == 0
+            return out.read_text()
+
+        unseeded, flag4 = trained("none"), trained("flag4", "--seed", "4")
+        assert unseeded == trained("zero", "--seed", "0")
+        assert trained("config4", train_section={"seed": 4}) == flag4 != unseeded
+        assert trained("override", "--seed", "4", train_section={"seed": 9}) == flag4
+
+    def test_eval_reads_the_threshold_from_the_config(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("0.0,0.7\n0.1,0.0\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("0,1\n0,0\n")
+        f1 = {}
+        for threshold in (0.5, 0.9):
+            cfg_path = _write_config(tmp_path / "cfg.json", threshold=threshold)
+            assert cli_main(["eval", "--config", cfg_path, "--prediction", str(pred), "--truth", str(truth)]) == 0
+            f1[threshold] = json.loads(capsys.readouterr().out)["f1"]
+        assert f1 == {0.5: 1.0, 0.9: 0.0}
+
+    def test_no_flag_repeats_a_config_key(self):
+        """Each setting has one source, the config file: a subcommand flag
+        may name files, counts and seeds, but not a config key, save for
+        the run overrides seed, out, stages and truth."""
+
+        def leaves(obj):
+            for key, value in obj.items():
+                if isinstance(value, dict):
+                    yield from leaves(value)
+                else:
+                    yield key
+
+        keys = set(leaves(PipelineConfig(generator=GeneratorConfig(), data_path="x").to_dict()))
+        keys -= {"seed", "out", "stages", "truth"}
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        repeated = {
+            (command, action.dest)
+            for command, parser in subparsers.choices.items()
+            for action in parser._actions
+            if action.dest in keys
+        }
+        assert not repeated
 
     def test_invalid_trainset_exits_two(self, tmp_path, capsys):
         # an instance_### directory is the old layout, which train no longer reads
